@@ -39,6 +39,7 @@ from .pipeline import (
     prepare_state,
     run_pipeline,
     run_round,
+    run_rounds,
     subsample_views,
 )
 from .superpoints import SuperpointPartition, partition_superpoints

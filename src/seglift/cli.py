@@ -20,9 +20,11 @@ from .errors import DataError, InvariantViolation
 from .evaluation import evaluate
 from .pipeline import (
     PipelineConfig,
+    prepare_state,
     read_proposal_points,
     read_proposals,
     run_pipeline,
+    run_rounds,
     write_proposal_points,
     write_proposals,
 )
@@ -134,14 +136,17 @@ def _parse_dims(text: str, n: int, flag: str) -> tuple:
 def cmd_generate(args) -> int:
     width, height = _parse_dims(args.size, 2, "--size")
     room = _parse_dims(args.room, 3, "--room")
-    spec = SceneSpec(
-        room_size=tuple(float(v) for v in room),
-        object_count=args.objects,
-        frame_count=args.frames,
-        image_size=(int(width), int(height)),
-        density=args.density,
-        seed=args.seed,
-    )
+    try:
+        spec = SceneSpec(
+            room_size=tuple(float(v) for v in room),
+            object_count=args.objects,
+            frame_count=args.frames,
+            image_size=(int(width), int(height)),
+            density=args.density,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     scene = build_scene(spec)
     save_scene(scene, args.out, force=args.force)
     print(f"scene written to {args.out}: {args.objects} objects, {args.frames} frames")
@@ -162,7 +167,6 @@ def _run_segment(scene_dir, args, config):
     scene = load_scene(scene_dir, require_instances=args.tracker in ("oracle", "noisy"))
     load_s = time.perf_counter() - t0
     tracker, tracks = _load_tracker(args)
-    t1 = time.perf_counter()
     result = run_pipeline(
         scene.cloud,
         scene.frames,
@@ -171,8 +175,7 @@ def _run_segment(scene_dir, args, config):
         instances=scene.instances if tracker in ("oracle", "noisy") else None,
         tracks=tracks,
     )
-    pipeline_s = time.perf_counter() - t1
-    return scene, result, {"load": load_s, "pipeline": pipeline_s}
+    return scene, result, {"load": load_s, **result.timings_s}
 
 
 def _write_manifest(path, command, args, config, result, timings, outputs):
@@ -260,19 +263,13 @@ def cmd_ablate(args) -> int:
     if scene.cloud.gt_instance is None or not np.any(scene.cloud.gt_instance >= 0):
         raise DataError(f"{args.scene}: ablation needs ground-truth instances")
     tracker, tracks = _load_tracker(args)
+    instances = scene.instances if tracker in ("oracle", "noisy") else None
+    state = prepare_state(scene.cloud, scene.frames, instances, config)
 
     header = ["strategy", "ap", "ap50", "ap25", "rc", "rc50", "rc25", "mean_objective", "seed"]
     lines = ["\t".join(header)]
     for strategy in ABLATION_STRATEGIES:
-        cfg = PipelineConfig.from_mapping({"strategy": strategy}, base=config)
-        result = run_pipeline(
-            scene.cloud,
-            scene.frames,
-            cfg,
-            tracker=tracker,
-            instances=scene.instances if tracker in ("oracle", "noisy") else None,
-            tracks=tracks,
-        )
+        result = run_rounds(state, strategy, tracker, tracks)
         masks = [p.point_mask for p in result.proposals]
         scores = [p.score for p in result.proposals]
         if masks:
@@ -285,7 +282,7 @@ def cmd_ablate(args) -> int:
             "\t".join(
                 [strategy]
                 + [f"{m:.6f}" for m in metrics]
-                + [f"{mean_obj:.3f}", str(cfg.seed)]
+                + [f"{mean_obj:.3f}", str(config.seed)]
             )
         )
     table = "\n".join(lines)

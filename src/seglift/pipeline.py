@@ -10,7 +10,9 @@ hit. Near-duplicate proposals collapse to the highest-scoring one.
 
 from __future__ import annotations
 
+import math
 import re
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -22,7 +24,6 @@ from .geometry import CameraFrame, PointCloud, fps_sample, knn_centroids, estima
 from .superpoints import SuperpointPartition, partition_superpoints
 from .tracks import MaskTrack, NoiseSpec, build_tracker_query, noisy_track, oracle_track
 from .optimize import (
-    Solution,
     all_lifted,
     brute_force_superpoints,
     brute_force_views,
@@ -42,6 +43,7 @@ __all__ = [
     "subsample_views",
     "prepare_state",
     "run_round",
+    "run_rounds",
     "run_pipeline",
     "parse_strategy",
     "STRATEGY_NAMES",
@@ -169,8 +171,6 @@ def _coerce(raw, target_type):
             return int(raw)
         if target_type is float:
             return float(raw)
-        if target_type is bool:
-            return raw.lower() in ("1", "true", "yes")
         return raw
     return target_type(raw)
 
@@ -207,8 +207,8 @@ class PipelineResult:
     rounds: list[RoundStats]
     leftover_free_superpoints: int
     superpoint_count: int
-    working_views: list[int]
     partition: SuperpointPartition = field(repr=False)
+    timings_s: dict[str, float] = field(default_factory=dict, repr=False)
 
 
 def subsample_views(frames: list, stride: int) -> list:
@@ -301,6 +301,12 @@ def _process_seed(state: PipelineState, seed: int, track_id: int, tracker: str, 
             )
     except (NoPivotViewError, TrackingError):
         return None
+    return _lift(state, track, refine, round_index=-1)
+
+
+def _lift(state: PipelineState, track: MaskTrack, refine, round_index: int) -> Proposal | None:
+    """Lift a track to a visibility matrix and refine it into a proposal."""
+    cfg = state.config
     vis = visibility_matrix(
         track,
         state.cloud.positions,
@@ -312,17 +318,11 @@ def _process_seed(state: PipelineState, seed: int, track_id: int, tracker: str, 
         projections=state.projections,
     )
     solution = refine(vis)
-    return _solution_to_proposal(state.partition, solution, track, round_index=-1)
-
-
-def _solution_to_proposal(
-    partition: SuperpointPartition, solution: Solution, track: MaskTrack, round_index: int
-) -> Proposal | None:
     ids = solution.selected()
     if ids.size == 0:
         return None
     return Proposal(
-        point_mask=solution.theta[partition.assignment],
+        point_mask=solution.theta[state.partition.assignment],
         superpoint_ids=ids,
         score=float(track.score),
         seed_superpoint=track.seed_superpoint,
@@ -385,6 +385,15 @@ def run_round(
     return proposals, stats
 
 
+def _check_tracker(tracker: str, instances, tracks) -> None:
+    if tracker not in ("oracle", "noisy", "file"):
+        raise ValueError(f"unknown tracker {tracker!r}")
+    if tracker in ("oracle", "noisy") and instances is None:
+        raise DataError(f"the {tracker} tracker needs per-frame instance renders")
+    if tracker == "file" and tracks is None:
+        raise DataError("the file tracker needs a track list")
+
+
 def run_pipeline(
     cloud: PointCloud,
     frames: list[CameraFrame],
@@ -398,17 +407,30 @@ def run_pipeline(
     ``tracker`` is "oracle" or "noisy" (both need per-frame instance
     renders) or "file", in which case ``tracks`` supplies externally
     produced tracks indexed on the already-subsampled working views.
+    ``timings_s`` of the result holds the seconds of both stages.
     """
-    if tracker not in ("oracle", "noisy", "file"):
-        raise ValueError(f"unknown tracker {tracker!r}")
-    if tracker in ("oracle", "noisy") and instances is None:
-        raise DataError(f"the {tracker} tracker needs per-frame instance renders")
-    if tracker == "file" and tracks is None:
-        raise DataError("the file tracker needs a track list")
-
+    _check_tracker(tracker, instances, tracks)
+    start = time.perf_counter()
     state = prepare_state(cloud, frames, instances, config)
-    refine = parse_strategy(config.strategy)
-    working_views = list(range(0, len(frames), config.view_stride))
+    prepared = time.perf_counter()
+    result = run_rounds(state, config.strategy, tracker, tracks)
+    result.timings_s = {"prepare": prepared - start, "rounds": time.perf_counter() - prepared}
+    return result
+
+
+def run_rounds(
+    state: PipelineState,
+    strategy: str,
+    tracker: str = "oracle",
+    tracks: list[MaskTrack] | None = None,
+) -> PipelineResult:
+    """Proposals from a prepared state with one refinement strategy.
+
+    The state is only read, so one state serves any number of strategies.
+    """
+    _check_tracker(tracker, state.instances, tracks)
+    config = state.config
+    refine = parse_strategy(strategy)
 
     proposals: list[Proposal] = []
     rounds: list[RoundStats] = []
@@ -416,17 +438,7 @@ def run_pipeline(
         _validate_file_tracks(tracks, state.frames)
         emitted = 0
         for track in tracks:
-            vis = visibility_matrix(
-                track,
-                state.cloud.positions,
-                state.partition,
-                state.frames,
-                tau=config.tau,
-                depth_tolerance=config.depth_tolerance,
-                overlap_mode=config.overlap_mode,
-                projections=state.projections,
-            )
-            prop = _solution_to_proposal(state.partition, refine(vis), track, round_index=0)
+            prop = _lift(state, track, refine, round_index=0)
             if prop is not None:
                 proposals.append(prop)
                 emitted += 1
@@ -454,7 +466,6 @@ def run_pipeline(
         rounds=rounds,
         leftover_free_superpoints=leftover,
         superpoint_count=state.partition.count,
-        working_views=working_views,
         partition=state.partition,
     )
 
@@ -512,9 +523,13 @@ def read_proposals(path) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from exc
+            score = record.get("score") if isinstance(record, dict) else None
+            if type(score) not in (int, float) or not math.isfinite(score) or type(record.get("id")) is not int:
+                raise DataError(f"{path}: line {lineno}: needs an integer \"id\" and a finite \"score\"")
+            records.append(record)
     return records
 
 

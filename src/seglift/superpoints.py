@@ -5,6 +5,13 @@ the endpoint normals, and merges regions greedily in ascending weight order
 with the classic adaptive threshold ``merge_threshold / |component|``. A
 post-pass folds components below ``min_size`` into the neighbor they touch
 through their cheapest edge.
+
+Two exact shortcuts keep most edges out of the Python union-find loop. A
+weight-0 edge passes ``w <= Int(C) + k / |C|`` whatever the state, since
+``Int(C) >= 0`` and ``k > 0``, and such edges come first; so that prefix of
+the loop yields the connected components of the weight-0 subgraph, all with
+``Int = 0``. The fold pass only grows components, so it skips edges that,
+when it starts, lie inside one component or join two of ``min_size`` or more.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .geometry import PointCloud
@@ -60,10 +69,10 @@ class SuperpointPartition:
 
 
 class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.internal = [0.0] * n
+    def __init__(self, sizes: list[int]):
+        self.parent = list(range(len(sizes)))
+        self.size = sizes
+        self.internal = [0.0] * len(sizes)
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -81,6 +90,13 @@ class _UnionFind:
         self.parent[b] = a
         self.size[a] += self.size[b]
         return a
+
+    def roots(self) -> np.ndarray:
+        """Root of every node, by pointer jumping over the parent array."""
+        parent = np.asarray(self.parent)
+        while np.any(parent[parent] != parent):
+            parent = parent[parent]
+        return parent
 
 
 def partition_superpoints(
@@ -117,23 +133,27 @@ def partition_superpoints(
     _, nbr = tree.query(positions, k=knn_k + 1)
     src = np.repeat(np.arange(n), knn_k)
     dst = nbr[:, 1:].reshape(-1)
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    weights = 1.0 - np.abs(np.einsum("ij,ij->i", normals[edges[:, 0]], normals[edges[:, 1]]))
+    keys = np.sort(np.minimum(src, dst) * n + np.maximum(src, dst))
+    keys = keys[np.concatenate(([True], np.diff(keys) != 0))]
+    lo, hi = keys // n, keys % n
+    weights = 1.0 - np.abs(np.einsum("ij,ij->i", normals[lo], normals[hi]))
     weights = np.clip(weights, 0.0, 1.0)
-    order = np.lexsort((edges[:, 1], edges[:, 0], weights))
-    e0 = edges[order, 0].tolist()
-    e1 = edges[order, 1].tolist()
-    ws = weights[order].tolist()
+    # stable on (lo, hi)-sorted edges: ascending (weight, lo, hi)
+    order = np.argsort(weights, kind="stable")
+    lo, hi, weights = lo[order], hi[order], weights[order]
 
-    uf = _UnionFind(n)
-    for i in range(len(ws)):
-        ra = uf.find(e0[i])
-        rb = uf.find(e1[i])
+    # the weight-0 prefix always merges: its components seed the union-find
+    flat = weights == 0.0
+    graph = coo_matrix((np.ones(np.count_nonzero(flat)), (lo[flat], hi[flat])), shape=(n, n))
+    _, comp = connected_components(graph, directed=False)
+    a, b = comp[lo], comp[hi]
+    cross = a != b
+    a, b, ws = a[cross], b[cross], weights[cross]
+    uf = _UnionFind(np.bincount(comp).tolist())
+    for ca, cb, w in zip(a.tolist(), b.tolist(), ws.tolist()):
+        ra, rb = uf.find(ca), uf.find(cb)
         if ra == rb:
             continue
-        w = ws[i]
         if (
             w <= uf.internal[ra] + merge_threshold / uf.size[ra]
             and w <= uf.internal[rb] + merge_threshold / uf.size[rb]
@@ -141,19 +161,14 @@ def partition_superpoints(
             uf.internal[uf.union(ra, rb)] = w
 
     # ascending order means each small component meets its cheapest neighbor first
-    for i in range(len(ws)):
-        ra = uf.find(e0[i])
-        rb = uf.find(e1[i])
+    roots, sizes = uf.roots(), np.asarray(uf.size)
+    ra, rb = roots[a], roots[b]
+    small = (ra != rb) & ((sizes[ra] < min_size) | (sizes[rb] < min_size))
+    for ca, cb in zip(a[small].tolist(), b[small].tolist()):
+        ra, rb = uf.find(ca), uf.find(cb)
         if ra != rb and (uf.size[ra] < min_size or uf.size[rb] < min_size):
             uf.union(ra, rb)
 
-    labels = np.empty(n, dtype=np.int64)
-    remap: dict[int, int] = {}
-    for i in range(n):
-        root = uf.find(i)
-        label = remap.get(root)
-        if label is None:
-            label = len(remap)
-            remap[root] = label
-        labels[i] = label
-    return SuperpointPartition.from_assignment(labels, positions)
+    # dense labels, numbered by each superpoint's first point
+    _, first, inverse = np.unique(uf.roots()[comp], return_index=True, return_inverse=True)
+    return SuperpointPartition.from_assignment(np.argsort(np.argsort(first))[inverse], positions)

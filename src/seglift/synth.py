@@ -70,6 +70,8 @@ class SceneSpec:
             raise ValueError("object count must be nonnegative")
         if self.density <= 0:
             raise ValueError("density must be positive")
+        if min(self.image_size) < 1:
+            raise ValueError("image size must be positive")
         if not self.shapes:
             raise ValueError("shape palette must not be empty")
         for shape in self.shapes:

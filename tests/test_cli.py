@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from seglift import cli
 from seglift.cli import main
-from seglift.pipeline import read_proposals
+from seglift.pipeline import PipelineConfig, read_proposals, run_pipeline
 from seglift.tracks import MaskTrack, write_tracks
 from seglift.synth import load_scene
 from seglift.pipeline import subsample_views
@@ -213,7 +214,77 @@ class TestEval:
         assert code == 3
 
 
+class TestManifest:
+    def test_timings_split_by_stage_and_kept_out_of_proposals(self, scene_dir, tmp_path):
+        out = tmp_path / "run"
+        assert run_segment(scene_dir, out) == 0
+        timings = json.loads((out / "manifest.json").read_text())["timings_s"]
+        assert set(timings) == {"load", "prepare", "rounds"}
+        assert all(seconds >= 0 for seconds in timings.values())
+        for record in read_proposals(out / "proposals.jsonl"):
+            assert set(record) == {"id", "score", "superpoints", "point_count", "provenance"}
+
+
+# (case, command, generate flags or one proposals.jsonl line, exit code)
+EXIT_CODES = [
+    ("generate-ok", "generate", ["--objects", "0", "--frames", "2"], 0),
+    ("generate-negative-objects", "generate", ["--objects", "-1"], 2),
+    ("generate-size-0x0", "generate", ["--size", "0x0"], 2),
+    ("generate-size-64x0", "generate", ["--size", "64x0"], 2),
+    ("generate-zero-frames", "generate", ["--frames", "0"], 2),
+    ("generate-zero-density", "generate", ["--density", "0"], 2),
+    ("generate-flat-room", "generate", ["--room", "0x6x3"], 2),
+    ("generate-size-one-value", "generate", ["--size", "64"], 2),
+    ("eval-ok", "eval", '{"id": 0, "score": 0.5}', 0),
+    ("eval-no-score", "eval", '{"id": 0}', 3),
+    ("eval-no-id", "eval", '{"score": 0.5}', 3),
+    ("eval-text-score", "eval", '{"id": 0, "score": "high"}', 3),
+    ("eval-bool-score", "eval", '{"id": 0, "score": true}', 3),
+    ("eval-nan-score", "eval", '{"id": 0, "score": NaN}', 3),
+    ("eval-text-id", "eval", '{"id": "0", "score": 0.5}', 3),
+    ("eval-float-id", "eval", '{"id": 0.0, "score": 0.5}', 3),
+    ("eval-not-an-object", "eval", "[0, 0.5]", 3),
+    ("eval-bad-json", "eval", "{not json", 3),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "command, arg, code", [case[1:] for case in EXIT_CODES], ids=[case[0] for case in EXIT_CODES]
+    )
+    def test_exit_code(self, scene_dir, tmp_path, capsys, command, arg, code):
+        if command == "generate":
+            argv = ["generate", "--out", str(tmp_path / "scene"), *arg]
+        else:
+            proposals = tmp_path / "proposals.jsonl"
+            proposals.write_text(arg + "\n")
+            (tmp_path / "points.txt").write_text("0 1 2 3\n")
+            argv = ["eval", "--scene", str(scene_dir), "--proposals", str(proposals)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith({0: "", 2: "usage error: ", 3: "data error: "}[code])
+
+
 class TestAblate:
+    def test_one_setup_matches_separate_runs(self, scene_dir, tmp_path, monkeypatch):
+        argv = ["ablate", "--scene", str(scene_dir), "--tracker", "noisy",
+                "--noise-p-flip", "0.3", "--noise-r-morph", "2", "--out"]
+        prepared = []
+        prepare = cli.prepare_state
+        monkeypatch.setattr(cli, "prepare_state", lambda *a: prepared.append(a) or prepare(*a))
+        assert main(argv + [str(tmp_path / "shared")]) == 0
+        assert len(prepared) == 1
+        scene = load_scene(scene_dir)
+
+        def separate(state, strategy, tracker, tracks):
+            config = PipelineConfig.from_mapping({"strategy": strategy}, base=state.config)
+            return run_pipeline(scene.cloud, scene.frames, config, tracker, scene.instances, tracks)
+
+        monkeypatch.setattr(cli, "run_rounds", separate)
+        assert main(argv + [str(tmp_path / "separate")]) == 0
+        shared = (tmp_path / "shared" / "ablation.tsv").read_bytes()
+        assert shared == (tmp_path / "separate" / "ablation.tsv").read_bytes()
+
     def test_table_shape_and_shared_seed(self, scene_dir, tmp_path, capsys):
         out = tmp_path / "ablate"
         code = main(

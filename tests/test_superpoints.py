@@ -1,7 +1,9 @@
-"""Graph-cut partition tests against connected-component and purity oracles."""
+"""Graph-cut partition tests against connected-component, purity and loop oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
@@ -35,6 +37,164 @@ def knn_components(points, k):
     graph = coo_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
     count, labels = connected_components(graph, directed=False)
     return count, labels
+
+
+# The plain union-find loop over every k-NN edge: the partition's reference.
+# partition_superpoints must return exactly its labels.
+class _ReferenceUnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.internal = [0.0] * n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> int:
+        # attach the smaller tree; ties keep the lower index as root
+        if self.size[a] < self.size[b] or (self.size[a] == self.size[b] and b < a):
+            a, b = b, a
+        self.parent[b] = a
+        self.size[a] += self.size[b]
+        return a
+
+
+def _reference_partition(
+    cloud: PointCloud,
+    normals: np.ndarray,
+    knn_k: int = 10,
+    merge_threshold: float = 0.05,
+    min_size: int = 20,
+) -> SuperpointPartition:
+    """Partition a cloud into superpoints; see module docstring.
+
+    Edge weight is ``1 - |n_i . n_j|`` (orientation-agnostic). Edges are
+    processed in ascending (weight, i, j) order, which makes the result a
+    pure function of the inputs. Clouds with fewer than ``knn_k + 1`` points
+    collapse to a single superpoint. Components smaller than ``min_size``
+    survive only when they are isolated in the k-NN graph.
+    """
+    if knn_k < 1:
+        raise ValueError("knn_k must be at least 1")
+    if merge_threshold <= 0:
+        raise ValueError("merge_threshold must be positive")
+    if min_size < 1:
+        raise ValueError("min_size must be at least 1")
+    positions = cloud.positions
+    n = len(positions)
+    if n < knn_k + 1:
+        return SuperpointPartition.from_assignment(np.zeros(n, dtype=np.int64), positions)
+
+    normals = np.asarray(normals, dtype=np.float64)
+    if normals.shape != (n, 3):
+        raise ValueError("normals must be (N, 3)")
+
+    tree = cKDTree(positions)
+    _, nbr = tree.query(positions, k=knn_k + 1)
+    src = np.repeat(np.arange(n), knn_k)
+    dst = nbr[:, 1:].reshape(-1)
+    lo = np.minimum(src, dst)
+    hi = np.maximum(src, dst)
+    edges = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    weights = 1.0 - np.abs(np.einsum("ij,ij->i", normals[edges[:, 0]], normals[edges[:, 1]]))
+    weights = np.clip(weights, 0.0, 1.0)
+    order = np.lexsort((edges[:, 1], edges[:, 0], weights))
+    e0 = edges[order, 0].tolist()
+    e1 = edges[order, 1].tolist()
+    ws = weights[order].tolist()
+
+    uf = _ReferenceUnionFind(n)
+    for i in range(len(ws)):
+        ra = uf.find(e0[i])
+        rb = uf.find(e1[i])
+        if ra == rb:
+            continue
+        w = ws[i]
+        if (
+            w <= uf.internal[ra] + merge_threshold / uf.size[ra]
+            and w <= uf.internal[rb] + merge_threshold / uf.size[rb]
+        ):
+            uf.internal[uf.union(ra, rb)] = w
+
+    # ascending order means each small component meets its cheapest neighbor first
+    for i in range(len(ws)):
+        ra = uf.find(e0[i])
+        rb = uf.find(e1[i])
+        if ra != rb and (uf.size[ra] < min_size or uf.size[rb] < min_size):
+            uf.union(ra, rb)
+
+    labels = np.empty(n, dtype=np.int64)
+    remap: dict[int, int] = {}
+    for i in range(n):
+        root = uf.find(i)
+        label = remap.get(root)
+        if label is None:
+            label = len(remap)
+            remap[root] = label
+        labels[i] = label
+    return SuperpointPartition.from_assignment(labels, positions)
+
+
+def oracle_case(kind, n, seed):
+    """Points and normals: coplanar grid, random, or mixed flat patches."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        side = max(1, int(np.ceil(np.sqrt(n))))
+        pts = grid_plane(side, side, 0.05, (0, 0, 0), [(1, 0, 0), (0, 1, 0)])[:n]
+        return pts, np.tile([0.0, 0.0, 1.0], (len(pts), 1))
+    if kind == "random":
+        normals = rng.normal(size=(n, 3))
+        return rng.uniform(0, 1, size=(n, 3)), normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    # flat patches with axis-aligned and slanted normals, a few points duplicated;
+    # a slanted unit normal dotted with itself may miss 1 by an ulp: weight 0 or ~1e-16
+    slanted = rng.normal(size=(2, 3))
+    slanted /= np.linalg.norm(slanted, axis=1, keepdims=True)
+    palette = np.concatenate([np.eye(3), [[0.6, 0.8, 0]], slanted])
+    patch = rng.integers(0, 4, size=n)
+    pts = rng.uniform(0, 0.3, size=(n, 3)) + patch[:, None] * 0.2
+    normals = palette[rng.integers(0, len(palette), size=4)][patch]
+    dup = rng.integers(0, n, size=n // 10)
+    return np.concatenate([pts, pts[dup]]), np.concatenate([normals, normals[dup]])
+
+
+class TestReferenceOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["grid", "random", "mixed"]),
+        n=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+        knn_k=st.integers(1, 12),
+        min_size=st.integers(1, 30),
+        merge_threshold=st.sampled_from([1e-4, 0.01, 0.05, 0.3, 2.0]),
+    )
+    @example(kind="mixed", n=8, seed=0, knn_k=12, min_size=3, merge_threshold=0.05)  # n <= knn_k
+    @example(kind="grid", n=13, seed=0, knn_k=12, min_size=30, merge_threshold=0.05)  # n == knn_k + 1
+    def test_labels_equal_reference_loop(self, kind, n, seed, knn_k, min_size, merge_threshold):
+        pts, normals = oracle_case(kind, n, seed)
+        cloud = as_cloud(pts)
+        kwargs = dict(knn_k=knn_k, merge_threshold=merge_threshold, min_size=min_size)
+        expected = _reference_partition(cloud, normals, **kwargs)
+        got = partition_superpoints(cloud, normals, **kwargs)
+        np.testing.assert_array_equal(got.assignment, expected.assignment)
+
+    @pytest.mark.parametrize("normals_from", ["estimated", "constant", "shuffled"])
+    def test_labels_equal_reference_loop_on_scene(self, normals_from, small_scene):
+        cloud = small_scene.cloud
+        normals = estimate_normals(cloud.positions, 12)
+        if normals_from == "constant":
+            normals = np.tile([0.0, 0.0, 1.0], (len(cloud), 1))
+        elif normals_from == "shuffled":
+            normals = np.random.default_rng(1).permutation(normals)
+        for kwargs in ({}, dict(knn_k=4, merge_threshold=0.01, min_size=30)):
+            expected = _reference_partition(cloud, normals, **kwargs)
+            got = partition_superpoints(cloud, normals, **kwargs)
+            np.testing.assert_array_equal(got.assignment, expected.assignment)
 
 
 class TestPartition:
