@@ -54,6 +54,6 @@ from .tracks import (
     read_tracks,
     write_tracks,
 )
-from .view_select import NoPivotViewError, ViewHistogram, pivot_view, scale_factor, superpoint_view_counts
+from .view_select import NoPivotViewError, PixelIndex, ViewHistogram, pivot_view, scale_factor, superpoint_view_counts
 
 __version__ = "0.1.0"

@@ -65,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples-per-round", type=int, dest="samples_per_round")
         p.add_argument("--max-rounds", type=int, dest="max_rounds")
         p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
         p.add_argument("--overlap-mode", dest="overlap_mode")
         p.add_argument("--dedup-iou", type=float, dest="dedup_iou")
         p.add_argument("--noise-p-drop", type=float, dest="noise_p_drop")
@@ -96,7 +95,6 @@ _FLAG_TO_FIELD = {
     "samples_per_round": "samples_per_round",
     "max_rounds": "max_rounds",
     "seed": "seed",
-    "threads": "threads",
     "overlap_mode": "overlap_mode",
     "dedup_iou": "dedup_iou",
     "noise_p_drop": "noise_p_drop",

@@ -115,10 +115,6 @@ class CameraFrame:
     def translation(self) -> np.ndarray:
         return self.extrinsics[:3, 3]
 
-    def camera_center(self) -> np.ndarray:
-        """World-space position of the optical center."""
-        return -self.rotation.T @ self.translation
-
 
 @dataclass
 class PixelSet:

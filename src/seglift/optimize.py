@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraFrame, PixelSet, project_points
+from .geometry import CameraFrame, project_cloud, project_points
 from .superpoints import SuperpointPartition
 from .tracks import MaskTrack
+from .view_select import PixelIndex
 
 __all__ = [
     "VisibilityMatrix",
@@ -112,27 +113,14 @@ class Solution:
         return np.flatnonzero(self.theta)
 
 
-def _track_view_projections(
-    track: MaskTrack,
-    positions: np.ndarray,
-    frames: list[CameraFrame],
-    depth_tolerance: float,
-    projections: list[PixelSet] | None,
-) -> dict[int, PixelSet]:
-    per_view = {}
+def _check_mask_shapes(track: MaskTrack, frames: list[CameraFrame]) -> None:
     for t in track.views():
-        mask = track.masks[t]
         frame = frames[t]
-        if mask.shape != (frame.height, frame.width):
+        if track.masks[t].shape != (frame.height, frame.width):
             raise ValueError(
-                f"track {track.track_id} view {t}: mask shape {mask.shape} "
+                f"track {track.track_id} view {t}: mask shape {track.masks[t].shape} "
                 f"does not match frame {(frame.height, frame.width)}"
             )
-        if projections is not None:
-            per_view[t] = projections[t]
-        else:
-            per_view[t] = project_points(positions, frame, depth_tolerance)
-    return per_view
 
 
 def visibility_matrix(
@@ -143,7 +131,7 @@ def visibility_matrix(
     tau: float = 0.5,
     depth_tolerance: float = 0.1,
     overlap_mode: str = "containment",
-    projections: list[PixelSet] | None = None,
+    pixels: PixelIndex | None = None,
 ) -> VisibilityMatrix:
     """Lift a track's 2D masks to per-view visible superpoint sets.
 
@@ -151,42 +139,41 @@ def visibility_matrix(
     ``tau`` of its projected points fall inside the mask. ``iou`` instead
     thresholds the pixel-set IoU between the superpoint's distinct pixels
     and the mask. Superpoints with no projected points in a view are never
-    visible there.
+    visible there. ``pixels`` is the scene's pixel index; without it, one is
+    built by projecting ``positions`` into ``frames``.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
     if overlap_mode not in ("containment", "iou"):
         raise ValueError(f"unknown overlap mode {overlap_mode!r}")
+    _check_mask_shapes(track, frames)
+    if pixels is None:
+        pixels = PixelIndex.build(partition, project_cloud(positions, frames, depth_tolerance))
     L = partition.count
-    per_view = _track_view_projections(track, positions, frames, depth_tolerance, projections)
-    views = sorted(per_view)
-    V = len(views)
-    rows = np.zeros((V, L), dtype=bool)
-    in_counts = np.zeros((V, L), dtype=np.int64)
-    total_counts = np.zeros((V, L), dtype=np.int64)
+    views = track.views()
+    total_counts = pixels.counts[views]
+    in_counts = np.zeros((len(views), L), dtype=np.int64)
+    rows = np.zeros((len(views), L), dtype=bool)
     for v, t in enumerate(views):
-        ps = per_view[t]
-        if ps.is_empty:
-            continue
+        span = pixels.view(t)
         mask = track.masks[t]
-        labels = partition.assignment[ps.indices]
-        inside = mask[ps.rows, ps.cols]
-        total_counts[v] = np.bincount(labels, minlength=L)
+        labels = pixels.labels[span]
+        inside = mask[pixels.rows[span], pixels.cols[span]]
         in_counts[v] = np.bincount(labels[inside], minlength=L)
-        if overlap_mode == "containment":
-            with np.errstate(invalid="ignore"):
-                ratio = in_counts[v] / total_counts[v]
-            rows[v] = (total_counts[v] > 0) & (np.nan_to_num(ratio) >= tau)
-        else:
-            rows[v] = _iou_row(ps, labels, mask, L) >= tau
+        if overlap_mode == "iou":
+            rows[v] = _iou_row(pixels.rows[span], pixels.cols[span], labels, mask, L) >= tau
+    if overlap_mode == "containment":
+        with np.errstate(invalid="ignore"):
+            ratio = in_counts / total_counts
+        rows = (total_counts > 0) & (np.nan_to_num(ratio) >= tau)
     return VisibilityMatrix(np.asarray(views), rows, in_counts, total_counts)
 
 
-def _iou_row(ps: PixelSet, labels: np.ndarray, mask: np.ndarray, L: int) -> np.ndarray:
+def _iou_row(rows: np.ndarray, cols: np.ndarray, labels: np.ndarray, mask: np.ndarray, L: int) -> np.ndarray:
     """Pixel-set IoU of each superpoint's distinct pixels against the mask."""
     h, w = mask.shape
-    pix = ps.rows * w + ps.cols
-    pairs = np.unique(labels * (h * w) + pix)
+    pix = rows.astype(np.int64) * w + cols  # int32 keys would overflow at L*H*W >= 2**31
+    pairs = np.unique(labels.astype(np.int64) * (h * w) + pix)
     pair_labels = pairs // (h * w)
     pair_pix = pairs % (h * w)
     unique_pix = np.bincount(pair_labels, minlength=L)
@@ -206,24 +193,20 @@ def objective_value(
     partition: SuperpointPartition,
     frames: list[CameraFrame],
     depth_tolerance: float = 0.1,
-    projections: list[PixelSet] | None = None,
 ) -> int:
     """Inside-minus-outside projected-point count of a selection, summed
     over the track's views. Points are counted with multiplicity; the
     projection of the selection is the union of its member superpoints'
-    pixel sets."""
+    pixel sets. Reprojects the points, independently of the pixel index."""
     theta = np.asarray(theta, dtype=bool)
     if theta.shape != (partition.count,):
         raise ValueError("theta must have one entry per superpoint")
+    _check_mask_shapes(track, frames)
     selected_points = theta[partition.assignment]
-    per_view = _track_view_projections(track, positions, frames, depth_tolerance, projections)
     total = 0
-    for t, ps in per_view.items():
-        if ps.is_empty:
-            continue
+    for t in track.views():
+        ps = project_points(positions, frames[t], depth_tolerance)
         chosen = selected_points[ps.indices]
-        if not chosen.any():
-            continue
         inside = int(np.count_nonzero(track.masks[t][ps.rows, ps.cols] & chosen))
         outside = int(np.count_nonzero(chosen)) - inside
         total += inside - outside
@@ -272,7 +255,7 @@ def _enumerate_best(bit_count: int, scorer) -> tuple[int, int]:
     return best_mask, int(best_score)
 
 
-def _brute_views_restricted(vis: VisibilityMatrix, view_positions: np.ndarray) -> Solution:
+def _brute_views_over(vis: VisibilityMatrix, view_positions: np.ndarray) -> Solution:
     """Best union of visible sets over subsets of the given view positions.
 
     Scores are always the full-track objective; ties prefer the smaller
@@ -305,7 +288,7 @@ def brute_force_views(vis: VisibilityMatrix, max_views: int = 20) -> Solution:
             f"{V} views exceeds the enumeration cap of {max_views}; "
             "use dp_refine or top_k_views_refine instead"
         )
-    return _brute_views_restricted(vis, np.arange(V))
+    return _brute_views_over(vis, np.arange(V))
 
 
 def brute_force_superpoints(vis: VisibilityMatrix, max_candidates: int = 20) -> Solution:
@@ -345,7 +328,7 @@ def top_k_views_refine(vis: VisibilityMatrix, k: int, max_views: int = 20) -> So
     solo = vis.rows.astype(np.int64) @ weights
     order = np.lexsort((np.arange(vis.view_count), -solo))
     keep = np.sort(order[: min(k, vis.view_count)])
-    return _brute_views_restricted(vis, keep)
+    return _brute_views_over(vis, keep)
 
 
 def all_lifted(vis: VisibilityMatrix) -> Solution:

@@ -13,13 +13,11 @@ from __future__ import annotations
 import math
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, TrackingError
+from .errors import DataError, InvariantViolation, TrackingError, read_text
 from .geometry import CameraFrame, PointCloud, fps_sample, knn_centroids, estimate_normals, project_cloud
 from .superpoints import SuperpointPartition, partition_superpoints
 from .tracks import MaskTrack, NoiseSpec, build_tracker_query, noisy_track, oracle_track
@@ -28,10 +26,11 @@ from .optimize import (
     brute_force_superpoints,
     brute_force_views,
     dp_refine,
+    objective_from_counts,
     top_k_views_refine,
     visibility_matrix,
 )
-from .view_select import NoPivotViewError, pivot_view, superpoint_view_counts
+from .view_select import NoPivotViewError, PixelIndex, pivot_view
 from .evaluation import mask_iou
 
 __all__ = [
@@ -91,7 +90,6 @@ class PipelineConfig:
     strategy: str = "dp"
     overlap_mode: str = "containment"
     seed: int = 0
-    threads: int = 1
     prompt_count: int = 3
     memory_window: int = 7
     noise_p_drop: float = 0.0
@@ -120,8 +118,6 @@ class PipelineConfig:
             raise ValueError("dedup_iou must lie in (0, 1]")
         if self.overlap_mode not in ("containment", "iou"):
             raise ValueError("overlap_mode must be 'containment' or 'iou'")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
         parse_strategy(self.strategy)
         self.noise_spec()  # validates the noise fields
 
@@ -151,7 +147,7 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path, base: "PipelineConfig | None" = None) -> "PipelineConfig":
         mapping = {}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, line in enumerate(read_text(path).splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -227,8 +223,7 @@ class PipelineState:
     instances: list[np.ndarray] | None
     partition: SuperpointPartition
     neighbors: list[np.ndarray]
-    projections: list
-    counts: np.ndarray
+    pixels: PixelIndex
     config: PipelineConfig
 
 
@@ -250,7 +245,7 @@ def _validate_frames(frames: list[CameraFrame], instances: list[np.ndarray] | No
 
 
 def prepare_state(cloud, frames, instances, config) -> PipelineState:
-    """Subsample views, partition the cloud, and cache projections."""
+    """Subsample views, partition the cloud, and index its projections."""
     working = subsample_views(frames, config.view_stride)
     winst = subsample_views(instances, config.view_stride) if instances is not None else None
     _validate_frames(working, winst)
@@ -263,30 +258,28 @@ def prepare_state(cloud, frames, instances, config) -> PipelineState:
         min_size=config.superpoint_min_size,
     )
     neighbors = knn_centroids(partition.centroids, config.kappa)
-    projections = project_cloud(cloud.positions, working, config.depth_tolerance)
-    counts = superpoint_view_counts(partition, projections)
-    return PipelineState(cloud, working, winst, partition, neighbors, projections, counts, config)
+    pixels = PixelIndex.build(partition, project_cloud(cloud.positions, working, config.depth_tolerance))
+    return PipelineState(cloud, working, winst, partition, neighbors, pixels, config)
 
 
 def _combine_seed(base_seed: int, track_id: int) -> int:
     return (base_seed * 1_000_003 + track_id) % (2**63)
 
 
-def _process_seed(state: PipelineState, seed: int, track_id: int, tracker: str, refine):
+def _process_seed(state: PipelineState, seed: int, track_id: int, tracker: str, refine, round_index: int):
     """Pivot, query, track, lift, refine one seed. Returns a Proposal or None."""
     cfg = state.config
     try:
-        pivot, _ = pivot_view(seed, state.counts, state.partition.sizes, state.neighbors)
+        pivot, _ = pivot_view(seed, state.pixels.counts, state.partition.sizes, state.neighbors)
         query = build_tracker_query(
             seed,
             state.partition,
             state.cloud.positions,
             state.frames,
             pivot,
-            depth_tolerance=cfg.depth_tolerance,
             memory_window=cfg.memory_window,
             prompt_count=cfg.prompt_count,
-            projections=state.projections,
+            pixels=state.pixels,
         )
         if tracker == "oracle":
             track = oracle_track(query, state.instances, track_id, seed)
@@ -301,7 +294,7 @@ def _process_seed(state: PipelineState, seed: int, track_id: int, tracker: str, 
             )
     except (NoPivotViewError, TrackingError):
         return None
-    return _lift(state, track, refine, round_index=-1)
+    return _lift(state, track, refine, round_index)
 
 
 def _lift(state: PipelineState, track: MaskTrack, refine, round_index: int) -> Proposal | None:
@@ -313,11 +306,13 @@ def _lift(state: PipelineState, track: MaskTrack, refine, round_index: int) -> P
         state.partition,
         state.frames,
         tau=cfg.tau,
-        depth_tolerance=cfg.depth_tolerance,
         overlap_mode=cfg.overlap_mode,
-        projections=state.projections,
+        pixels=state.pixels,
     )
     solution = refine(vis)
+    recount = objective_from_counts(solution.theta, vis)
+    if solution.objective != recount:
+        raise InvariantViolation(f"track {track.track_id}: refined objective {solution.objective} != recount {recount}")
     ids = solution.selected()
     if ids.size == 0:
         return None
@@ -358,26 +353,13 @@ def run_round(
     selection is empty are consumed silently. ``free`` is updated in place:
     attempted seeds and the members of emitted proposals become non-free.
     """
-    config = state.config
-    want = min(config.samples_per_round, int(free.sum()))
+    want = min(state.config.samples_per_round, int(free.sum()))
     seeds = fps_sample(state.partition.centroids, want, eligible=free)
-    jobs = [(seed, track_id_start + i) for i, seed in enumerate(seeds)]
-
-    def work(job):
-        seed, tid = job
-        return _process_seed(state, seed, tid, tracker, refine)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(job) for job in jobs]
-
     proposals = []
-    for prop in results:
+    for i, seed in enumerate(seeds):
+        prop = _process_seed(state, seed, track_id_start + i, tracker, refine, round_index)
         if prop is None:
             continue
-        prop.round_index = round_index
         proposals.append(prop)
         free[prop.superpoint_ids] = False
     free[seeds] = False  # failed seeds are consumed too
@@ -517,19 +499,18 @@ def read_proposals(path) -> list[dict]:
     import json
 
     records = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            score = record.get("score") if isinstance(record, dict) else None
-            if type(score) not in (int, float) or not math.isfinite(score) or type(record.get("id")) is not int:
-                raise DataError(f"{path}: line {lineno}: needs an integer \"id\" and a finite \"score\"")
-            records.append(record)
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
+        score = record.get("score") if isinstance(record, dict) else None
+        if type(score) not in (int, float) or not math.isfinite(score) or type(record.get("id")) is not int:
+            raise DataError(f"{path}: line {lineno}: needs an integer \"id\" and a finite \"score\"")
+        records.append(record)
     return records
 
 
@@ -542,19 +523,18 @@ def write_proposal_points(proposals: list[Proposal], path) -> None:
 
 def read_proposal_points(path, point_count: int) -> dict[int, np.ndarray]:
     out: dict[int, np.ndarray] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            try:
-                pid = int(tokens[0])
-                idx = np.array([int(t) for t in tokens[1:]], dtype=np.int64)
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: bad point record") from exc
-            if idx.size and (idx.min() < 0 or idx.max() >= point_count):
-                raise DataError(f"{path}: line {lineno}: point index out of range")
-            mask = np.zeros(point_count, dtype=bool)
-            mask[idx] = True
-            out[pid] = mask
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            pid = int(tokens[0])
+            idx = np.array([int(t) for t in tokens[1:]], dtype=np.int64)
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: bad point record") from exc
+        if idx.size and (idx.min() < 0 or idx.max() >= point_count):
+            raise DataError(f"{path}: line {lineno}: point index out of range")
+        mask = np.zeros(point_count, dtype=bool)
+        mask[idx] = True
+        out[pid] = mask
     return out

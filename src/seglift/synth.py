@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_text
 from .geometry import CameraFrame, PointCloud
 
 __all__ = [
@@ -513,13 +513,23 @@ def load_scene(path, require_instances: bool = False) -> Scene:
         raise DataError(f"{cloud_file}: {exc}") from exc
     if raw.shape[1] != 7:
         raise DataError(f"{cloud_file}: expected 7 columns, found {raw.shape[1]}")
-    cloud = PointCloud(raw[:, :3], np.clip(raw[:, 3:6], 0.0, 1.0), raw[:, 6].astype(np.int64))
+    if not np.all(np.isfinite(raw)):
+        raise DataError(f"{cloud_file}: values must be finite")
+    try:
+        cloud = PointCloud(raw[:, :3], np.clip(raw[:, 3:6], 0.0, 1.0), raw[:, 6].astype(np.int64))
+    except ValueError as exc:
+        raise DataError(f"{cloud_file}: {exc}") from exc
 
-    tokens = intr_file.read_text(encoding="ascii").split()
+    tokens = read_text(intr_file).split()
     if len(tokens) != 6:
         raise DataError(f"{intr_file}: expected 6 values")
-    fx, fy, cx, cy = map(float, tokens[:4])
-    width, height = int(tokens[4]), int(tokens[5])
+    try:
+        fx, fy, cx, cy = map(float, tokens[:4])
+        width, height = int(tokens[4]), int(tokens[5])
+    except ValueError as exc:
+        raise DataError(f"{intr_file}: {exc}") from exc
+    if width <= 0 or height <= 0:
+        raise DataError(f"{intr_file}: image size must be positive")
 
     rendered = []
     t = 0
@@ -527,7 +537,10 @@ def load_scene(path, require_instances: bool = False) -> Scene:
         pose_file = root / "frames" / f"{t:04d}.pose"
         if not pose_file.is_file():
             break
-        pose = np.loadtxt(pose_file, dtype=np.float64)
+        try:
+            pose = np.loadtxt(pose_file, dtype=np.float64)
+        except ValueError as exc:
+            raise DataError(f"{pose_file}: {exc}") from exc
         if pose.shape != (4, 4):
             raise DataError(f"{pose_file}: expected 16 values in 4 rows")
         depth_file = root / "frames" / f"{t:04d}.depth"
@@ -550,7 +563,10 @@ def load_scene(path, require_instances: bool = False) -> Scene:
             raise DataError(f"{inst_file}: missing instance render")
         else:
             instance = np.full((height, width), -1, dtype=np.int32)
-        frame = CameraFrame(fx, fy, cx, cy, pose, depth.astype(np.float64).reshape(height, width), width, height)
+        try:
+            frame = CameraFrame(fx, fy, cx, cy, pose, depth.astype(np.float64).reshape(height, width), width, height)
+        except ValueError as exc:
+            raise DataError(f"{root}: frame {t}: {exc}") from exc
         rendered.append(RenderedFrame(frame, instance))
         t += 1
     if not rendered:

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import DataError, TrackingError
-from .geometry import CameraFrame, PixelSet, fps_sample, project_points
+from .errors import DataError, TrackingError, read_text
+from .geometry import CameraFrame, fps_sample, project_cloud
 from .superpoints import SuperpointPartition
+from .view_select import PixelIndex
 
 __all__ = [
     "NoiseSpec",
@@ -63,10 +64,6 @@ class NoiseSpec:
             raise ValueError("morphology radii must be nonnegative")
         if self.memory_window < 1:
             raise ValueError("memory_window must be at least 1")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.p_drop == 0.0 and self.r_morph == 0 and self.p_flip == 0.0
 
 
 @dataclass
@@ -112,7 +109,7 @@ def build_tracker_query(
     depth_tolerance: float = 0.1,
     memory_window: int = 7,
     prompt_count: int = 3,
-    projections: list[PixelSet] | None = None,
+    pixels: PixelIndex | None = None,
 ) -> TrackerQuery:
     """Choose point prompts in the pivot view and reprompt points after gaps.
 
@@ -120,45 +117,28 @@ def build_tracker_query(
     distinct pivot-view pixels (fewer than ``prompt_count`` when the
     projection is smaller). A reprompt pixel is placed at every view where
     the superpoint reappears after more than ``memory_window`` consecutive
-    invisible views. ``projections`` may carry precomputed whole-cloud
-    PixelSets to avoid reprojection.
+    invisible views. ``pixels`` is the scene's pixel index; without it, one
+    is built by projecting ``positions`` into ``frames``.
     """
     if not 0 <= superpoint < partition.count:
         raise ValueError("superpoint id out of range")
-    member = partition.members[superpoint]
-    if projections is not None:
-        per_view = [_restrict(projections[t], partition.assignment, superpoint) for t in range(len(frames))]
-    else:
-        pts = np.asarray(positions, dtype=np.float64)[member]
-        per_view = [
-            project_points(pts, frame, depth_tolerance, indices=member)
-            for frame in frames
-        ]
-    pivot_proj = per_view[pivot]
-    if pivot_proj.is_empty:
+    if pixels is None:
+        pixels = PixelIndex.build(partition, project_cloud(positions, frames, depth_tolerance))
+    if pixels.counts[pivot, superpoint] == 0:
         raise TrackingError("superpoint invisible in pivot")
 
-    uniq = np.unique(pivot_proj.pixels(), axis=0)
+    cell = pixels.cell(pivot, superpoint)
+    uniq = np.unique(np.stack([pixels.rows[cell], pixels.cols[cell]], axis=1), axis=0)
     embedded = np.column_stack([uniq.astype(np.float64), np.zeros(len(uniq))])
     picks = fps_sample(embedded, min(prompt_count, len(uniq)))
     prompts = [(int(uniq[i, 0]), int(uniq[i, 1])) for i in picks]
 
-    visible = [not ps.is_empty for ps in per_view]
+    visible = np.flatnonzero(pixels.counts[:, superpoint] > 0)
     reprompts: dict[int, tuple[int, int]] = {}
-    prev = None
-    for t, vis in enumerate(visible):
-        if not vis:
-            continue
-        if prev is not None and (t - prev - 1) > memory_window:
-            ps = per_view[t]
-            reprompts[t] = (int(ps.rows[0]), int(ps.cols[0]))
-        prev = t
+    for t in visible[1:][np.diff(visible) - 1 > memory_window]:
+        first = pixels.cell(t, superpoint).start
+        reprompts[int(t)] = (int(pixels.rows[first]), int(pixels.cols[first]))
     return TrackerQuery(pivot, prompts, reprompts)
-
-
-def _restrict(ps: PixelSet, assignment: np.ndarray, superpoint: int) -> PixelSet:
-    keep = assignment[ps.indices] == superpoint
-    return PixelSet(ps.rows[keep], ps.cols[keep], ps.indices[keep])
 
 
 def _majority_instance(render: np.ndarray, prompts: list[tuple[int, int]]) -> int:
@@ -331,8 +311,7 @@ def write_tracks(
 
 
 def read_tracks(path) -> list[MaskTrack]:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataError(f"{path}: empty track file (missing header)")
     header = lines[0].split()

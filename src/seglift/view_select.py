@@ -17,6 +17,7 @@ from .superpoints import SuperpointPartition
 __all__ = [
     "ViewHistogram",
     "NoPivotViewError",
+    "PixelIndex",
     "superpoint_view_counts",
     "scale_factor",
     "view_histogram",
@@ -56,11 +57,46 @@ def superpoint_view_counts(
     """(T, L) matrix of visible projected-point counts per view and superpoint."""
     counts = np.zeros((len(projections), partition.count), dtype=np.int64)
     for t, ps in enumerate(projections):
-        if not ps.is_empty:
-            counts[t] = np.bincount(
-                partition.assignment[ps.indices], minlength=partition.count
-            )
+        counts[t] = np.bincount(partition.assignment[ps.indices], minlength=partition.count)
     return counts
+
+
+@dataclass
+class PixelIndex:
+    """Every working view's projected points, grouped by view, then superpoint.
+
+    ``counts`` is (T, L). The points of view t and superpoint s are entries
+    ``offsets[t*L + s]`` up to ``offsets[t*L + s + 1]`` of the int32 ``rows``,
+    ``cols`` and ``labels`` (their superpoint), in ascending point id.
+    """
+
+    counts: np.ndarray
+    offsets: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    labels: np.ndarray
+
+    @classmethod
+    def build(cls, partition: SuperpointPartition, projections: list[PixelSet]) -> "PixelIndex":
+        counts = superpoint_view_counts(partition, projections)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        rows, cols, labels = (np.empty(offsets[-1], dtype=np.int32) for _ in range(3))
+        for t, ps in enumerate(projections):
+            view_labels = partition.assignment[ps.indices]
+            order = np.argsort(view_labels, kind="stable")
+            span = slice(offsets[t * partition.count], offsets[(t + 1) * partition.count])
+            rows[span], cols[span], labels[span] = ps.rows[order], ps.cols[order], view_labels[order]
+        return cls(counts, offsets, rows, cols, labels)
+
+    def view(self, t: int) -> slice:
+        """Entries of every superpoint in view ``t``."""
+        L = self.counts.shape[1]
+        return slice(self.offsets[t * L], self.offsets[(t + 1) * L])
+
+    def cell(self, t: int, superpoint: int) -> slice:
+        """Entries of one superpoint in view ``t``."""
+        start = t * self.counts.shape[1] + superpoint
+        return slice(self.offsets[start], self.offsets[start + 1])
 
 
 def scale_factor(

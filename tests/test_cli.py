@@ -1,12 +1,14 @@
 """Command-line behavior: subcommands, flag precedence, exit codes."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from seglift import cli
+from seglift import cli, pipeline
 from seglift.cli import main
+from seglift.optimize import Solution, all_lifted
 from seglift.pipeline import PipelineConfig, read_proposals, run_pipeline
 from seglift.tracks import MaskTrack, write_tracks
 from seglift.synth import load_scene
@@ -263,6 +265,61 @@ class TestExitCodes:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith({0: "", 2: "usage error: ", 3: "data error: "}[code])
+
+
+def _first_value(new):
+    return lambda text: new + text[text.index(" "):]
+
+
+def _write(new):
+    return lambda text: new
+
+
+_SEGMENT = ["segment", "--scene", "{scene}", "--out", "{tmp}/out"]
+
+# (case, edits of files in a copy of the test scene, argv with {scene} and {tmp} placeholders)
+INPUT_ERRORS = [
+    ("cloud-nan", {"cloud.txt": _first_value("nan")}, _SEGMENT),
+    ("intrinsics-zero-focal", {"intrinsics.txt": _first_value("0")}, _SEGMENT),
+    ("intrinsics-text", {"intrinsics.txt": _first_value("fx")}, _SEGMENT),
+    ("intrinsics-negative-size", {"intrinsics.txt": lambda text: " ".join(text.split()[:4] + ["-64", "-64"])},
+     _SEGMENT),
+    ("pose-not-rigid", {"frames/0003.pose": _first_value("2")}, _SEGMENT),
+    ("eval-missing-proposals", {}, ["eval", "--scene", "{scene}", "--proposals", "{tmp}/missing/proposals.jsonl"]),
+    ("eval-points-not-ascii",
+     {"run/proposals.jsonl": _write('{"id": 0, "score": 0.5}\n'), "run/points.txt": _write("0 1 \xff\n")},
+     ["eval", "--scene", "{scene}", "--proposals", "{scene}/run/proposals.jsonl"]),
+    ("tracker-file-missing", {},
+     ["segment", "--scene", "{scene}", "--tracker", "file:{tmp}/missing.txt", "--out", "{tmp}/out"]),
+    ("config-missing", {}, ["segment", "--scene", "{scene}", "--config", "{tmp}/missing.cfg", "--out", "{tmp}/out"]),
+]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("edits, argv", [case[1:] for case in INPUT_ERRORS], ids=[case[0] for case in INPUT_ERRORS])
+    def test_data_error_exit_code(self, scene_dir, tmp_path, capsys, edits, argv):
+        scene = scene_dir
+        if edits:
+            scene = tmp_path / "scene"
+            shutil.copytree(scene_dir, scene)
+            for name, edit in edits.items():
+                target = scene / name
+                target.parent.mkdir(exist_ok=True)
+                target.write_text(edit(target.read_text() if target.is_file() else ""))
+        argv = [arg.format(scene=scene, tmp=tmp_path) for arg in argv]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+
+
+class TestInvariantViolation:
+    def test_wrong_refined_objective_exits_4(self, scene_dir, tmp_path, monkeypatch, capsys):
+        def wrong_objective(vis):
+            solution = all_lifted(vis)
+            return Solution(solution.theta, solution.objective + 1)
+
+        monkeypatch.setattr(pipeline, "dp_refine", wrong_objective)
+        assert run_segment(scene_dir, tmp_path / "out") == 4
+        assert capsys.readouterr().err.startswith("internal error: ")
 
 
 class TestAblate:

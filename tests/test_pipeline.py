@@ -167,13 +167,13 @@ class TestRunPipeline:
             np.testing.assert_array_equal(rebuilt, prop.point_mask)
             assert len(prop.superpoint_ids) > 0
 
-    def test_deterministic_across_threads(self, small_scene):
+    def test_deterministic_across_reruns(self, small_scene):
         runs = []
-        for threads in (1, 3):
+        for _ in range(2):
             result = run_pipeline(
                 small_scene.cloud,
                 small_scene.frames,
-                quick_config(threads=threads, noise_p_flip=0.2),
+                quick_config(noise_p_flip=0.2),
                 tracker="noisy",
                 instances=small_scene.instances,
             )
