@@ -26,6 +26,7 @@ __all__ = [
     "backproject_pixels",
     "fps_sample",
     "knn_centroids",
+    "shared_knn",
     "estimate_normals",
 ]
 
@@ -57,7 +58,7 @@ class PointCloud:
             raise ValueError("positions must be finite")
         if self.colors.shape != (n, 3):
             raise ValueError("colors must be (N, 3)")
-        if np.any(self.colors < 0.0) or np.any(self.colors > 1.0):
+        if not np.all((self.colors >= 0.0) & (self.colors <= 1.0)):
             raise ValueError("colors must lie in [0, 1]")
         if self.gt_instance is not None:
             self.gt_instance = np.asarray(self.gt_instance, dtype=np.int64)
@@ -293,13 +294,48 @@ def knn_centroids(centroids: np.ndarray, k: int) -> list[np.ndarray]:
     return out
 
 
-def estimate_normals(positions: np.ndarray, k: int = 12) -> np.ndarray:
+def shared_knn(positions: np.ndarray, ks: tuple[int, ...]) -> list[np.ndarray]:
+    """Neighbor ids for several neighbor counts from one k-NN query.
+
+    Returns one (N, k+1) array per ``k`` in ``ks``, self first, equal to
+    ``cKDTree(positions).query(positions, k + 1)[1]``. Each is a column
+    prefix of one query at the largest ``k``. A prefix can differ from a
+    direct query only where distances tie, at its boundary or inside it (a
+    duplicate point can even displace the query point from column 0), so
+    every row whose first ``k + 2`` distances hold a tie is queried again at
+    exactly ``k + 1``.
+    """
+    if min(ks) < 1:
+        raise ValueError("k must be at least 1")
+    pts = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    tree = cKDTree(pts)
+    width = max(ks) + 1
+    dist, nbr = tree.query(pts, k=width)
+    out = []
+    for k in ks:
+        cols = k + 1
+        prefix = nbr[:, :cols]
+        if cols < width:
+            head = dist[:, : cols + 1]
+            tied = np.flatnonzero(np.any(head[:, 1:] == head[:, :-1], axis=1))
+            if tied.size:
+                prefix = prefix.copy()
+                prefix[tied] = tree.query(pts[tied], k=cols)[1]
+        out.append(prefix)
+    return out
+
+
+def estimate_normals(
+    positions: np.ndarray, k: int = 12, neighbors: np.ndarray | None = None
+) -> np.ndarray:
     """Per-point unit normals from local PCA over k nearest neighbors.
 
     The normal is the smallest principal direction of the neighborhood
     covariance (the point itself included). Signs are canonicalized so the
     component with the largest absolute value is positive. Neighborhoods of
-    rank < 2 fall back to (0, 0, 1).
+    rank < 2 fall back to (0, 0, 1). ``neighbors`` is the (N, k+1) k-NN
+    result, self first (see :func:`shared_knn`); without it, the points are
+    queried here.
     """
     pts = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
@@ -307,9 +343,11 @@ def estimate_normals(positions: np.ndarray, k: int = 12) -> np.ndarray:
         raise ValueError("k must be at least 3")
     if n <= k:
         raise ValueError("need more points than neighbors")
-    tree = cKDTree(pts)
-    _, nbr = tree.query(pts, k=k + 1)
-    hood = pts[nbr]
+    if neighbors is None:
+        _, neighbors = cKDTree(pts).query(pts, k=k + 1)
+    elif neighbors.shape != (n, k + 1):
+        raise ValueError("neighbors must be (N, k+1)")
+    hood = pts[neighbors]
     centered = hood - hood.mean(axis=1, keepdims=True)
     cov = np.einsum("mki,mkj->mij", centered, centered)
     evals, evecs = np.linalg.eigh(cov)

@@ -157,11 +157,11 @@ def visibility_matrix(
     for v, t in enumerate(views):
         span = pixels.view(t)
         mask = track.masks[t]
-        labels = pixels.labels[span]
-        inside = mask[pixels.rows[span], pixels.cols[span]]
+        labels, rr, cc = pixels.labels[span], pixels.rows[span], pixels.cols[span]
+        inside = np.take(mask.reshape(-1), rr * mask.shape[1] + cc)
         in_counts[v] = np.bincount(labels[inside], minlength=L)
         if overlap_mode == "iou":
-            rows[v] = _iou_row(pixels.rows[span], pixels.cols[span], labels, mask, L) >= tau
+            rows[v] = _iou_row(rr, cc, labels, mask, L) >= tau
     if overlap_mode == "containment":
         with np.errstate(invalid="ignore"):
             ratio = in_counts / total_counts

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DataError, InvariantViolation, TrackingError, read_text
-from .geometry import CameraFrame, PointCloud, fps_sample, knn_centroids, estimate_normals, project_cloud
+from .geometry import CameraFrame, PointCloud, fps_sample, knn_centroids, estimate_normals, project_cloud, shared_knn
 from .superpoints import SuperpointPartition, partition_superpoints
 from .tracks import MaskTrack, NoiseSpec, build_tracker_query, noisy_track, oracle_track
 from .optimize import (
@@ -249,13 +249,16 @@ def prepare_state(cloud, frames, instances, config) -> PipelineState:
     working = subsample_views(frames, config.view_stride)
     winst = subsample_views(instances, config.view_stride) if instances is not None else None
     _validate_frames(working, winst)
-    normals = estimate_normals(cloud.positions, k=min(config.normals_k, len(cloud) - 1))
+    normals_k = min(config.normals_k, len(cloud) - 1)
+    normal_nbr, graph_nbr = shared_knn(cloud.positions, (normals_k, config.superpoint_knn))
+    normals = estimate_normals(cloud.positions, k=normals_k, neighbors=normal_nbr)
     partition = partition_superpoints(
         cloud,
         normals,
         knn_k=config.superpoint_knn,
         merge_threshold=config.superpoint_threshold,
         min_size=config.superpoint_min_size,
+        neighbors=graph_nbr,
     )
     neighbors = knn_centroids(partition.centroids, config.kappa)
     pixels = PixelIndex.build(partition, project_cloud(cloud.positions, working, config.depth_tolerance))

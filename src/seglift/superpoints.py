@@ -105,6 +105,7 @@ def partition_superpoints(
     knn_k: int = 10,
     merge_threshold: float = 0.05,
     min_size: int = 20,
+    neighbors: np.ndarray | None = None,
 ) -> SuperpointPartition:
     """Partition a cloud into superpoints; see module docstring.
 
@@ -112,7 +113,10 @@ def partition_superpoints(
     processed in ascending (weight, i, j) order, which makes the result a
     pure function of the inputs. Clouds with fewer than ``knn_k + 1`` points
     collapse to a single superpoint. Components smaller than ``min_size``
-    survive only when they are isolated in the k-NN graph.
+    survive only when they are isolated in the k-NN graph. ``neighbors`` is
+    the (N, knn_k+1) k-NN result, self first (see
+    :func:`~seglift.geometry.shared_knn`); without it, the points are
+    queried here.
     """
     if knn_k < 1:
         raise ValueError("knn_k must be at least 1")
@@ -129,10 +133,12 @@ def partition_superpoints(
     if normals.shape != (n, 3):
         raise ValueError("normals must be (N, 3)")
 
-    tree = cKDTree(positions)
-    _, nbr = tree.query(positions, k=knn_k + 1)
+    if neighbors is None:
+        _, neighbors = cKDTree(positions).query(positions, k=knn_k + 1)
+    elif neighbors.shape != (n, knn_k + 1):
+        raise ValueError("neighbors must be (N, knn_k+1)")
     src = np.repeat(np.arange(n), knn_k)
-    dst = nbr[:, 1:].reshape(-1)
+    dst = neighbors[:, 1:].reshape(-1)
     keys = np.sort(np.minimum(src, dst) * n + np.maximum(src, dst))
     keys = keys[np.concatenate(([True], np.diff(keys) != 0))]
     lo, hi = keys // n, keys % n

@@ -264,20 +264,14 @@ def encode_rle(mask: np.ndarray) -> list[int]:
     return [int(r) for r in runs]
 
 
-def decode_rle(runs: list[int], height: int, width: int) -> np.ndarray:
-    total = sum(runs)
+def decode_rle(runs: list[int] | np.ndarray, height: int, width: int) -> np.ndarray:
+    runs = np.asarray(runs)
+    total = sum(runs.tolist())  # Python ints: an int64 sum could wrap to height * width
     if total != height * width:
         raise ValueError(f"run lengths sum to {total}, expected {height * width}")
-    flat = np.zeros(total, dtype=bool)
-    pos = 0
-    value = False
-    for run in runs:
-        if run < 0:
-            raise ValueError("run lengths must be nonnegative")
-        if value:
-            flat[pos : pos + run] = True
-        pos += run
-        value = not value
+    if np.any(runs < 0):
+        raise ValueError("run lengths must be nonnegative")
+    flat = np.repeat(np.arange(len(runs)) % 2 == 1, runs.astype(np.int64, copy=False))
     return flat.reshape(height, width)
 
 
@@ -343,28 +337,7 @@ def read_tracks(path) -> list[MaskTrack]:
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: bad seed field") from exc
             rest = rest[1:]
-        masks: dict[int, np.ndarray] = {}
-        view: int | None = None
-        runs: list[int] = []
-        for token in rest:
-            if ":" in token:
-                if view is not None:
-                    masks[view] = _decode_checked(runs, height, width, path, lineno)
-                head, _, tail = token.partition(":")
-                try:
-                    view = int(head)
-                    runs = [int(tail)] if tail else []
-                except ValueError as exc:
-                    raise DataError(f"{path}: line {lineno}: bad view entry {token!r}") from exc
-            else:
-                if view is None:
-                    raise DataError(f"{path}: line {lineno}: run length before any view entry")
-                try:
-                    runs.append(int(token))
-                except ValueError as exc:
-                    raise DataError(f"{path}: line {lineno}: bad run length {token!r}") from exc
-        if view is not None:
-            masks[view] = _decode_checked(runs, height, width, path, lineno)
+        masks = _parse_views(rest, height, width, path, lineno)
         try:
             tracks.append(MaskTrack(track_id, score, masks, pivot, seed))
         except ValueError as exc:
@@ -372,7 +345,59 @@ def read_tracks(path) -> list[MaskTrack]:
     return tracks
 
 
-def _decode_checked(runs: list[int], height: int, width: int, path, lineno: int) -> np.ndarray:
+def _parse_views(rest: list[str], height: int, width: int, path, lineno: int) -> dict[int, np.ndarray]:
+    """Masks of one line's ``t:r0 r1 ...`` entries, all numbers converted at once."""
+    starts = [i for i, token in enumerate(rest) if ":" in token]
+    if rest and starts[:1] != [0]:
+        raise DataError(f"{path}: line {lineno}: run length before any view entry")
+    numbers, bounds = [], []
+    for a, b in zip(starts, starts[1:] + [len(rest)]):
+        head, _, tail = rest[a].partition(":")
+        bounds.append(len(numbers))
+        numbers.append(head)
+        if tail:
+            numbers.append(tail)
+        numbers += rest[a + 1 : b]
+    bounds.append(len(numbers))
+    try:
+        values = np.array(numbers, dtype=np.int64)
+    except (ValueError, OverflowError):
+        # a bad or out-of-range number: the token loop names it, or parses it as before
+        return _parse_views_by_token(rest, height, width, path, lineno)
+    masks: dict[int, np.ndarray] = {}
+    for a, b in zip(bounds, bounds[1:]):
+        masks[int(values[a])] = _decode_checked(values[a + 1 : b], height, width, path, lineno)
+    return masks
+
+
+def _parse_views_by_token(rest: list[str], height: int, width: int, path, lineno: int) -> dict[int, np.ndarray]:
+    """The same masks, one token at a time: the first bad token is the one reported."""
+    masks: dict[int, np.ndarray] = {}
+    view: int | None = None
+    runs: list[int] = []
+    for token in rest:
+        if ":" in token:
+            if view is not None:
+                masks[view] = _decode_checked(runs, height, width, path, lineno)
+            head, _, tail = token.partition(":")
+            try:
+                view = int(head)
+                runs = [int(tail)] if tail else []
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: bad view entry {token!r}") from exc
+        else:
+            if view is None:
+                raise DataError(f"{path}: line {lineno}: run length before any view entry")
+            try:
+                runs.append(int(token))
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: bad run length {token!r}") from exc
+    if view is not None:
+        masks[view] = _decode_checked(runs, height, width, path, lineno)
+    return masks
+
+
+def _decode_checked(runs: list[int] | np.ndarray, height: int, width: int, path, lineno: int) -> np.ndarray:
     try:
         return decode_rle(runs, height, width)
     except ValueError as exc:

@@ -252,6 +252,10 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             PointCloud(np.zeros((1, 3)), np.zeros((1, 3)), gt_instance=np.array([-2]))
 
+    def test_point_cloud_rejects_nan_colors(self):
+        with pytest.raises(ValueError, match="colors must lie in"):
+            PointCloud(np.zeros((2, 3)), np.full((2, 3), np.nan))
+
     def test_camera_frame_rotation_check(self):
         bad = np.eye(4)
         bad[0, 0] = 2.0

@@ -8,7 +8,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from seglift.geometry import PointCloud, estimate_normals
+from seglift.geometry import PointCloud, estimate_normals, shared_knn
+from seglift.pipeline import PipelineConfig, prepare_state
 from seglift.superpoints import SuperpointPartition, partition_superpoints
 
 
@@ -292,3 +293,67 @@ class TestPartition:
     def test_from_assignment_rejects_empty_superpoint(self):
         with pytest.raises(ValueError):
             SuperpointPartition.from_assignment(np.array([0, 2]), np.zeros((2, 3)))
+
+
+class TestSharedKnn:
+    """One query at the larger k serves both consumers, exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["grid", "random", "mixed"]),
+        n=st.integers(4, 300),
+        seed=st.integers(0, 2**32 - 1),
+        duplicates=st.integers(0, 30),
+        normals_k=st.integers(3, 12),
+        knn_k=st.integers(1, 12),
+        normals_first=st.booleans(),
+        min_size=st.integers(1, 30),
+    )
+    # grid ties at the prefix boundary, both orders of the two k
+    @example(kind="grid", n=100, seed=0, duplicates=0, normals_k=12, knn_k=10, normals_first=True, min_size=20)
+    @example(kind="grid", n=100, seed=0, duplicates=0, normals_k=4, knn_k=11, normals_first=False, min_size=5)
+    # duplicates that can displace the query point from column 0
+    @example(kind="grid", n=64, seed=1, duplicates=30, normals_k=3, knn_k=12, normals_first=True, min_size=1)
+    def test_prefixes_equal_direct_queries(
+        self, kind, n, seed, duplicates, normals_k, knn_k, normals_first, min_size
+    ):
+        pts, _ = oracle_case(kind, n, seed)
+        pts = np.concatenate([pts, pts[np.random.default_rng(seed).integers(0, len(pts), size=duplicates)]])
+        normals_k = min(normals_k, len(pts) - 1)  # as prepare_state clamps it
+        ks = (normals_k, knn_k) if normals_first else (knn_k, normals_k)
+        shared = shared_knn(pts, ks)
+        tree = cKDTree(pts)
+        for k, nbr in zip(ks, shared):
+            np.testing.assert_array_equal(nbr, tree.query(pts, k=k + 1)[1])
+        by_k = dict(zip(ks, shared))
+
+        normals = estimate_normals(pts, normals_k, neighbors=by_k[normals_k])
+        assert normals.tobytes() == estimate_normals(pts, normals_k).tobytes()
+        cloud = as_cloud(pts)
+        got = partition_superpoints(cloud, normals, knn_k=knn_k, min_size=min_size, neighbors=by_k[knn_k])
+        expected = _reference_partition(cloud, normals, knn_k=knn_k, min_size=min_size)
+        np.testing.assert_array_equal(got.assignment, expected.assignment)
+
+    @pytest.mark.parametrize("ks", [dict(), dict(normals_k=5, superpoint_knn=12)])
+    def test_prepare_state_matches_two_queries(self, ks, small_scene):
+        config = PipelineConfig(**ks)
+        state = prepare_state(small_scene.cloud, small_scene.frames, small_scene.instances, config)
+        normals = estimate_normals(small_scene.cloud.positions, config.normals_k)
+        expected = partition_superpoints(
+            small_scene.cloud,
+            normals,
+            knn_k=config.superpoint_knn,
+            merge_threshold=config.superpoint_threshold,
+            min_size=config.superpoint_min_size,
+        )
+        np.testing.assert_array_equal(state.partition.assignment, expected.assignment)
+
+    def test_neighbor_shapes_checked(self):
+        pts = grid_plane(5, 5, 0.05, (0, 0, 0), [(1, 0, 0), (0, 1, 0)])
+        (nbr,) = shared_knn(pts, (4,))
+        with pytest.raises(ValueError, match="neighbors"):
+            estimate_normals(pts, 5, neighbors=nbr)
+        with pytest.raises(ValueError, match="neighbors"):
+            partition_superpoints(as_cloud(pts), np.tile([0.0, 0.0, 1.0], (25, 1)), knn_k=3, neighbors=nbr)
+        with pytest.raises(ValueError):
+            shared_knn(pts, (0, 4))

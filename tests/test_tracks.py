@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from seglift.errors import DataError, TrackingError
 from seglift.superpoints import SuperpointPartition
@@ -19,6 +20,7 @@ from seglift.tracks import (
     read_tracks,
     write_tracks,
 )
+from seglift.tracks import _parse_views, _parse_views_by_token
 
 from conftest import make_frame
 
@@ -210,6 +212,93 @@ class TestRle:
         runs = encode_rle(mask)
         assert runs[0] >= 0 and all(r > 0 for r in runs[1:])
         np.testing.assert_array_equal(decode_rle(runs, 3, 4), mask)
+
+
+    @given(arrays(bool, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9)))
+    @settings(max_examples=100, deadline=None)
+    @example(np.ones((1, 1), dtype=bool))
+    @example(np.zeros((1, 1), dtype=bool))
+    @example(np.ones((4, 7), dtype=bool))
+    @example(np.zeros((4, 7), dtype=bool))
+    def test_round_trip_any_shape(self, mask):
+        runs = encode_rle(mask)
+        np.testing.assert_array_equal(decode_rle(runs, *mask.shape), mask)
+        np.testing.assert_array_equal(decode_rle(np.array(runs, dtype=np.int64), *mask.shape), mask)
+
+    @given(st.lists(st.integers(-5, 12), max_size=8), st.integers(0, 4), st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    @example([2**70, 16 - 2**70], 4, 4)  # sums right, one run negative
+    @example([2**62] * 4 + [16], 4, 4)  # an int64 sum wraps to 16
+    def test_bad_runs_raise_value_error(self, runs, height, width):
+        if sum(runs) != height * width:
+            with pytest.raises(ValueError, match="sum to"):
+                decode_rle(runs, height, width)
+        elif any(r < 0 for r in runs):
+            with pytest.raises(ValueError, match="nonnegative"):
+                decode_rle(runs, height, width)
+        else:
+            mask = decode_rle(runs, height, width)
+            assert mask.shape == (height, width)
+            assert int(mask.sum()) == sum(runs[1::2])
+
+
+# tokens of a track line after its fixed fields: good and bad view entries and runs
+_LINE_TOKENS = st.one_of(
+    st.integers(-3, 20).map(str),
+    st.sampled_from(
+        ["0:16", "1:0", "2:", ":3", "0:5", "1:2:3", "x", "1.5", "-0", "+4", "1_0", "9" * 25, "0:" + "9" * 25, "9" * 25 + ":16"]
+    ),
+    st.text(alphabet="0123456789:-+x.", min_size=1, max_size=6),
+)
+
+
+class TestTrackLineFuzz:
+    @given(
+        st.sampled_from(["0 1.0 0", "0 1.0 0 -1", "3 0.5 2 7", "1 nan 0", "x 1 0"]),
+        st.lists(_LINE_TOKENS, max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example("0 1.0 0 -1", ["0:16"])
+    @example("0 1.0 0 -1", ["0:5", "3", "8", "2:16"])
+    @example("0 1.0 0", ["0:5", "3", "x8"])
+    def test_lines_parse_or_raise_data_error(self, tmp_path_factory, fields, tokens):
+        path = tmp_path_factory.getbasetemp() / "fuzz.tracks"
+        path.write_text("tracks 1 4 4\n" + " ".join([fields, *tokens]) + "\n")
+        try:
+            tracks = read_tracks(path)
+        except DataError:
+            return
+        assert len(tracks) == 1
+        assert all(mask.shape == (4, 4) and mask.dtype == bool for mask in tracks[0].masks.values())
+
+    @given(st.lists(_LINE_TOKENS, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    @example(["0:5", "3", "x8", "1:9"])  # the bad run, not the later entry, is named
+    @example(["0:" + "9" * 25])  # beyond int64: the token loop's message
+    @example(["9" * 25 + ":16"])  # a view id beyond int64 still parses
+    def test_batched_numbers_match_token_loop(self, tokens):
+        def outcome(parse):
+            try:
+                return {t: m.tobytes() for t, m in parse(tokens, 4, 4, "p", 2).items()}
+            except DataError as exc:
+                return str(exc)
+
+        assert outcome(_parse_views) == outcome(_parse_views_by_token)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0 1.0 0 -1 0:5 3 x8", "bad run length 'x8'"),
+            ("0 1.0 0 -1 0:5 3 8 y:16", "bad view entry 'y:16'"),
+            ("0 1.0 0 -1 0:5 3 8 1:16 2:4", "line 2: run lengths sum to 4"),
+            ("0 1.0 0 -1 0:5 -3 14", "nonnegative"),
+        ],
+    )
+    def test_errors_name_the_bad_token(self, tmp_path, line, message):
+        path = tmp_path / "bad.tracks"
+        path.write_text("tracks 1 4 4\n" + line + "\n")
+        with pytest.raises(DataError, match=message):
+            read_tracks(path)
 
 
 class TestTrackFiles:
