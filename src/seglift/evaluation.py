@@ -76,29 +76,20 @@ def _ap_from_curve(precisions: np.ndarray, recalls: np.ndarray) -> float:
     return float(area)
 
 
-def _match_at_threshold(
-    masks: list[np.ndarray],
-    gt_masks: dict[int, np.ndarray],
-    threshold: float,
-) -> ThresholdResult:
-    gt_ids = sorted(gt_masks)
-    available = {g: True for g in gt_ids}
+def _match_at_threshold(ious: np.ndarray, gt_ids: list[int], threshold: float) -> ThresholdResult:
+    """Greedy matching from the (proposal, gt) IoU table at one threshold."""
+    available = np.ones(len(gt_ids), dtype=bool)
     tp = 0
-    precisions = np.zeros(len(masks))
-    recalls = np.zeros(len(masks))
+    precisions = np.zeros(len(ious))
+    recalls = np.zeros(len(ious))
     matches: list[tuple[int, int, float]] = []
-    for i, mask in enumerate(masks):
-        best_gt, best_iou = -1, 0.0
-        for g in gt_ids:
-            if not available[g]:
-                continue
-            iou = mask_iou(mask, gt_masks[g])
-            if iou >= threshold and iou > best_iou:
-                best_gt, best_iou = g, iou
-        if best_gt >= 0:
-            available[best_gt] = False
+    for i, row in enumerate(ious):
+        eligible = available & (row >= threshold) & (row > 0)
+        if eligible.any():
+            best = int(np.argmax(np.where(eligible, row, -1.0)))  # first maximum: lowest gt id
+            available[best] = False
             tp += 1
-            matches.append((i, best_gt, best_iou))
+            matches.append((i, gt_ids[best], float(row[best])))
         precisions[i] = tp / (i + 1)
         recalls[i] = tp / len(gt_ids)
     ap = _ap_from_curve(precisions, recalls)
@@ -127,9 +118,10 @@ def evaluate(
         if np.asarray(mask).shape != gt_instance.shape:
             raise ValueError("proposal masks must cover the full cloud")
 
-    gt_masks = {int(g): gt_instance == g for g in gt_ids}
+    gt_masks = [gt_instance == g for g in gt_ids]
+    ious = np.array([[mask_iou(mask, gt) for gt in gt_masks] for mask in masks]).reshape(len(masks), len(gt_ids))
     wanted = sorted(set(thresholds) | {0.25, 0.50})
-    per_threshold = {t: _match_at_threshold(list(masks), gt_masks, t) for t in wanted}
+    per_threshold = {t: _match_at_threshold(ious, gt_ids.tolist(), t) for t in wanted}
     ap = float(np.mean([per_threshold[t].ap for t in thresholds]))
     rc = float(np.mean([per_threshold[t].recall for t in thresholds]))
     return EvalReport(

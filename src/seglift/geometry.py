@@ -271,27 +271,19 @@ def fps_sample(
     return picked
 
 
-def knn_centroids(centroids: np.ndarray, k: int) -> list[np.ndarray]:
+def knn_centroids(centroids: np.ndarray, k: int) -> np.ndarray:
     """Per-index nearest neighbors by Euclidean distance.
 
-    Each list holds ``min(k, L-1)`` other indices sorted by distance, ties
-    broken by lowest index; an index is never its own neighbor.
+    Row i of the (L, ``min(k, L-1)``) result holds other indices sorted by
+    distance, ties broken by lowest index; an index is never its own neighbor.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     pts = np.asarray(centroids, dtype=np.float64).reshape(-1, 3)
-    n = len(pts)
-    if n == 1:
-        return [np.empty(0, dtype=np.int64)]
     diffs = pts[:, None, :] - pts[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
     np.fill_diagonal(d2, np.inf)
-    take = min(k, n - 1)
-    out = []
-    for i in range(n):
-        order = np.argsort(d2[i], kind="stable")[:take]
-        out.append(order.astype(np.int64))
-    return out
+    return np.argsort(d2, axis=1, kind="stable")[:, : min(k, len(pts) - 1)].astype(np.int64)
 
 
 def shared_knn(positions: np.ndarray, ks: tuple[int, ...]) -> list[np.ndarray]:

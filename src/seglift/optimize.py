@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraFrame, project_cloud, project_points
+from .geometry import CameraFrame, project_points
 from .superpoints import SuperpointPartition
 from .tracks import MaskTrack
 from .view_select import PixelIndex
@@ -113,25 +113,11 @@ class Solution:
         return np.flatnonzero(self.theta)
 
 
-def _check_mask_shapes(track: MaskTrack, frames: list[CameraFrame]) -> None:
-    for t in track.views():
-        frame = frames[t]
-        if track.masks[t].shape != (frame.height, frame.width):
-            raise ValueError(
-                f"track {track.track_id} view {t}: mask shape {track.masks[t].shape} "
-                f"does not match frame {(frame.height, frame.width)}"
-            )
-
-
 def visibility_matrix(
     track: MaskTrack,
-    positions: np.ndarray,
-    partition: SuperpointPartition,
-    frames: list[CameraFrame],
+    pixels: PixelIndex,
     tau: float = 0.5,
-    depth_tolerance: float = 0.1,
     overlap_mode: str = "containment",
-    pixels: PixelIndex | None = None,
 ) -> VisibilityMatrix:
     """Lift a track's 2D masks to per-view visible superpoint sets.
 
@@ -139,18 +125,20 @@ def visibility_matrix(
     ``tau`` of its projected points fall inside the mask. ``iou`` instead
     thresholds the pixel-set IoU between the superpoint's distinct pixels
     and the mask. Superpoints with no projected points in a view are never
-    visible there. ``pixels`` is the scene's pixel index; without it, one is
-    built by projecting ``positions`` into ``frames``.
+    visible there. ``pixels`` is the scene's pixel index.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
     if overlap_mode not in ("containment", "iou"):
         raise ValueError(f"unknown overlap mode {overlap_mode!r}")
-    _check_mask_shapes(track, frames)
-    if pixels is None:
-        pixels = PixelIndex.build(partition, project_cloud(positions, frames, depth_tolerance))
-    L = partition.count
     views = track.views()
+    for t in views:
+        if track.masks[t].shape != pixels.shape:
+            raise ValueError(
+                f"track {track.track_id} view {t}: mask shape {track.masks[t].shape} "
+                f"does not match frame {pixels.shape}"
+            )
+    L = pixels.counts.shape[1]
     total_counts = pixels.counts[views]
     in_counts = np.zeros((len(views), L), dtype=np.int64)
     rows = np.zeros((len(views), L), dtype=bool)
@@ -201,10 +189,11 @@ def objective_value(
     theta = np.asarray(theta, dtype=bool)
     if theta.shape != (partition.count,):
         raise ValueError("theta must have one entry per superpoint")
-    _check_mask_shapes(track, frames)
     selected_points = theta[partition.assignment]
     total = 0
     for t in track.views():
+        if track.masks[t].shape != (frames[t].height, frames[t].width):
+            raise ValueError(f"track {track.track_id} view {t}: mask shape does not match frame")
         ps = project_points(positions, frames[t], depth_tolerance)
         chosen = selected_points[ps.indices]
         inside = int(np.count_nonzero(track.masks[t][ps.rows, ps.cols] & chosen))

@@ -118,6 +118,16 @@ class PipelineConfig:
             raise ValueError("dedup_iou must lie in (0, 1]")
         if self.overlap_mode not in ("containment", "iou"):
             raise ValueError("overlap_mode must be 'containment' or 'iou'")
+        if self.prompt_count < 1:
+            raise ValueError("prompt_count must be at least 1")
+        if self.superpoint_knn < 1:
+            raise ValueError("superpoint_knn must be at least 1")
+        if self.superpoint_threshold <= 0:
+            raise ValueError("superpoint_threshold must be positive")
+        if self.superpoint_min_size < 1:
+            raise ValueError("superpoint_min_size must be at least 1")
+        if self.normals_k < 3:
+            raise ValueError("normals_k must be at least 3")
         parse_strategy(self.strategy)
         self.noise_spec()  # validates the noise fields
 
@@ -218,11 +228,9 @@ def subsample_views(frames: list, stride: int) -> list:
 class PipelineState:
     """Read-only context shared by every round of one pipeline run."""
 
-    cloud: PointCloud
-    frames: list[CameraFrame]
     instances: list[np.ndarray] | None
     partition: SuperpointPartition
-    neighbors: list[np.ndarray]
+    neighbors: np.ndarray
     pixels: PixelIndex
     config: PipelineConfig
 
@@ -261,8 +269,9 @@ def prepare_state(cloud, frames, instances, config) -> PipelineState:
         neighbors=graph_nbr,
     )
     neighbors = knn_centroids(partition.centroids, config.kappa)
-    pixels = PixelIndex.build(partition, project_cloud(cloud.positions, working, config.depth_tolerance))
-    return PipelineState(cloud, working, winst, partition, neighbors, pixels, config)
+    projections = project_cloud(cloud.positions, working, config.depth_tolerance)
+    pixels = PixelIndex.build(partition, projections, (working[0].height, working[0].width))
+    return PipelineState(winst, partition, neighbors, pixels, config)
 
 
 def _combine_seed(base_seed: int, track_id: int) -> int:
@@ -273,16 +282,9 @@ def _process_seed(state: PipelineState, seed: int, track_id: int, tracker: str, 
     """Pivot, query, track, lift, refine one seed. Returns a Proposal or None."""
     cfg = state.config
     try:
-        pivot, _ = pivot_view(seed, state.pixels.counts, state.partition.sizes, state.neighbors)
+        pivot = pivot_view(seed, state.pixels.counts, state.partition.sizes, state.neighbors)
         query = build_tracker_query(
-            seed,
-            state.partition,
-            state.cloud.positions,
-            state.frames,
-            pivot,
-            memory_window=cfg.memory_window,
-            prompt_count=cfg.prompt_count,
-            pixels=state.pixels,
+            seed, state.pixels, pivot, memory_window=cfg.memory_window, prompt_count=cfg.prompt_count
         )
         if tracker == "oracle":
             track = oracle_track(query, state.instances, track_id, seed)
@@ -303,15 +305,7 @@ def _process_seed(state: PipelineState, seed: int, track_id: int, tracker: str, 
 def _lift(state: PipelineState, track: MaskTrack, refine, round_index: int) -> Proposal | None:
     """Lift a track to a visibility matrix and refine it into a proposal."""
     cfg = state.config
-    vis = visibility_matrix(
-        track,
-        state.cloud.positions,
-        state.partition,
-        state.frames,
-        tau=cfg.tau,
-        overlap_mode=cfg.overlap_mode,
-        pixels=state.pixels,
-    )
+    vis = visibility_matrix(track, state.pixels, tau=cfg.tau, overlap_mode=cfg.overlap_mode)
     solution = refine(vis)
     recount = objective_from_counts(solution.theta, vis)
     if solution.objective != recount:
@@ -420,7 +414,7 @@ def run_rounds(
     proposals: list[Proposal] = []
     rounds: list[RoundStats] = []
     if tracker == "file":
-        _validate_file_tracks(tracks, state.frames)
+        _validate_file_tracks(tracks, state.pixels)
         emitted = 0
         for track in tracks:
             prop = _lift(state, track, refine, round_index=0)
@@ -455,19 +449,19 @@ def run_rounds(
     )
 
 
-def _validate_file_tracks(tracks: list[MaskTrack], frames: list[CameraFrame]) -> None:
-    shape = (frames[0].height, frames[0].width)
+def _validate_file_tracks(tracks: list[MaskTrack], pixels: PixelIndex) -> None:
+    views = pixels.counts.shape[0]
     for track in tracks:
         for t, mask in track.masks.items():
-            if not 0 <= t < len(frames):
+            if not 0 <= t < views:
                 raise DataError(
                     f"track {track.track_id} view {t}: view index outside the "
-                    f"{len(frames)} working views"
+                    f"{views} working views"
                 )
-            if mask.shape != shape:
+            if mask.shape != pixels.shape:
                 raise DataError(
                     f"track {track.track_id} view {t}: mask shape {mask.shape} "
-                    f"does not match frames {shape}"
+                    f"does not match frames {pixels.shape}"
                 )
 
 

@@ -19,8 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DataError, TrackingError, read_text
-from .geometry import CameraFrame, fps_sample, project_cloud
-from .superpoints import SuperpointPartition
+from .geometry import fps_sample
 from .view_select import PixelIndex
 
 __all__ = [
@@ -102,14 +101,10 @@ class MaskTrack:
 
 def build_tracker_query(
     superpoint: int,
-    partition: SuperpointPartition,
-    positions: np.ndarray,
-    frames: list[CameraFrame],
+    pixels: PixelIndex,
     pivot: int,
-    depth_tolerance: float = 0.1,
     memory_window: int = 7,
     prompt_count: int = 3,
-    pixels: PixelIndex | None = None,
 ) -> TrackerQuery:
     """Choose point prompts in the pivot view and reprompt points after gaps.
 
@@ -117,13 +112,10 @@ def build_tracker_query(
     distinct pivot-view pixels (fewer than ``prompt_count`` when the
     projection is smaller). A reprompt pixel is placed at every view where
     the superpoint reappears after more than ``memory_window`` consecutive
-    invisible views. ``pixels`` is the scene's pixel index; without it, one
-    is built by projecting ``positions`` into ``frames``.
+    invisible views. ``pixels`` is the scene's pixel index.
     """
-    if not 0 <= superpoint < partition.count:
+    if not 0 <= superpoint < pixels.counts.shape[1]:
         raise ValueError("superpoint id out of range")
-    if pixels is None:
-        pixels = PixelIndex.build(partition, project_cloud(positions, frames, depth_tolerance))
     if pixels.counts[pivot, superpoint] == 0:
         raise TrackingError("superpoint invisible in pivot")
 

@@ -15,40 +15,16 @@ from .geometry import PixelSet
 from .superpoints import SuperpointPartition
 
 __all__ = [
-    "ViewHistogram",
     "NoPivotViewError",
     "PixelIndex",
     "superpoint_view_counts",
-    "scale_factor",
-    "view_histogram",
+    "scale_factors",
     "pivot_view",
 ]
 
 
 class NoPivotViewError(ValueError):
     """The superpoint scores zero in every view; callers should skip it."""
-
-
-@dataclass
-class ViewHistogram:
-    """Per-view pivot scores for one superpoint.
-
-    values[t] = raw_counts[t] * scales[t]; raw_counts are projected-point
-    counts, scales the neighbor visibility factors in [0, 1].
-    """
-
-    values: np.ndarray
-    raw_counts: np.ndarray
-    scales: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.raw_counts = np.asarray(self.raw_counts, dtype=np.int64)
-        self.scales = np.asarray(self.scales, dtype=np.float64)
-        if not (len(self.values) == len(self.raw_counts) == len(self.scales)):
-            raise ValueError("histogram fields must have equal length")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("histogram values must be finite")
 
 
 def superpoint_view_counts(
@@ -68,6 +44,7 @@ class PixelIndex:
     ``counts`` is (T, L). The points of view t and superpoint s are entries
     ``offsets[t*L + s]`` up to ``offsets[t*L + s + 1]`` of the int32 ``rows``,
     ``cols`` and ``labels`` (their superpoint), in ascending point id.
+    ``shape`` is the (H, W) of every view's image.
     """
 
     counts: np.ndarray
@@ -75,9 +52,12 @@ class PixelIndex:
     rows: np.ndarray
     cols: np.ndarray
     labels: np.ndarray
+    shape: tuple[int, int]
 
     @classmethod
-    def build(cls, partition: SuperpointPartition, projections: list[PixelSet]) -> "PixelIndex":
+    def build(
+        cls, partition: SuperpointPartition, projections: list[PixelSet], shape: tuple[int, int]
+    ) -> "PixelIndex":
         counts = superpoint_view_counts(partition, projections)
         offsets = np.concatenate([[0], np.cumsum(counts)])
         rows, cols, labels = (np.empty(offsets[-1], dtype=np.int32) for _ in range(3))
@@ -86,7 +66,7 @@ class PixelIndex:
             order = np.argsort(view_labels, kind="stable")
             span = slice(offsets[t * partition.count], offsets[(t + 1) * partition.count])
             rows[span], cols[span], labels[span] = ps.rows[order], ps.cols[order], view_labels[order]
-        return cls(counts, offsets, rows, cols, labels)
+        return cls(counts, offsets, rows, cols, labels, tuple(shape))
 
     def view(self, t: int) -> slice:
         """Entries of every superpoint in view ``t``."""
@@ -99,38 +79,23 @@ class PixelIndex:
         return slice(self.offsets[start], self.offsets[start + 1])
 
 
-def scale_factor(
+def scale_factors(
     superpoint: int,
-    view: int,
     counts: np.ndarray,
     sizes: np.ndarray,
     neighbors: list[np.ndarray],
-) -> float:
-    """Mean visible fraction of the superpoint's neighbors in one view.
+) -> np.ndarray:
+    """(T,) mean visible fraction of the superpoint's neighbors in each view.
 
     Averages ``count / size`` over the neighbor list; always in [0, 1].
     A superpoint without neighbors (single-superpoint scene) gets the
-    neutral factor 1.0.
+    neutral factor 1.0. The contiguous copy keeps numpy's pairwise sum
+    over each row, so every value is bitwise equal to a per-view mean.
     """
     nbr = neighbors[superpoint]
     if len(nbr) == 0:
-        return 1.0
-    fractions = counts[view, nbr] / sizes[nbr]
-    return float(fractions.mean())
-
-
-def view_histogram(
-    superpoint: int,
-    counts: np.ndarray,
-    sizes: np.ndarray,
-    neighbors: list[np.ndarray],
-) -> ViewHistogram:
-    views = counts.shape[0]
-    raw = counts[:, superpoint]
-    scales = np.array(
-        [scale_factor(superpoint, t, counts, sizes, neighbors) for t in range(views)]
-    )
-    return ViewHistogram(raw * scales, raw, scales)
+        return np.ones(counts.shape[0])
+    return np.ascontiguousarray(counts[:, nbr] / sizes[nbr]).mean(axis=1)
 
 
 def pivot_view(
@@ -138,9 +103,9 @@ def pivot_view(
     counts: np.ndarray,
     sizes: np.ndarray,
     neighbors: list[np.ndarray],
-) -> tuple[int, ViewHistogram]:
-    """Pick the view with the highest histogram value (ties: lowest index)."""
-    hist = view_histogram(superpoint, counts, sizes, neighbors)
-    if not np.any(hist.values > 0):
+) -> int:
+    """The view with the highest ``counts * scale_factors`` (ties: lowest index)."""
+    values = counts[:, superpoint] * scale_factors(superpoint, counts, sizes, neighbors)
+    if not np.any(values > 0):
         raise NoPivotViewError("no pivot view")
-    return int(np.argmax(hist.values)), hist
+    return int(np.argmax(values))

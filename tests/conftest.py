@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from seglift.geometry import CameraFrame
+from seglift.geometry import CameraFrame, project_cloud
 from seglift.synth import SceneSpec, build_scene
+from seglift.view_select import PixelIndex
 
 
 def make_frame(depth, fx=100.0, fy=100.0, cx=None, cy=None, extrinsics=None):
@@ -15,6 +16,12 @@ def make_frame(depth, fx=100.0, fy=100.0, cx=None, cy=None, extrinsics=None):
     if extrinsics is None:
         extrinsics = np.eye(4)
     return CameraFrame(fx, fy, cx, cy, extrinsics, depth, w, h)
+
+
+def pixel_index(partition, positions, frames, depth_tolerance=0.1):
+    """The pixel index of ``positions`` seen by ``frames``, as prepare_state builds it."""
+    projections = project_cloud(positions, frames, depth_tolerance)
+    return PixelIndex.build(partition, projections, (frames[0].height, frames[0].width))
 
 
 def flat_depth(h, w, value):

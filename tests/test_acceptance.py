@@ -16,7 +16,6 @@ from seglift.geometry import (
     backproject_pixels,
     estimate_normals,
     knn_centroids,
-    project_cloud,
     project_points,
 )
 from seglift.optimize import (
@@ -33,11 +32,11 @@ from seglift.pipeline import PipelineConfig, run_pipeline
 from seglift.superpoints import SuperpointPartition, partition_superpoints
 from seglift.synth import SceneSpec, build_scene, save_scene
 from seglift.tracks import MaskTrack, NoiseSpec, build_tracker_query, noisy_track
-from seglift.view_select import NoPivotViewError, PixelIndex, pivot_view
+from seglift.view_select import NoPivotViewError, pivot_view
 from seglift.errors import TrackingError
 from seglift.cli import main as cli_main
 
-from conftest import make_frame, pose_from, rotation_z
+from conftest import make_frame, pixel_index, pose_from, rotation_z
 
 # the acceptance boundary-noise fixture; mild enough that the greedy sweep
 # matches the exhaustive view search on all but a few tracks
@@ -281,19 +280,15 @@ def _suite_tracks(scene, noise):
     neighbors = knn_centroids(partition.centroids, 8)
     working = scene.frames[::10]
     instances = scene.instances[::10]
-    pixels = PixelIndex.build(partition, project_cloud(scene.cloud.positions, working, 0.1))
+    pixels = pixel_index(partition, scene.cloud.positions, working)
     for sp in range(partition.count):
         try:
-            pivot, _ = pivot_view(sp, pixels.counts, partition.sizes, neighbors)
-            query = build_tracker_query(
-                sp, partition, scene.cloud.positions, working, pivot, pixels=pixels
-            )
+            pivot = pivot_view(sp, pixels.counts, partition.sizes, neighbors)
+            query = build_tracker_query(sp, pixels, pivot)
             track = noisy_track(query, instances, noise, rng_seed=1000 + sp, seed_superpoint=sp)
         except (NoPivotViewError, TrackingError):
             continue
-        yield visibility_matrix(
-            track, scene.cloud.positions, partition, working, pixels=pixels
-        )
+        yield visibility_matrix(track, pixels)
 
 
 def test_ablation_ordering(suite_scenes):
@@ -330,13 +325,14 @@ def test_visibility_monotonicity(suite_scenes):
     partition = partition_superpoints(scene.cloud, normals)
     working = scene.frames[::10]
     instances = scene.instances[::10]
+    pixels = pixel_index(partition, scene.cloud.positions, working)
     checked = 0
     for oid in range(4):
         masks = {t: inst == oid for t, inst in enumerate(instances) if np.any(inst == oid)}
         track = MaskTrack(oid, 1.0, masks, min(masks), -1)
         previous = None
         for tau in [round(0.1 * k, 1) for k in range(1, 11)]:
-            vis = visibility_matrix(track, scene.cloud.positions, partition, working, tau=tau)
+            vis = visibility_matrix(track, pixels, tau=tau)
             if previous is not None:
                 gained = vis.rows & ~previous
                 assert not np.any(gained), f"tau sweep not antitone at {tau}"

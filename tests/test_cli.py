@@ -292,6 +292,11 @@ INPUT_ERRORS = [
     ("tracker-file-missing", {},
      ["segment", "--scene", "{scene}", "--tracker", "file:{tmp}/missing.txt", "--out", "{tmp}/out"]),
     ("config-missing", {}, ["segment", "--scene", "{scene}", "--config", "{tmp}/missing.cfg", "--out", "{tmp}/out"]),
+] + [
+    (f"config-{line.split()[0]}", {"bad.cfg": _write(line + "\n")},
+     ["segment", "--scene", "{scene}", "--config", "{scene}/bad.cfg", "--out", "{tmp}/out"])
+    for line in ("superpoint_knn = 0", "normals_k = 2", "superpoint_min_size = 0", "superpoint_threshold = 0",
+                 "prompt_count = 0")
 ]
 
 

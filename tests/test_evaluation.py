@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seglift.evaluation import AP_THRESHOLDS, evaluate, mask_iou
 
@@ -125,3 +127,50 @@ class TestEvaluate:
 
     def test_default_thresholds(self):
         assert AP_THRESHOLDS == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+
+
+def reference_match(masks, gt_masks, threshold):
+    """The per-threshold loop that recomputed every IoU: (matches, tp per rank)."""
+    gt_ids = sorted(gt_masks)
+    available = {g: True for g in gt_ids}
+    tp, hits, matches = 0, [], []
+    for i, mask in enumerate(masks):
+        best_gt, best_iou = -1, 0.0
+        for g in gt_ids:
+            if not available[g]:
+                continue
+            iou = mask_iou(mask, gt_masks[g])
+            if iou >= threshold and iou > best_iou:
+                best_gt, best_iou = g, iou
+        if best_gt >= 0:
+            available[best_gt] = False
+            tp += 1
+            matches.append((i, best_gt, best_iou))
+        hits.append(tp)
+    return matches, hits
+
+
+class TestSharedIouTable:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), gt=st.integers(1, 5), proposals=st.integers(0, 10))
+    def test_matches_per_threshold_loop(self, seed, n, gt, proposals):
+        # proposals are copies of gt instances, some perturbed, so IoUs tie
+        # across proposals and gt ids
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(-1, gt, size=n)
+        labels[0] = 0
+        masks = []
+        for _ in range(proposals):
+            mask = labels == rng.integers(0, gt)
+            if rng.random() < 0.5:
+                mask[rng.integers(0, n, size=2)] ^= True
+            masks.append(mask)
+        scores = sorted(rng.random(proposals).tolist(), reverse=True)
+        report = evaluate(masks, scores, labels, thresholds=(0.0, 0.3, 0.5, 1.0))
+        gt_masks = {int(g): labels == g for g in np.unique(labels[labels >= 0])}
+        for threshold, result in report.per_threshold.items():
+            matches, hits = reference_match(masks, gt_masks, threshold)
+            assert result.matches == matches
+            assert all(type(iou) is float for _, _, iou in result.matches)
+            np.testing.assert_array_equal(result.recalls, np.array(hits) / len(gt_masks))
+            np.testing.assert_array_equal(result.precisions, np.array(hits) / np.arange(1, proposals + 1))

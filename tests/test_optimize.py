@@ -22,7 +22,7 @@ from seglift.optimize import (
     visibility_matrix,
 )
 
-from conftest import make_frame
+from conftest import make_frame, pixel_index
 
 
 def vis_from_counts(in_counts, total_counts, tau=0.5):
@@ -100,7 +100,7 @@ class TestVisibilityMatrix:
         mask = np.zeros((32, 32), dtype=bool)
         # superpoint 0 occupies row 16, cols 11..20; cover six of them
         mask[16, 11:17] = True
-        vis = visibility_matrix(self._track(mask), pts, partition, [frame], tau=0.5)
+        vis = visibility_matrix(self._track(mask), pixel_index(partition, pts, [frame]), tau=0.5)
         assert vis.rows[0, 0]  # 6/10 >= 0.5
         assert not vis.rows[0, 1]
         assert vis.in_counts[0, 0] == 6
@@ -110,16 +110,16 @@ class TestVisibilityMatrix:
         pts, partition, frame = self._geometry_fixture()
         mask = np.zeros((32, 32), dtype=bool)
         mask[16, 11:15] = True
-        vis = visibility_matrix(self._track(mask), pts, partition, [frame], tau=0.5)
+        vis = visibility_matrix(self._track(mask), pixel_index(partition, pts, [frame]), tau=0.5)
         assert not vis.rows[0, 0]  # 4/10 < 0.5
 
     def test_tau_one_with_stray_pixel(self):
         pts, partition, frame = self._geometry_fixture()
         mask = np.zeros((32, 32), dtype=bool)
         mask[16, 11:20] = True  # nine of ten pixels covered
-        strict = visibility_matrix(self._track(mask), pts, partition, [frame], tau=1.0)
+        strict = visibility_matrix(self._track(mask), pixel_index(partition, pts, [frame]), tau=1.0)
         assert not strict.rows[0, 0]
-        relaxed = visibility_matrix(self._track(mask), pts, partition, [frame], tau=0.9)
+        relaxed = visibility_matrix(self._track(mask), pixel_index(partition, pts, [frame]), tau=0.9)
         assert relaxed.rows[0, 0]
 
     def test_antitone_in_tau(self):
@@ -128,7 +128,7 @@ class TestVisibilityMatrix:
         mask[16, 11:18] = True
         previous = None
         for tau in np.arange(0.1, 1.01, 0.1):
-            vis = visibility_matrix(self._track(mask), pts, partition, [frame], tau=float(tau))
+            vis = visibility_matrix(self._track(mask), pixel_index(partition, pts, [frame]), tau=float(tau))
             if previous is not None:
                 assert not np.any(vis.rows & ~previous)
             previous = vis.rows
@@ -138,14 +138,14 @@ class TestVisibilityMatrix:
         mask = np.zeros((32, 32), dtype=bool)
         mask[16, 11:21] = True  # covers all ten pixels of superpoint 0 exactly
         vis = visibility_matrix(
-            self._track(mask), pts, partition, [frame], tau=0.99, overlap_mode="iou"
+            self._track(mask), pixel_index(partition, pts, [frame]), tau=0.99, overlap_mode="iou"
         )
         assert vis.rows[0, 0]
         # widen the mask: union grows, IoU drops below the threshold
         mask2 = np.zeros((32, 32), dtype=bool)
         mask2[14:19, 5:27] = True
         vis2 = visibility_matrix(
-            self._track(mask2), pts, partition, [frame], tau=0.5, overlap_mode="iou"
+            self._track(mask2), pixel_index(partition, pts, [frame]), tau=0.5, overlap_mode="iou"
         )
         assert not vis2.rows[0, 0]
 
@@ -160,9 +160,17 @@ class TestVisibilityMatrix:
         mask = np.zeros((32, 32), dtype=bool)
         mask[16, 11] = True
         with pytest.raises(ValueError):
-            visibility_matrix(self._track(mask), pts, partition, [frame], tau=0.0)
+            visibility_matrix(self._track(mask), pixel_index(partition, pts, [frame]), tau=0.0)
         with pytest.raises(ValueError):
-            visibility_matrix(self._track(mask), pts, partition, [frame], tau=0.5, overlap_mode="dice")
+            visibility_matrix(self._track(mask), pixel_index(partition, pts, [frame]), tau=0.5, overlap_mode="dice")
+
+    def test_mask_shape_must_match_the_index(self):
+        pts, partition, frame = self._geometry_fixture()
+        pixels = pixel_index(partition, pts, [frame])
+        assert pixels.shape == (32, 32)
+        for shape in [(32, 31), (31, 32), (32, 32, 1)]:
+            with pytest.raises(ValueError, match="mask shape"):
+                visibility_matrix(self._track(np.ones(shape, dtype=bool)), pixels)
 
 
 class TestObjectiveValue:
@@ -205,7 +213,7 @@ class TestObjectiveValue:
             m[r0 : r0 + 24, c0 : c0 + 24] = True
             masks[t] = m
         track = MaskTrack(0, 1.0, masks, 0, 0)
-        vis = visibility_matrix(track, pts, partition, frames, tau=0.5, depth_tolerance=0.5)
+        vis = visibility_matrix(track, pixel_index(partition, pts, frames, 0.5), tau=0.5)
         for _ in range(10):
             theta = rng.random(6) < 0.5
             direct = objective_value(theta, track, pts, partition, frames, depth_tolerance=0.5)

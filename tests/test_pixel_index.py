@@ -17,7 +17,7 @@ from seglift.superpoints import SuperpointPartition, partition_superpoints
 from seglift.tracks import MaskTrack, TrackerQuery, build_tracker_query
 from seglift.view_select import PixelIndex, superpoint_view_counts
 
-from conftest import make_frame, pose_from, rotation_z
+from conftest import make_frame, pixel_index, pose_from, rotation_z
 
 
 # --- references: the per-view implementations -------------------------------
@@ -145,17 +145,10 @@ def assert_same_query(seed, partition, frames, pixels, projections, memory_windo
             )
         except TrackingError:
             with pytest.raises(TrackingError):
-                build_tracker_query(seed, partition, None, frames, pivot, pixels=pixels)
+                build_tracker_query(seed, pixels, pivot)
             continue
         query = build_tracker_query(
-            seed,
-            partition,
-            None,
-            frames,
-            pivot,
-            memory_window=memory_window,
-            prompt_count=prompt_count,
-            pixels=pixels,
+            seed, pixels, pivot, memory_window=memory_window, prompt_count=prompt_count
         )
         assert query.point_prompts == expected.point_prompts
         assert query.reprompt_points == expected.reprompt_points
@@ -163,7 +156,7 @@ def assert_same_query(seed, partition, frames, pixels, projections, memory_windo
 
 def assert_same_vis(track, partition, frames, pixels, projections, tau, mode):
     expected = reference_visibility_matrix(track, partition, tau, mode, projections)
-    vis = visibility_matrix(track, None, partition, frames, tau=tau, overlap_mode=mode, pixels=pixels)
+    vis = visibility_matrix(track, pixels, tau=tau, overlap_mode=mode)
     for name in ("views", "rows", "in_counts", "total_counts"):
         np.testing.assert_array_equal(getattr(vis, name), getattr(expected, name), err_msg=name)
 
@@ -183,7 +176,7 @@ class TestMatchesPerViewReference:
         rng = np.random.default_rng(seed)
         pts, partition, frames = random_scene(rng, n, labels, views)
         projections = project_cloud(pts, frames, 0.15)
-        pixels = PixelIndex.build(partition, projections)
+        pixels = PixelIndex.build(partition, projections, (frames[0].height, frames[0].width))
         np.testing.assert_array_equal(pixels.counts, superpoint_view_counts(partition, projections))
         for sp in range(partition.count):
             assert_same_query(sp, partition, frames, pixels, projections, memory_window, prompt_count)
@@ -199,7 +192,7 @@ class TestMatchesPerViewReference:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             pts, partition, frames = random_scene(rng, 200, 8, 12)
-            pixels = PixelIndex.build(partition, project_cloud(pts, frames, 0.15))
+            pixels = pixel_index(partition, pts, frames, 0.15)
             seen = pixels.counts > 0
             blank += int(np.sum(~seen.any(axis=1)))
             hidden += int(np.sum(seen.any(axis=1)[:, None] & ~seen))
@@ -213,7 +206,7 @@ class TestMatchesPerViewReference:
         partition = partition_superpoints(cloud, estimate_normals(cloud.positions, 12))
         frames = small_scene.frames[::4]
         projections = project_cloud(cloud.positions, frames, 0.1)
-        pixels = PixelIndex.build(partition, projections)
+        pixels = PixelIndex.build(partition, projections, (frames[0].height, frames[0].width))
         for sp in range(0, partition.count, 3):
             assert_same_query(sp, partition, frames, pixels, projections, 2, 3)
         for oid in range(3):
@@ -229,7 +222,7 @@ class TestLayout:
         rng = np.random.default_rng(3)
         pts, partition, frames = random_scene(rng, 150, 5, 6)
         projections = project_cloud(pts, frames, 0.15)
-        pixels = PixelIndex.build(partition, projections)
+        pixels = PixelIndex.build(partition, projections, (frames[0].height, frames[0].width))
         assert pixels.offsets[-1] == sum(len(ps) for ps in projections)
         for array in (pixels.rows, pixels.cols, pixels.labels):
             assert array.dtype == np.int32

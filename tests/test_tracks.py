@@ -22,7 +22,7 @@ from seglift.tracks import (
 )
 from seglift.tracks import _parse_views, _parse_views_by_token
 
-from conftest import make_frame
+from conftest import make_frame, pixel_index
 
 
 def tight_cluster(n, z=1.0):
@@ -52,7 +52,7 @@ class TestBuildTrackerQuery:
         )
         partition = single_superpoint_partition(pts)
         frames = visible_pattern_frames([True])
-        query = build_tracker_query(0, partition, pts, frames, pivot=0)
+        query = build_tracker_query(0, pixel_index(partition, pts, frames), pivot=0)
         assert len(query.point_prompts) == 3
         assert len(set(query.point_prompts)) == 3
         from seglift.geometry import project_points
@@ -64,7 +64,7 @@ class TestBuildTrackerQuery:
         pts = np.array([[-0.05, 0.0, 1.0], [0.05, 0.0, 1.0]])
         partition = single_superpoint_partition(pts)
         frames = visible_pattern_frames([True])
-        query = build_tracker_query(0, partition, pts, frames, pivot=0)
+        query = build_tracker_query(0, pixel_index(partition, pts, frames), pivot=0)
         assert len(query.point_prompts) == 2
 
     def test_reprompt_after_long_gap(self):
@@ -73,7 +73,7 @@ class TestBuildTrackerQuery:
         pts = tight_cluster(4)
         partition = single_superpoint_partition(pts)
         frames = visible_pattern_frames(pattern)
-        query = build_tracker_query(0, partition, pts, frames, pivot=1, memory_window=7)
+        query = build_tracker_query(0, pixel_index(partition, pts, frames), pivot=1, memory_window=7)
         assert list(query.reprompt_points) == [13]
 
     def test_short_gap_needs_no_reprompt(self):
@@ -82,7 +82,7 @@ class TestBuildTrackerQuery:
         pts = tight_cluster(4)
         partition = single_superpoint_partition(pts)
         frames = visible_pattern_frames(pattern)
-        query = build_tracker_query(0, partition, pts, frames, pivot=1, memory_window=7)
+        query = build_tracker_query(0, pixel_index(partition, pts, frames), pivot=1, memory_window=7)
         assert query.reprompt_points == {}
 
     def test_invisible_pivot_errors(self):
@@ -90,7 +90,7 @@ class TestBuildTrackerQuery:
         partition = single_superpoint_partition(pts)
         frames = visible_pattern_frames([False, True])
         with pytest.raises(TrackingError, match="superpoint invisible in pivot"):
-            build_tracker_query(0, partition, pts, frames, pivot=0)
+            build_tracker_query(0, pixel_index(partition, pts, frames), pivot=0)
 
 
 def block_renders(pattern, instance_id=2, size=32):
