@@ -188,6 +188,9 @@ def _write_manifest(path, command, args, config, result, timings, outputs):
                 "round": r.round_index,
                 "seeds_used": r.seeds_used,
                 "proposals_emitted": r.proposals_emitted,
+                "no_pivot": r.no_pivot,
+                "prompt_on_background": r.prompt_on_background,
+                "empty_selection": r.empty_selection,
                 "unliftable_seeds": r.unliftable_seeds,
             }
             for r in result.rounds

@@ -132,13 +132,15 @@ def visibility_matrix(
     if overlap_mode not in ("containment", "iou"):
         raise ValueError(f"unknown overlap mode {overlap_mode!r}")
     views = track.views()
+    T, L = pixels.counts.shape
     for t in views:
+        if not 0 <= t < T:
+            raise ValueError(f"track {track.track_id} view {t}: outside the {T} views of the pixel index")
         if track.masks[t].shape != pixels.shape:
             raise ValueError(
                 f"track {track.track_id} view {t}: mask shape {track.masks[t].shape} "
                 f"does not match frame {pixels.shape}"
             )
-    L = pixels.counts.shape[1]
     total_counts = pixels.counts[views]
     in_counts = np.zeros((len(views), L), dtype=np.int64)
     rows = np.zeros((len(views), L), dtype=bool)

@@ -5,7 +5,9 @@ their pivot views, queries the tracker, lifts each track to a visibility
 matrix, and refines it into a proposal with the configured strategy. Every
 superpoint contained in an accepted proposal (and every attempted seed) is
 consumed; rounds repeat until the free set is empty or ``max_rounds`` is
-hit. Near-duplicate proposals collapse to the highest-scoring one.
+hit. Near-duplicate proposals collapse to the highest-scoring one. The
+state keeps each seed's lifted track, so further strategies run on the same
+state only refine.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .geometry import CameraFrame, PointCloud, fps_sample, knn_centroids, estima
 from .superpoints import SuperpointPartition, partition_superpoints
 from .tracks import MaskTrack, NoiseSpec, build_tracker_query, noisy_track, oracle_track
 from .optimize import (
+    VisibilityMatrix,
     all_lifted,
     brute_force_superpoints,
     brute_force_views,
@@ -38,6 +41,7 @@ __all__ = [
     "PipelineState",
     "Proposal",
     "RoundStats",
+    "LiftedTrack",
     "PipelineResult",
     "subsample_views",
     "prepare_state",
@@ -201,10 +205,18 @@ class Proposal:
 
 @dataclass
 class RoundStats:
+    """Seeds of one round: each made a proposal or failed for one cause."""
+
     round_index: int
     seeds_used: int
     proposals_emitted: int
-    unliftable_seeds: int
+    no_pivot: int = 0
+    prompt_on_background: int = 0
+    empty_selection: int = 0
+
+    @property
+    def unliftable_seeds(self) -> int:
+        return self.no_pivot + self.prompt_on_background + self.empty_selection
 
 
 @dataclass
@@ -226,13 +238,21 @@ def subsample_views(frames: list, stride: int) -> list:
 
 @dataclass
 class PipelineState:
-    """Read-only context shared by every round of one pipeline run."""
+    """Context shared by every round and every strategy run on one scene.
+
+    Everything but ``lifted`` is read-only. ``lifted`` memoises the
+    strategy-independent half of each seed, keyed by (tracker, seed,
+    track id): its ``LiftedTrack`` or its failure cause. The pivot, the
+    query and the noisy tracker's RNG seed depend only on the state, its
+    config and that key, so every strategy reads the same entry.
+    """
 
     instances: list[np.ndarray] | None
     partition: SuperpointPartition
     neighbors: np.ndarray
     pixels: PixelIndex
     config: PipelineConfig
+    lifted: dict[tuple[str, int, int], LiftedTrack | str] = field(default_factory=dict, repr=False)
 
 
 def _validate_frames(frames: list[CameraFrame], instances: list[np.ndarray] | None) -> None:
@@ -278,8 +298,30 @@ def _combine_seed(base_seed: int, track_id: int) -> int:
     return (base_seed * 1_000_003 + track_id) % (2**63)
 
 
-def _process_seed(state: PipelineState, seed: int, track_id: int, tracker: str, refine, round_index: int):
-    """Pivot, query, track, lift, refine one seed. Returns a Proposal or None."""
+@dataclass(frozen=True)
+class LiftedTrack:
+    """A track lifted to its visibility matrix, with the fields a Proposal
+    keeps; the masks themselves are dropped."""
+
+    vis: VisibilityMatrix
+    track_id: int
+    score: float
+    pivot_view: int
+    seed_superpoint: int
+
+
+def _lift(state: PipelineState, track: MaskTrack) -> LiftedTrack:
+    cfg = state.config
+    vis = visibility_matrix(track, state.pixels, tau=cfg.tau, overlap_mode=cfg.overlap_mode)
+    return LiftedTrack(vis, track.track_id, float(track.score), track.pivot_view, track.seed_superpoint)
+
+
+def _track_and_lift(state: PipelineState, seed: int, track_id: int, tracker: str) -> LiftedTrack | str:
+    """Pivot, query, track and lift one seed, once per state; a failed seed
+    gives its cause, ``no_pivot`` or ``prompt_on_background``."""
+    key = (tracker, seed, track_id)
+    if key in state.lifted:
+        return state.lifted[key]
     cfg = state.config
     try:
         pivot = pivot_view(seed, state.pixels.counts, state.partition.sizes, state.neighbors)
@@ -297,28 +339,32 @@ def _process_seed(state: PipelineState, seed: int, track_id: int, tracker: str, 
                 track_id,
                 seed,
             )
-    except (NoPivotViewError, TrackingError):
-        return None
-    return _lift(state, track, refine, round_index)
+    except NoPivotViewError:
+        lifted = "no_pivot"
+    except TrackingError:
+        lifted = "prompt_on_background"
+    else:
+        lifted = _lift(state, track)
+    state.lifted[key] = lifted
+    return lifted
 
 
-def _lift(state: PipelineState, track: MaskTrack, refine, round_index: int) -> Proposal | None:
-    """Lift a track to a visibility matrix and refine it into a proposal."""
-    cfg = state.config
-    vis = visibility_matrix(track, state.pixels, tau=cfg.tau, overlap_mode=cfg.overlap_mode)
+def _refine(state: PipelineState, lifted: LiftedTrack, refine, round_index: int) -> Proposal | None:
+    """Refine a lifted track into a proposal; None when the selection is empty."""
+    vis = lifted.vis
     solution = refine(vis)
     recount = objective_from_counts(solution.theta, vis)
     if solution.objective != recount:
-        raise InvariantViolation(f"track {track.track_id}: refined objective {solution.objective} != recount {recount}")
+        raise InvariantViolation(f"track {lifted.track_id}: refined objective {solution.objective} != recount {recount}")
     ids = solution.selected()
     if ids.size == 0:
         return None
     return Proposal(
         point_mask=solution.theta[state.partition.assignment],
         superpoint_ids=ids,
-        score=float(track.score),
-        seed_superpoint=track.seed_superpoint,
-        pivot_view=track.pivot_view,
+        score=lifted.score,
+        seed_superpoint=lifted.seed_superpoint,
+        pivot_view=lifted.pivot_view,
         round_index=round_index,
         objective=solution.objective,
     )
@@ -346,21 +392,28 @@ def run_round(
     """One sampling round: seed, track, lift, refine.
 
     Farthest-point-samples up to ``samples_per_round`` free superpoints and
-    turns each into a proposal; seeds without a pivot view or whose refined
-    selection is empty are consumed silently. ``free`` is updated in place:
-    attempted seeds and the members of emitted proposals become non-free.
+    turns each into a proposal; seeds without a pivot view, whose prompts
+    hit background or whose refined selection is empty are counted by
+    cause. ``free`` is updated in place: attempted seeds and the members of
+    emitted proposals become non-free.
     """
     want = min(state.config.samples_per_round, int(free.sum()))
     seeds = fps_sample(state.partition.centroids, want, eligible=free)
     proposals = []
+    stats = RoundStats(round_index, len(seeds), 0)
     for i, seed in enumerate(seeds):
-        prop = _process_seed(state, seed, track_id_start + i, tracker, refine, round_index)
+        lifted = _track_and_lift(state, seed, track_id_start + i, tracker)
+        if isinstance(lifted, str):
+            setattr(stats, lifted, getattr(stats, lifted) + 1)  # the cause names its counter
+            continue
+        prop = _refine(state, lifted, refine, round_index)
         if prop is None:
+            stats.empty_selection += 1
             continue
         proposals.append(prop)
         free[prop.superpoint_ids] = False
     free[seeds] = False  # failed seeds are consumed too
-    stats = RoundStats(round_index, len(seeds), len(proposals), len(seeds) - len(proposals))
+    stats.proposals_emitted = len(proposals)
     return proposals, stats
 
 
@@ -405,7 +458,9 @@ def run_rounds(
 ) -> PipelineResult:
     """Proposals from a prepared state with one refinement strategy.
 
-    The state is only read, so one state serves any number of strategies.
+    Each seed is tracked and lifted once per state (see ``PipelineState``),
+    so one state serves any number of strategies and only refinement runs
+    again.
     """
     _check_tracker(tracker, state.instances, tracks)
     config = state.config
@@ -415,13 +470,12 @@ def run_rounds(
     rounds: list[RoundStats] = []
     if tracker == "file":
         _validate_file_tracks(tracks, state.pixels)
-        emitted = 0
         for track in tracks:
-            prop = _lift(state, track, refine, round_index=0)
+            prop = _refine(state, _lift(state, track), refine, round_index=0)
             if prop is not None:
                 proposals.append(prop)
-                emitted += 1
-        rounds.append(RoundStats(0, len(tracks), emitted, len(tracks) - emitted))
+        empty = len(tracks) - len(proposals)
+        rounds.append(RoundStats(0, len(tracks), len(proposals), empty_selection=empty))
         leftover = 0
     else:
         free = np.ones(state.partition.count, dtype=bool)
@@ -502,10 +556,11 @@ def read_proposals(path) -> list[dict]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+            score = record.get("score") if isinstance(record, dict) else None
+            finite = type(score) in (int, float) and math.isfinite(score)
+        except (ValueError, OverflowError, RecursionError) as exc:  # bad JSON, over-long or deeply nested values
             raise DataError(f"{path}: line {lineno}: {exc}") from exc
-        score = record.get("score") if isinstance(record, dict) else None
-        if type(score) not in (int, float) or not math.isfinite(score) or type(record.get("id")) is not int:
+        if not finite or type(record.get("id")) is not int:
             raise DataError(f"{path}: line {lineno}: needs an integer \"id\" and a finite \"score\"")
         records.append(record)
     return records
@@ -527,7 +582,7 @@ def read_proposal_points(path, point_count: int) -> dict[int, np.ndarray]:
         try:
             pid = int(tokens[0])
             idx = np.array([int(t) for t in tokens[1:]], dtype=np.int64)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise DataError(f"{path}: line {lineno}: bad point record") from exc
         if idx.size and (idx.min() < 0 or idx.max() >= point_count):
             raise DataError(f"{path}: line {lineno}: point index out of range")

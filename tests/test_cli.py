@@ -226,6 +226,18 @@ class TestManifest:
         for record in read_proposals(out / "proposals.jsonl"):
             assert set(record) == {"id", "score", "superpoints", "point_count", "provenance"}
 
+    @pytest.mark.parametrize("tracker", ["oracle", "noisy"])
+    def test_every_seed_is_accounted_for(self, scene_dir, tmp_path, tracker):
+        out = tmp_path / "run"
+        argv = ["segment", "--scene", str(scene_dir), "--tracker", tracker, "--noise-p-flip", "0.3", "--out", str(out)]
+        assert main(argv) == 0
+        rounds = json.loads((out / "manifest.json").read_text())["rounds"]
+        causes = ("no_pivot", "prompt_on_background", "empty_selection")
+        for entry in rounds:
+            assert sum(entry[c] for c in causes) + entry["proposals_emitted"] == entry["seeds_used"]
+            assert sum(entry[c] for c in causes) == entry["unliftable_seeds"]
+        assert sum(entry["prompt_on_background"] for entry in rounds) > 0
+
 
 # (case, command, generate flags or one proposals.jsonl line, exit code)
 EXIT_CODES = [
@@ -289,6 +301,9 @@ INPUT_ERRORS = [
     ("eval-points-not-ascii",
      {"run/proposals.jsonl": _write('{"id": 0, "score": 0.5}\n'), "run/points.txt": _write("0 1 \xff\n")},
      ["eval", "--scene", "{scene}", "--proposals", "{scene}/run/proposals.jsonl"]),
+    ("eval-points-beyond-int64",
+     {"run/proposals.jsonl": _write('{"id": 0, "score": 0.5}\n'), "run/points.txt": _write("0 99999999999999999999\n")},
+     ["eval", "--scene", "{scene}", "--proposals", "{scene}/run/proposals.jsonl"]),
     ("tracker-file-missing", {},
      ["segment", "--scene", "{scene}", "--tracker", "file:{tmp}/missing.txt", "--out", "{tmp}/out"]),
     ("config-missing", {}, ["segment", "--scene", "{scene}", "--config", "{tmp}/missing.cfg", "--out", "{tmp}/out"]),
@@ -346,6 +361,21 @@ class TestAblate:
         assert main(argv + [str(tmp_path / "separate")]) == 0
         shared = (tmp_path / "shared" / "ablation.tsv").read_bytes()
         assert shared == (tmp_path / "separate" / "ablation.tsv").read_bytes()
+
+    def test_each_seed_is_tracked_once(self, scene_dir, tmp_path, monkeypatch):
+        pairs = []
+        track = pipeline.noisy_track
+
+        def spy(query, instances, spec, rng_seed, track_id, seed):
+            pairs.append((seed, track_id))
+            return track(query, instances, spec, rng_seed, track_id, seed)
+
+        monkeypatch.setattr(pipeline, "noisy_track", spy)
+        argv = ["ablate", "--scene", str(scene_dir), "--tracker", "noisy",
+                "--noise-p-flip", "0.3", "--noise-r-morph", "2", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        distinct = len(set(pairs))
+        assert 0 < len(pairs) == distinct < 5 * distinct
 
     def test_table_shape_and_shared_seed(self, scene_dir, tmp_path, capsys):
         out = tmp_path / "ablate"

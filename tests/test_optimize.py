@@ -172,6 +172,16 @@ class TestVisibilityMatrix:
             with pytest.raises(ValueError, match="mask shape"):
                 visibility_matrix(self._track(np.ones(shape, dtype=bool)), pixels)
 
+    def test_view_keys_must_lie_in_the_index(self):
+        pts, partition, frame = self._geometry_fixture()
+        pixels = pixel_index(partition, pts, [frame, frame])
+        mask = np.ones((32, 32), dtype=bool)
+        for view in (-1, 2):  # -1 would read the last view's totals against an empty slice
+            track = MaskTrack(4, 1.0, {0: mask, view: mask}, 0, 0)
+            with pytest.raises(ValueError, match=f"track 4 view {view}: outside the 2 views"):
+                visibility_matrix(track, pixels)
+        assert visibility_matrix(MaskTrack(4, 1.0, {0: mask, 1: mask}, 0, 0), pixels).view_count == 2
+
 
 class TestObjectiveValue:
     def test_all_false_is_zero(self):

@@ -1,7 +1,11 @@
 """Round loop, dedup, file-tracker mode, and config handling."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seglift.errors import DataError
 from seglift.evaluation import mask_iou
@@ -14,6 +18,7 @@ from seglift.pipeline import (
     read_proposals,
     run_pipeline,
     run_round,
+    run_rounds,
     subsample_views,
     write_proposal_points,
     write_proposals,
@@ -239,6 +244,7 @@ class TestRunPipeline:
         result = run_pipeline(cloud, frames, config, tracker="oracle", instances=renders)
         assert result.leftover_free_superpoints == 0
         assert sum(r.unliftable_seeds for r in result.rounds) > 0
+        assert sum(r.no_pivot for r in result.rounds) > 0
         gt_mask = cloud.gt_instance == 0
         assert any(mask_iou(p.point_mask, gt_mask) > 0.9 for p in result.proposals)
 
@@ -272,6 +278,29 @@ class TestRunPipeline:
         assert [p.proposal_id for p in result.proposals] == list(range(len(result.proposals)))
 
 
+class TestSharedState:
+    def test_one_state_serves_both_trackers(self, small_scene):
+        config = quick_config(samples_per_round=4, noise_p_flip=0.3, noise_r_morph=2)
+        state = prepare_state(small_scene.cloud, small_scene.frames, small_scene.instances, config)
+        objectives = {}
+        for tracker in ("oracle", "noisy"):
+            shared = run_rounds(state, config.strategy, tracker)
+            fresh = run_pipeline(
+                small_scene.cloud, small_scene.frames, config, tracker=tracker, instances=small_scene.instances
+            )
+            assert shared.rounds == fresh.rounds
+            assert len(shared.proposals) == len(fresh.proposals)
+            for a, b in zip(shared.proposals, fresh.proposals):
+                np.testing.assert_array_equal(a.point_mask, b.point_mask)
+                np.testing.assert_array_equal(a.superpoint_ids, b.superpoint_ids)
+                assert (a.score, a.objective, a.seed_superpoint, a.pivot_view, a.round_index, a.proposal_id) == (
+                    b.score, b.objective, b.seed_superpoint, b.pivot_view, b.round_index, b.proposal_id
+                )
+            objectives[tracker] = [p.objective for p in shared.proposals]
+        assert objectives["oracle"] != objectives["noisy"]
+        assert {tracker for tracker, _, _ in state.lifted} == {"oracle", "noisy"}
+
+
 class TestFileTracker:
     def test_single_track_file_yields_one_proposal(self, small_scene, tmp_path):
         oracle = run_pipeline(
@@ -299,6 +328,15 @@ class TestFileTracker:
         assert prop.score == 0.8
         gt_mask = small_scene.cloud.gt_instance == 0
         assert mask_iou(prop.point_mask, gt_mask) >= 0.9
+
+    def test_empty_track_counts_as_empty_selection(self, small_scene):
+        shape = (small_scene.frames[0].height, small_scene.frames[0].width)
+        empty = MaskTrack(0, 0.5, {0: np.zeros(shape, dtype=bool)}, 0, -1)
+        result = run_pipeline(small_scene.cloud, small_scene.frames, quick_config(), tracker="file", tracks=[empty])
+        assert result.proposals == []
+        (stats,) = result.rounds
+        assert (stats.seeds_used, stats.proposals_emitted) == (1, 0)
+        assert (stats.no_pivot, stats.prompt_on_background, stats.empty_selection) == (0, 0, 1)
 
     def test_dimension_mismatch_names_track_and_view(self, small_scene):
         bad = MaskTrack(7, 1.0, {2: np.ones((8, 8), dtype=bool)}, 2, -1)
@@ -351,3 +389,53 @@ class TestProposalFiles:
         path.write_text("0 5 6 999\n")
         with pytest.raises(DataError, match="out of range"):
             read_proposal_points(path, 10)
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=25)
+_TOKENS = st.one_of(
+    _DIGITS,
+    st.builds(lambda sign, digits: sign + digits, st.sampled_from(["-", "+", "--"]), _DIGITS),
+    st.integers(18, 4400).map(lambda n: "9" * n),  # beyond int64, float and the 4300-digit str limit
+    st.integers(1, 5000).map(lambda n: "[" * n),
+    st.sampled_from(['{', '}', '[', ']', ',', ':', '"id"', '"score"', '"0"', "0.5", "1e400", "-0",
+                     "NaN", "Infinity", "true", "null", '{"id": 0, "score": 1']),
+)
+_LINES = st.one_of(
+    st.text(max_size=40),
+    st.text(st.characters(max_codepoint=127), max_size=40),
+    st.builds(lambda sep, tokens: sep.join(tokens), st.sampled_from(["", " "]), st.lists(_TOKENS, max_size=8)),
+    st.builds('{{"id": {}, "score": {}}}'.format, _TOKENS, _TOKENS),
+)
+
+
+class TestProposalFileFuzz:
+    """Any text either parses or raises DataError, never another exception."""
+
+    @given(st.lists(_LINES, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    @example(['{"id": 0, "score": ' + "9" * 400 + "}"])  # an int beyond the float range
+    @example(['{"id": ' + "9" * 4400 + ', "score": 1}'])  # beyond the int str-conversion limit
+    @example(["[" * 100_000])
+    def test_proposals_parse_or_raise_data_error(self, tmp_path_factory, lines):
+        path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            records = read_proposals(path)
+        except DataError:
+            return
+        for record in records:
+            assert type(record["id"]) is int and math.isfinite(float(record["score"]))
+
+    @given(st.lists(_LINES, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    @example(["0 99999999999999999999"])
+    @example(["0 " + "9" * 4400])
+    @example(["+1 -0 +9 0"])
+    def test_points_parse_or_raise_data_error(self, tmp_path_factory, lines):
+        path = tmp_path_factory.getbasetemp() / "fuzz.points"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            masks = read_proposal_points(path, 10)
+        except DataError:
+            return
+        assert all(mask.shape == (10,) and mask.dtype == bool for mask in masks.values())
