@@ -85,6 +85,8 @@ class CameraFrame:
     height: int
 
     def __post_init__(self) -> None:
+        if not np.all(np.isfinite((self.fx, self.fy, self.cx, self.cy))):
+            raise ValueError("intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:

@@ -13,10 +13,13 @@ Solvers over the visibility structure:
 * :func:`dp_refine` -- the forward sweep that at each view either keeps the
   current selection or unions in that view's visible set, whichever scores
   higher (ties keep the smaller selection). Greedy, not globally optimal.
-* :func:`brute_force_views` / :func:`brute_force_superpoints` -- exhaustive
-  oracles over view subsets and superpoint subsets, capped to stay tractable.
+* :func:`brute_force_views` -- exhaustive search over view subsets, capped
+  at ``_MAX_ENUM_VIEWS`` views to stay tractable.
+* :func:`brute_force_superpoints` -- the best superpoint subset, which the
+  linear objective gives in closed form: the candidates of positive total
+  weight. It bounds every union of views from above and has no cap.
 * :func:`top_k_views_refine` -- exhaustive search restricted to the k views
-  with the best solo objectives.
+  with the best solo objectives, under the same view cap.
 * :func:`all_lifted` -- no refinement, the union of every visible set.
 """
 
@@ -45,6 +48,7 @@ __all__ = [
 ]
 
 _ENUM_CHUNK = 4096
+_MAX_ENUM_VIEWS = 20
 
 
 @dataclass
@@ -83,19 +87,12 @@ class VisibilityMatrix:
 
     def candidates(self) -> np.ndarray:
         """Sorted superpoint ids appearing in at least one visibility row."""
-        if self.view_count == 0:
-            return np.empty(0, dtype=np.int64)
         return np.flatnonzero(self.rows.any(axis=0))
 
-    def view_weights(self) -> np.ndarray:
-        """(V, L) per-view objective contribution: inside minus outside."""
-        return 2 * self.in_counts - self.total_counts
-
     def total_weights(self) -> np.ndarray:
-        """(L,) objective contribution of each superpoint over all views."""
-        if self.view_count == 0:
-            return np.zeros(self.superpoint_count, dtype=np.int64)
-        return self.view_weights().sum(axis=0)
+        """(L,) objective contribution of each superpoint over all views:
+        its projected points inside the mask minus those outside."""
+        return (2 * self.in_counts - self.total_counts).sum(axis=0)
 
 
 @dataclass
@@ -226,106 +223,62 @@ def dp_refine(vis: VisibilityMatrix) -> Solution:
     return Solution(theta, best)
 
 
-def _enumerate_best(bit_count: int, scorer) -> tuple[int, int]:
-    """Maximize scorer over all bitmasks; ties go to the smaller bitmask.
-
-    ``scorer`` maps a (chunk, bit_count) boolean matrix to integer scores.
-    """
-    best_mask = 0
-    best_score = None
-    bits = np.arange(bit_count, dtype=np.uint32)
-    for start in range(0, 1 << bit_count, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, 1 << bit_count)
-        codes = np.arange(start, stop, dtype=np.uint32)
-        members = (codes[:, None] >> bits) & 1
-        scores = scorer(members.astype(bool))
-        top = int(np.argmax(scores))
-        if best_score is None or scores[top] > best_score:
-            best_score = int(scores[top])
-            best_mask = start + top
-    return best_mask, int(best_score)
-
-
 def _brute_views_over(vis: VisibilityMatrix, view_positions: np.ndarray) -> Solution:
     """Best union of visible sets over subsets of the given view positions.
 
-    Scores are always the full-track objective; ties prefer the smaller
-    bitmask over the (ascending) restricted views.
+    Scores every view bitmask, a chunk at a time, with the full-track
+    objective; ties prefer the smaller bitmask over the (ascending)
+    restricted views. At most ``_MAX_ENUM_VIEWS`` views are enumerated.
     """
-    if len(view_positions) == 0:
-        return Solution(np.zeros(vis.superpoint_count, dtype=bool), 0)
+    n = len(view_positions)
+    if n > _MAX_ENUM_VIEWS:
+        raise ValueError(
+            f"{n} views exceed the enumeration cap of {_MAX_ENUM_VIEWS}; "
+            f"use dp_refine or top_k_views_refine with k <= {_MAX_ENUM_VIEWS}"
+        )
     weights = vis.total_weights()
     rows = vis.rows[view_positions].astype(np.int64)
+    bits = np.arange(n, dtype=np.uint32)
+    best_mask, best_score = 0, 0  # the empty subset, bitmask 0, scores 0
+    for start in range(0, 1 << n, _ENUM_CHUNK):
+        codes = np.arange(start, min(start + _ENUM_CHUNK, 1 << n), dtype=np.uint32)
+        members = ((codes[:, None] >> bits) & 1).astype(bool)
+        scores = (members @ rows > 0) @ weights
+        top = int(np.argmax(scores))
+        if scores[top] > best_score:
+            best_mask, best_score = start + top, int(scores[top])
+    chosen = ((best_mask >> bits) & 1).astype(bool)
+    return Solution(vis.rows[view_positions[chosen]].any(axis=0), best_score)
 
-    def scorer(members: np.ndarray) -> np.ndarray:
-        thetas = members @ rows > 0
-        return thetas @ weights
 
-    mask, score = _enumerate_best(len(view_positions), scorer)
-    chosen = np.array([(mask >> v) & 1 for v in range(len(view_positions))], dtype=bool)
-    if chosen.any():
-        theta = vis.rows[view_positions[chosen]].any(axis=0)
-    else:
-        theta = np.zeros(vis.superpoint_count, dtype=bool)
-    return Solution(theta, score)
-
-
-def brute_force_views(vis: VisibilityMatrix, max_views: int = 20) -> Solution:
+def brute_force_views(vis: VisibilityMatrix) -> Solution:
     """Exhaustive search over view subsets; the selection of a subset is the
     union of its visible sets. Ties prefer the smaller view bitmask."""
-    V = vis.view_count
-    if V > max_views:
-        raise ValueError(
-            f"{V} views exceeds the enumeration cap of {max_views}; "
-            "use dp_refine or top_k_views_refine instead"
-        )
-    return _brute_views_over(vis, np.arange(V))
+    return _brute_views_over(vis, np.arange(vis.view_count))
 
 
-def brute_force_superpoints(vis: VisibilityMatrix, max_candidates: int = 20) -> Solution:
-    """Exhaustive search over subsets of the candidate superpoints (those
-    appearing in some visibility row). Ties prefer the smaller bitmask."""
-    cand = vis.candidates()
-    if len(cand) > max_candidates:
-        raise ValueError(
-            f"{len(cand)} candidate superpoints exceed the enumeration cap of {max_candidates}"
-        )
-    theta = np.zeros(vis.superpoint_count, dtype=bool)
-    if len(cand) == 0:
-        return Solution(theta, 0)
-    weights = vis.total_weights()[cand]
-
-    def scorer(members: np.ndarray) -> np.ndarray:
-        return members @ weights
-
-    mask, score = _enumerate_best(len(cand), scorer)
-    for i, sp in enumerate(cand):
-        if (mask >> i) & 1:
-            theta[sp] = True
-    return Solution(theta, score)
+def brute_force_superpoints(vis: VisibilityMatrix) -> Solution:
+    """The best subset of the candidate superpoints (those appearing in some
+    visibility row). The objective is linear in theta, so that subset is
+    the candidates of positive total weight; zero-weight candidates stay
+    out, as in the smallest optimal bitmask."""
+    weights = vis.total_weights()
+    theta = vis.rows.any(axis=0) & (weights > 0)
+    return Solution(theta, int(weights @ theta))
 
 
-def top_k_views_refine(vis: VisibilityMatrix, k: int, max_views: int = 20) -> Solution:
+def top_k_views_refine(vis: VisibilityMatrix, k: int) -> Solution:
     """Keep the k views with the best solo visible-set objectives (ties to
     the lower view index), then brute force over just those views. The
     objective stays the full-track sum."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if vis.view_count == 0:
-        return Solution(np.zeros(vis.superpoint_count, dtype=bool), 0)
-    if min(k, vis.view_count) > max_views:
-        raise ValueError(f"k={k} exceeds the enumeration cap of {max_views}")
-    weights = vis.total_weights()
-    solo = vis.rows.astype(np.int64) @ weights
+    solo = vis.rows.astype(np.int64) @ vis.total_weights()
     order = np.lexsort((np.arange(vis.view_count), -solo))
-    keep = np.sort(order[: min(k, vis.view_count)])
-    return _brute_views_over(vis, keep)
+    return _brute_views_over(vis, np.sort(order[:k]))
 
 
 def all_lifted(vis: VisibilityMatrix) -> Solution:
     """No refinement: the union of every view's visible set."""
-    if vis.view_count == 0:
-        theta = np.zeros(vis.superpoint_count, dtype=bool)
-    else:
-        theta = vis.rows.any(axis=0)
+    theta = vis.rows.any(axis=0)
     return Solution(theta, objective_from_counts(theta, vis))

@@ -277,6 +277,8 @@ def prepare_state(cloud, frames, instances, config) -> PipelineState:
     working = subsample_views(frames, config.view_stride)
     winst = subsample_views(instances, config.view_stride) if instances is not None else None
     _validate_frames(working, winst)
+    if len(cloud) < 4:  # estimate_normals fits planes to at least 3 neighbours
+        raise DataError(f"the cloud has {len(cloud)} points; at least 4 are needed")
     normals_k = min(config.normals_k, len(cloud) - 1)
     normal_nbr, graph_nbr = shared_knn(cloud.positions, (normals_k, config.superpoint_knn))
     normals = estimate_normals(cloud.positions, k=normals_k, neighbors=normal_nbr)
@@ -352,7 +354,10 @@ def _track_and_lift(state: PipelineState, seed: int, track_id: int, tracker: str
 def _refine(state: PipelineState, lifted: LiftedTrack, refine, round_index: int) -> Proposal | None:
     """Refine a lifted track into a proposal; None when the selection is empty."""
     vis = lifted.vis
-    solution = refine(vis)
+    try:
+        solution = refine(vis)
+    except ValueError as exc:  # a view enumerator's cap
+        raise DataError(f"track {lifted.track_id}: {exc}") from exc
     recount = objective_from_counts(solution.theta, vis)
     if solution.objective != recount:
         raise InvariantViolation(f"track {lifted.track_id}: refined objective {solution.objective} != recount {recount}")
@@ -469,9 +474,12 @@ def run_rounds(
     proposals: list[Proposal] = []
     rounds: list[RoundStats] = []
     if tracker == "file":
-        _validate_file_tracks(tracks, state.pixels)
         for track in tracks:
-            prop = _refine(state, _lift(state, track), refine, round_index=0)
+            try:
+                lifted = _lift(state, track)
+            except ValueError as exc:  # a view outside the index or a mask of the wrong shape
+                raise DataError(str(exc)) from exc
+            prop = _refine(state, lifted, refine, round_index=0)
             if prop is not None:
                 proposals.append(prop)
         empty = len(tracks) - len(proposals)
@@ -501,22 +509,6 @@ def run_rounds(
         superpoint_count=state.partition.count,
         partition=state.partition,
     )
-
-
-def _validate_file_tracks(tracks: list[MaskTrack], pixels: PixelIndex) -> None:
-    views = pixels.counts.shape[0]
-    for track in tracks:
-        for t, mask in track.masks.items():
-            if not 0 <= t < views:
-                raise DataError(
-                    f"track {track.track_id} view {t}: view index outside the "
-                    f"{views} working views"
-                )
-            if mask.shape != pixels.shape:
-                raise DataError(
-                    f"track {track.track_id} view {t}: mask shape {mask.shape} "
-                    f"does not match frames {pixels.shape}"
-                )
 
 
 # --- proposal files --------------------------------------------------------

@@ -10,6 +10,7 @@ optical axis; 0 means the ray missed everything.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -508,13 +509,17 @@ def load_scene(path, require_instances: bool = False) -> Scene:
     if not cloud_file.is_file() or not intr_file.is_file():
         raise DataError(f"{root}: not a scene directory (missing cloud.txt or intrinsics.txt)")
     try:
-        raw = np.loadtxt(cloud_file, dtype=np.float64, ndmin=2)
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt only warns about a file without data
+            raw = np.loadtxt(cloud_file, dtype=np.float64, ndmin=2)
+    except (ValueError, UserWarning) as exc:
         raise DataError(f"{cloud_file}: {exc}") from exc
     if raw.shape[1] != 7:
         raise DataError(f"{cloud_file}: expected 7 columns, found {raw.shape[1]}")
     if not np.all(np.isfinite(raw)):
         raise DataError(f"{cloud_file}: values must be finite")
+    if not np.all((raw[:, 6] == np.round(raw[:, 6])) & (np.abs(raw[:, 6]) < 2.0**63)):
+        raise DataError(f"{cloud_file}: instance ids must be int64 integers")
     try:
         cloud = PointCloud(raw[:, :3], np.clip(raw[:, 3:6], 0.0, 1.0), raw[:, 6].astype(np.int64))
     except ValueError as exc:

@@ -239,7 +239,7 @@ class TestManifest:
         assert sum(entry["prompt_on_background"] for entry in rounds) > 0
 
 
-# (case, command, generate flags or one proposals.jsonl line, exit code)
+# (case, command, generate or segment flags or one proposals.jsonl line, exit code)
 EXIT_CODES = [
     ("generate-ok", "generate", ["--objects", "0", "--frames", "2"], 0),
     ("generate-negative-objects", "generate", ["--objects", "-1"], 2),
@@ -259,6 +259,9 @@ EXIT_CODES = [
     ("eval-float-id", "eval", '{"id": 0.0, "score": 0.5}', 3),
     ("eval-not-an-object", "eval", "[0, 0.5]", 3),
     ("eval-bad-json", "eval", "{not json", 3),
+    # at stride 1 the test scene's tracks span more than the 20 views a view enumerator takes
+    ("segment-brute-views-over-cap", "segment", ["--stride", "1", "--strategy", "brute_views"], 3),
+    ("segment-top-k-over-cap", "segment", ["--stride", "1", "--strategy", "top_k:25"], 3),
 ]
 
 
@@ -269,6 +272,8 @@ class TestExitCodes:
     def test_exit_code(self, scene_dir, tmp_path, capsys, command, arg, code):
         if command == "generate":
             argv = ["generate", "--out", str(tmp_path / "scene"), *arg]
+        elif command == "segment":
+            argv = ["segment", "--scene", str(scene_dir), "--out", str(tmp_path / "out"), *arg]
         else:
             proposals = tmp_path / "proposals.jsonl"
             proposals.write_text(arg + "\n")
@@ -277,6 +282,8 @@ class TestExitCodes:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith({0: "", 2: "usage error: ", 3: "data error: "}[code])
+        if command == "segment":
+            assert err.startswith("data error: track ") and "enumeration cap of 20" in err
 
 
 def _first_value(new):
@@ -292,7 +299,11 @@ _SEGMENT = ["segment", "--scene", "{scene}", "--out", "{tmp}/out"]
 # (case, edits of files in a copy of the test scene, argv with {scene} and {tmp} placeholders)
 INPUT_ERRORS = [
     ("cloud-nan", {"cloud.txt": _first_value("nan")}, _SEGMENT),
+    ("cloud-three-points", {"cloud.txt": lambda text: "".join(text.splitlines(keepends=True)[:3])}, _SEGMENT),
     ("intrinsics-zero-focal", {"intrinsics.txt": _first_value("0")}, _SEGMENT),
+    ("intrinsics-nan-focal", {"intrinsics.txt": _first_value("nan")}, _SEGMENT),
+    ("intrinsics-inf-center", {"intrinsics.txt": lambda text: " ".join(text.split()[:2] + ["inf"] + text.split()[3:])},
+     _SEGMENT),
     ("intrinsics-text", {"intrinsics.txt": _first_value("fx")}, _SEGMENT),
     ("intrinsics-negative-size", {"intrinsics.txt": lambda text: " ".join(text.split()[:4] + ["-64", "-64"])},
      _SEGMENT),

@@ -7,10 +7,13 @@ vectorized paths used by the library.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seglift.superpoints import SuperpointPartition
 from seglift.tracks import MaskTrack
 from seglift.optimize import (
+    _ENUM_CHUNK,
     VisibilityMatrix,
     all_lifted,
     brute_force_superpoints,
@@ -68,6 +71,49 @@ def oracle_enumerate_views(vis):
             best_score = score
             best_theta = theta
     return best_score, best_theta
+
+
+def reference_superpoints(vis):
+    """The bitmask enumerator that ``brute_force_superpoints`` replaced:
+    every subset of the candidates, ascending, so ties go to the smaller
+    bitmask. Returns its theta and objective."""
+    cand = vis.candidates()
+    theta = np.zeros(vis.superpoint_count, dtype=bool)
+    if len(cand) == 0:
+        return theta, 0
+    weights = vis.total_weights()[cand]
+    best_mask = 0
+    best_score = None
+    bits = np.arange(len(cand), dtype=np.uint32)
+    for start in range(0, 1 << len(cand), 4096):
+        stop = min(start + 4096, 1 << len(cand))
+        codes = np.arange(start, stop, dtype=np.uint32)
+        members = (codes[:, None] >> bits) & 1
+        scores = members.astype(bool) @ weights
+        top = int(np.argmax(scores))
+        if best_score is None or scores[top] > best_score:
+            best_score = int(scores[top])
+            best_mask = start + top
+    for i, sp in enumerate(cand):
+        if (best_mask >> i) & 1:
+            theta[sp] = True
+    return theta, best_score
+
+
+@st.composite
+def visibility_matrices(draw, max_views, max_superpoints):
+    """Rows drawn independently of small inside and outside counts, so
+    zero-weight and negative-weight candidates are common."""
+    V = draw(st.integers(0, max_views))
+    L = draw(st.integers(1, max_superpoints))
+
+    def grid(elements):
+        return np.array(draw(st.lists(elements, min_size=V * L, max_size=V * L))).reshape(V, L)
+
+    inside = grid(st.integers(0, 3)).astype(np.int64)
+    outside = grid(st.integers(0, 3)).astype(np.int64)
+    rows = grid(st.booleans()).astype(bool)
+    return VisibilityMatrix(np.arange(V), rows, inside, inside + outside)
 
 
 def random_instance(rng, max_views=8, max_candidates=12):
@@ -341,12 +387,50 @@ class TestBruteForce:
         sol = brute_force_superpoints(neg)
         assert not sol.theta.any() and sol.objective == 0
 
+    def test_empty_matrix(self):
+        vis = vis_from_counts(np.zeros((0, 3)), np.zeros((0, 3)))
+        for sol in (brute_force_views(vis), brute_force_superpoints(vis), top_k_views_refine(vis, 2)):
+            assert sol.theta.tolist() == [False] * 3 and sol.objective == 0
+
+    def test_ties_across_enumeration_chunks(self):
+        # view 0 and the last view tie with their union (A and B weigh 0, C
+        # weighs 10); the last view's bit opens the second bitmask chunk, and
+        # the smaller bitmask, view 0 alone, must win
+        n = _ENUM_CHUNK.bit_length()
+        rows = np.zeros((n, 3), dtype=bool)
+        rows[0] = [True, False, True]
+        rows[-1] = [False, True, True]
+        inside = np.zeros((n, 3), dtype=np.int64)
+        total = np.zeros((n, 3), dtype=np.int64)
+        inside[[0, -1]] = [1, 1, 5]
+        total[[0, -1]] = [2, 2, 5]
+        sol = brute_force_views(VisibilityMatrix(np.arange(n), rows, inside, total))
+        assert sol.objective == 10
+        assert sol.theta.tolist() == [True, False, True]
+
     def test_enumeration_caps(self):
-        vis = random_instance(np.random.default_rng(7), max_views=8, max_candidates=12)
+        vis = vis_from_counts(np.ones((21, 2)), np.ones((21, 2)))
         with pytest.raises(ValueError, match="dp_refine or top_k"):
-            brute_force_views(vis, max_views=vis.view_count - 1)
-        with pytest.raises(ValueError, match="enumeration cap"):
-            brute_force_superpoints(vis, max_candidates=1)
+            brute_force_views(vis)
+
+    @given(visibility_matrices(max_views=6, max_superpoints=20))
+    @example(VisibilityMatrix(np.arange(0), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3))))
+    @example(VisibilityMatrix([0], [[True, True, False]], [[2, 1, 3]], [[4, 2, 3]]))  # weights 0, 0, 3
+    @example(VisibilityMatrix([0], np.ones((1, 20)), [np.arange(20) % 3], np.full((1, 20), 2)))  # -2, 0, 2, ...
+    @settings(max_examples=80, deadline=None)
+    def test_superpoints_match_the_enumerator(self, vis):
+        expected_theta, expected_score = reference_superpoints(vis)
+        sol = brute_force_superpoints(vis)
+        assert np.array_equal(sol.theta, expected_theta)
+        assert sol.objective == expected_score == objective_from_counts(sol.theta, vis)
+
+    @given(visibility_matrices(max_views=6, max_superpoints=64).filter(lambda vis: len(vis.candidates()) > 20))
+    @settings(max_examples=40, deadline=None)
+    def test_superpoints_beyond_twenty_candidates(self, vis):
+        weights = vis.total_weights()[vis.candidates()]
+        sol = brute_force_superpoints(vis)
+        assert sol.objective == int(weights[weights > 0].sum())
+        assert sol.objective >= brute_force_views(vis).objective
 
 
 class TestTopK:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seglift.errors import DataError
 from seglift.geometry import project_points
@@ -163,3 +165,48 @@ class TestSceneIO:
         assert np.all(loaded.instances[0] == -1)
         with pytest.raises(DataError, match="missing instance render"):
             load_scene(path, require_instances=True)
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "0.5", "-0", "1e-300", "1e300", "-1e300", "1e400", "nan", "-inf", "inf",
+                     "9" * 30, "0x10", "1_0", "+3", ".", "e", "a", "\xe9"]),
+    st.integers(-10, 10).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_TEXTS = st.one_of(
+    st.text(max_size=60),
+    st.text(st.characters(max_codepoint=127), max_size=60),
+    st.lists(st.lists(_TOKENS, max_size=9).map(" ".join), max_size=5).map("\n".join),
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_scene_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "scene"
+    save_scene(build_scene(SceneSpec(object_count=1, frame_count=2, image_size=(8, 6), density=5.0, seed=1)), path)
+    return path
+
+
+class TestSceneFileFuzz:
+    """Any cloud.txt or intrinsics.txt text either loads or raises DataError."""
+
+    @given(name=st.sampled_from(["cloud.txt", "intrinsics.txt"]), text=_TEXTS)
+    @settings(max_examples=300, deadline=None)
+    @example(name="cloud.txt", text="")
+    @example(name="cloud.txt", text="0 0 0 0 0 0 1e300")
+    @example(name="cloud.txt", text="0 0 0 0 0 0 0.5")
+    @example(name="intrinsics.txt", text="nan 1 1 1 8 6")
+    @example(name="intrinsics.txt", text="1 1 1 1 8 " + "9" * 30)
+    def test_loads_or_raises_data_error(self, tiny_scene_dir, name, text):
+        target = tiny_scene_dir / name
+        original = target.read_bytes()
+        target.write_text(text, encoding="utf-8")
+        try:
+            scene = load_scene(tiny_scene_dir)
+        except DataError:
+            return
+        finally:
+            target.write_bytes(original)
+        frame = scene.frames[0]
+        assert np.all(np.isfinite(scene.cloud.positions))
+        assert np.all(np.isfinite((frame.fx, frame.fy, frame.cx, frame.cy)))
