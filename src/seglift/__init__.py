@@ -43,7 +43,7 @@ from .pipeline import (
     subsample_views,
 )
 from .superpoints import SuperpointPartition, partition_superpoints
-from .synth import Scene, SceneSpec, build_scene, generate_scene, load_scene, render_frames, save_scene
+from .synth import Scene, SceneSpec, build_scene, generate_scene, load_cloud, load_scene, render_frames, save_scene
 from .tracks import (
     MaskTrack,
     NoiseSpec,

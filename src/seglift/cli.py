@@ -28,7 +28,7 @@ from .pipeline import (
     write_proposal_points,
     write_proposals,
 )
-from .synth import SceneSpec, build_scene, load_scene, save_scene
+from .synth import SceneSpec, build_scene, load_cloud, load_scene, save_scene
 from .tracks import read_tracks
 
 ABLATION_STRATEGIES = ("all_lifted", "top_k:1", "top_k:5", "top_k:10", "dp")
@@ -230,14 +230,14 @@ def cmd_segment(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    scene = load_scene(args.scene)
-    if scene.cloud.gt_instance is None or not np.any(scene.cloud.gt_instance >= 0):
+    cloud = load_cloud(args.scene)
+    if cloud.gt_instance is None or not np.any(cloud.gt_instance >= 0):
         raise DataError(f"{args.scene}: scene has no ground-truth instances")
     records = read_proposals(args.proposals)
     points_path = Path(args.proposals).with_name("points.txt")
     if records and not points_path.is_file():
         raise DataError(f"{points_path}: point index companion file is required for eval")
-    point_masks = read_proposal_points(points_path, len(scene.cloud)) if records else {}
+    point_masks = read_proposal_points(points_path, len(cloud)) if records else {}
     records = sorted(records, key=lambda r: (-r["score"], r["id"]))
     masks, scores = [], []
     for record in records:
@@ -246,7 +246,7 @@ def cmd_eval(args) -> int:
         masks.append(point_masks[record["id"]])
         scores.append(float(record["score"]))
     if masks:
-        report = evaluate(masks, scores, scene.cloud.gt_instance)
+        report = evaluate(masks, scores, cloud.gt_instance)
         text = report.text()
     else:
         text = "\n".join(f"{name}\t{0.0:.6f}" for name in ("ap", "ap50", "ap25", "rc", "rc50", "rc25"))

@@ -152,11 +152,6 @@ class PixelSet:
         return np.stack([self.rows, self.cols], axis=1)
 
 
-def _empty_pixel_set() -> PixelSet:
-    z = np.empty(0, dtype=np.int64)
-    return PixelSet(z, z.copy(), z.copy())
-
-
 def _round_half_away(values: np.ndarray) -> np.ndarray:
     """Round to nearest integer, halves away from zero."""
     return np.trunc(values + np.copysign(0.5, values))
@@ -189,23 +184,19 @@ def project_points(
             raise ValueError("indices must have one entry per point")
         if n > 1 and np.any(np.diff(idx) <= 0):
             raise ValueError("indices must be strictly increasing")
-    if n == 0:
-        return _empty_pixel_set()
 
     cam = pts @ frame.rotation.T + frame.translation
-    front = np.flatnonzero(cam[:, 2] > 0)
-    if front.size == 0:
-        return _empty_pixel_set()
-    z = cam[front, 2]
-    rr = _round_half_away(frame.fy * cam[front, 1] / z + frame.cy).astype(np.int64)
-    cc = _round_half_away(frame.fx * cam[front, 0] / z + frame.cx).astype(np.int64)
-    in_bounds = (rr >= 0) & (rr < frame.height) & (cc >= 0) & (cc < frame.width)
-    front, rr, cc, z = front[in_bounds], rr[in_bounds], cc[in_bounds], z[in_bounds]
-    if front.size == 0:
-        return _empty_pixel_set()
-    measured = frame.depth[rr, cc]
+    z = cam[:, 2]
+    # points behind or near the camera plane give inf or nan here; the bounds
+    # test below drops them before anything is cast to int
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rr = _round_half_away(frame.fy * cam[:, 1] / z + frame.cy)
+        cc = _round_half_away(frame.fx * cam[:, 0] / z + frame.cx)
+    hit = np.flatnonzero((z > 0) & (rr >= 0) & (rr < frame.height) & (cc >= 0) & (cc < frame.width))
+    r, c, z = rr[hit].astype(np.int64), cc[hit].astype(np.int64), z[hit]
+    measured = frame.depth.reshape(-1)[r * frame.width + c]
     keep = (measured > 0) & (np.abs(z - measured) <= depth_tolerance)
-    return PixelSet(rr[keep], cc[keep], idx[front[keep]])
+    return PixelSet(r[keep], c[keep], idx[hit[keep]])
 
 
 def project_cloud(

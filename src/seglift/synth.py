@@ -27,6 +27,7 @@ __all__ = [
     "render_frames",
     "build_scene",
     "save_scene",
+    "load_cloud",
     "load_scene",
 ]
 
@@ -502,11 +503,11 @@ def save_scene(scene: Scene, path, force: bool = False) -> None:
         rendered.instance.astype("<i4").tofile(root / "frames" / f"{t:04d}.inst")
 
 
-def load_scene(path, require_instances: bool = False) -> Scene:
+def load_cloud(path) -> PointCloud:
+    """The point cloud of a scene directory, without reading its frames."""
     root = Path(path)
     cloud_file = root / "cloud.txt"
-    intr_file = root / "intrinsics.txt"
-    if not cloud_file.is_file() or not intr_file.is_file():
+    if not cloud_file.is_file() or not (root / "intrinsics.txt").is_file():
         raise DataError(f"{root}: not a scene directory (missing cloud.txt or intrinsics.txt)")
     try:
         with warnings.catch_warnings():
@@ -521,10 +522,15 @@ def load_scene(path, require_instances: bool = False) -> Scene:
     if not np.all((raw[:, 6] == np.round(raw[:, 6])) & (np.abs(raw[:, 6]) < 2.0**63)):
         raise DataError(f"{cloud_file}: instance ids must be int64 integers")
     try:
-        cloud = PointCloud(raw[:, :3], np.clip(raw[:, 3:6], 0.0, 1.0), raw[:, 6].astype(np.int64))
+        return PointCloud(raw[:, :3], np.clip(raw[:, 3:6], 0.0, 1.0), raw[:, 6].astype(np.int64))
     except ValueError as exc:
         raise DataError(f"{cloud_file}: {exc}") from exc
 
+
+def load_scene(path, require_instances: bool = False) -> Scene:
+    root = Path(path)
+    cloud = load_cloud(root)
+    intr_file = root / "intrinsics.txt"
     tokens = read_text(intr_file).split()
     if len(tokens) != 6:
         raise DataError(f"{intr_file}: expected 6 values")

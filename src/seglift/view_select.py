@@ -61,9 +61,11 @@ class PixelIndex:
         counts = superpoint_view_counts(partition, projections)
         offsets = np.concatenate([[0], np.cumsum(counts)])
         rows, cols, labels = (np.empty(offsets[-1], dtype=np.int32) for _ in range(3))
+        # the narrowest key lets numpy radix-sort; a stable order is the same in any dtype
+        key = np.min_scalar_type(partition.count - 1)
         for t, ps in enumerate(projections):
             view_labels = partition.assignment[ps.indices]
-            order = np.argsort(view_labels, kind="stable")
+            order = np.argsort(view_labels.astype(key), kind="stable")
             span = slice(offsets[t * partition.count], offsets[(t + 1) * partition.count])
             rows[span], cols[span], labels[span] = ps.rows[order], ps.cols[order], view_labels[order]
         return cls(counts, offsets, rows, cols, labels, tuple(shape))

@@ -206,6 +206,30 @@ class TestEval:
         main(["eval", "--scene", str(scene_dir), "--proposals", str(out / "proposals.jsonl"), "--out", str(r2)])
         assert r1.read_bytes() == r2.read_bytes()
 
+    def test_eval_reads_only_the_cloud(self, scene_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_segment(scene_dir, out)
+        cloud_only = tmp_path / "cloud-only"
+        shutil.copytree(scene_dir, cloud_only)
+        shutil.rmtree(cloud_only / "frames")
+        reports = []
+        for scene in (scene_dir, cloud_only):
+            report = tmp_path / f"{scene.name}.txt"
+            argv = ["eval", "--scene", str(scene), "--proposals", str(out / "proposals.jsonl"), "--out", str(report)]
+            assert main(argv) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_eval_without_cloud_is_data_error(self, scene_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_segment(scene_dir, out)
+        no_cloud = tmp_path / "no-cloud"
+        shutil.copytree(scene_dir, no_cloud)
+        (no_cloud / "cloud.txt").unlink()
+        capsys.readouterr()
+        assert main(["eval", "--scene", str(no_cloud), "--proposals", str(out / "proposals.jsonl")]) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+
     def test_eval_without_gt_errors(self, scene_dir, tmp_path, capsys):
         # room-only scene has no labeled instances
         bare = tmp_path / "bare"

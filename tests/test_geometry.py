@@ -1,9 +1,14 @@
 """Projection, sampling and neighborhood tests with hand-computed expectations."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seglift.geometry import (
+    CameraFrame,
     PixelSet,
     PointCloud,
     backproject_pixels,
@@ -14,6 +19,81 @@ from seglift.geometry import (
 )
 
 from conftest import flat_depth, make_frame, pose_from, rotation_z
+
+
+# --- references: the earlier implementations ---------------------------------
+
+
+def _round_half_away(values):
+    return np.trunc(values + np.copysign(0.5, values))
+
+
+def reference_project_points(positions, frame, depth_tolerance=0.1, indices=None):
+    """Casts every point in front of the camera to int before the bounds test.
+
+    Far off-axis points near the camera plane overflow that cast, so it warns;
+    callers silence it.
+    """
+    pts = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    n = len(pts)
+    idx = np.arange(n, dtype=np.int64) if indices is None else np.asarray(indices, dtype=np.int64)
+    empty = PixelSet(np.empty(0), np.empty(0), np.empty(0))
+    if n == 0:
+        return empty
+    cam = pts @ frame.rotation.T + frame.translation
+    front = np.flatnonzero(cam[:, 2] > 0)
+    if front.size == 0:
+        return empty
+    z = cam[front, 2]
+    rr = _round_half_away(frame.fy * cam[front, 1] / z + frame.cy).astype(np.int64)
+    cc = _round_half_away(frame.fx * cam[front, 0] / z + frame.cx).astype(np.int64)
+    in_bounds = (rr >= 0) & (rr < frame.height) & (cc >= 0) & (cc < frame.width)
+    front, rr, cc, z = front[in_bounds], rr[in_bounds], cc[in_bounds], z[in_bounds]
+    if front.size == 0:
+        return empty
+    measured = frame.depth[rr, cc]
+    keep = (measured > 0) & (np.abs(z - measured) <= depth_tolerance)
+    return PixelSet(rr[keep], cc[keep], idx[front[keep]])
+
+
+def random_rotation(rng):
+    q = rng.normal(size=4)
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def random_projection_case(rng, posed):
+    """A frame and camera-space points of every kind the projection must sort out.
+
+    Points lie in front, behind, on and next to the camera plane (down to
+    subnormal depths), outside the image, and on half-pixel column and row
+    boundaries; the power-of-two focal lengths keep those boundaries exact
+    when the pose is the identity.
+    """
+    h, w = int(rng.integers(1, 20)), int(rng.integers(1, 20))
+    fx, fy = 2.0 ** rng.integers(0, 6, size=2)
+    cx, cy = rng.integers(-2, max(h, w) + 2, size=2) / 2
+    depth = rng.uniform(0.5, 3.0, size=(h, w)) * (rng.random((h, w)) < 0.8)
+    n = int(rng.integers(0, 60))
+    z = rng.choice([1.0, 2.0, -1.0, 0.0, 1e-300, -1e-300, 1e-320, 5e-324, 1e-8], size=n)
+    z = np.where(rng.random(n) < 0.5, rng.uniform(-1.0, 3.0, size=n), z)
+    # half-pixel boundaries: u = fx * x / z + cx lands on k + 0.5
+    u = rng.integers(-3, max(h, w) + 3, size=(n, 2)) + 0.5
+    x, y = (u[:, 0] - cx) * z / fx, (u[:, 1] - cy) * z / fy
+    wild = rng.random(n) < 0.4
+    x[wild], y[wild] = rng.uniform(-4.0, 4.0, size=(2, int(wild.sum())))
+    cam = np.column_stack([x, y, z])
+    extrinsics = np.eye(4)
+    if posed:
+        extrinsics = pose_from(random_rotation(rng), rng.uniform(-1.0, 1.0, size=3))
+    world = (cam - extrinsics[:3, 3]) @ extrinsics[:3, :3]
+    return world, CameraFrame(fx, fy, cx, cy, extrinsics, depth, w, h)
 
 
 class TestProjectPoints:
@@ -97,6 +177,38 @@ class TestProjectPoints:
         frame = make_frame(flat_depth(8, 8, 1.0))
         with pytest.raises(ValueError):
             project_points(np.zeros((2, 3)), frame, 0.1, indices=np.array([5, 2]))
+
+    @pytest.mark.parametrize("z", [1e-300, 1e-320])
+    def test_points_on_the_camera_plane_are_dropped_quietly(self, z):
+        # off-axis, fx * x / z overflows int64 (1e-300) or float64 (1e-320);
+        # on the axis the pixel is valid but the depth test fails
+        frame = make_frame(flat_depth(8, 8, 1.0))
+        pts = np.array([[0.5, 0.0, z], [0.0, -0.5, z], [0.5, 0.5, z], [0.0, 0.0, z]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ps = project_points(pts, frame, 0.1)
+        assert len(ps) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), posed=st.booleans(), subset=st.booleans())
+    def test_matches_reference(self, seed, posed, subset):
+        rng = np.random.default_rng(seed)
+        world, frame = random_projection_case(rng, posed)
+        tolerance = float(rng.choice([0.05, 0.5, 3.0]))
+        indices = np.sort(rng.choice(10 * len(world) + 1, size=len(world), replace=False)) if subset else None
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = reference_project_points(world, frame, tolerance, indices)
+        ps = project_points(world, frame, tolerance, indices)
+        for name in ("rows", "cols", "indices"):
+            got, want = getattr(ps, name), getattr(expected, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_reference_cases_keep_points(self):
+        # the random cases above are not all empty: most keep some points
+        cases = [random_projection_case(np.random.default_rng(seed), False) for seed in range(40)]
+        assert sum(len(project_points(world, frame, 3.0)) > 0 for world, frame in cases) > 20
 
 
 class TestBackprojection:

@@ -234,3 +234,25 @@ class TestLayout:
                 np.testing.assert_array_equal(pixels.cols[cell], ps.cols[keep])
                 assert np.all(pixels.labels[cell] == sp)
             assert pixels.view(t) == slice(pixels.cell(t, 0).start, pixels.cell(t, partition.count - 1).stop)
+
+    @pytest.mark.parametrize("labels", [255, 256, 257])
+    def test_matches_int64_sort_where_the_key_widens(self, labels):
+        # the sort key is uint8 up to 256 superpoints and uint16 from 257
+        rng = np.random.default_rng(labels)
+        n = 40 * labels
+        pts = rng.uniform(-1.0, 1.0, size=(n, 3))
+        partition = SuperpointPartition.from_assignment(rng.permutation(np.arange(n) % labels), pts)
+        projections = []
+        for _ in range(4):
+            ids = np.flatnonzero(rng.random(n) < 0.6)
+            projections.append(PixelSet(rng.integers(0, 90, ids.size), rng.integers(0, 120, ids.size), ids))
+        pixels = PixelIndex.build(partition, projections, (90, 120))
+        expected = {name: [] for name in ("rows", "cols", "labels")}
+        for ps in projections:
+            view_labels = partition.assignment[ps.indices]
+            order = np.argsort(view_labels.astype(np.int64), kind="stable")
+            expected["rows"].append(ps.rows[order])
+            expected["cols"].append(ps.cols[order])
+            expected["labels"].append(view_labels[order])
+        for name, parts in expected.items():
+            np.testing.assert_array_equal(getattr(pixels, name), np.concatenate(parts), err_msg=name)
