@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -57,20 +58,21 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tracker", default="oracle", help="oracle | noisy | file:PATH")
         p.add_argument("--out", required=True)
         p.add_argument("--config")
+        # every other flag's dest is the PipelineConfig field it overrides
         p.add_argument("--tau", type=float)
-        p.add_argument("--depth-tol", type=float, dest="depth_tol")
-        p.add_argument("--stride", type=int)
+        p.add_argument("--depth-tol", type=float, dest="depth_tolerance")
+        p.add_argument("--stride", type=int, dest="view_stride")
         p.add_argument("--kappa", type=int)
         p.add_argument("--strategy")
-        p.add_argument("--samples-per-round", type=int, dest="samples_per_round")
-        p.add_argument("--max-rounds", type=int, dest="max_rounds")
+        p.add_argument("--samples-per-round", type=int)
+        p.add_argument("--max-rounds", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--overlap-mode", dest="overlap_mode")
-        p.add_argument("--dedup-iou", type=float, dest="dedup_iou")
-        p.add_argument("--noise-p-drop", type=float, dest="noise_p_drop")
-        p.add_argument("--noise-r-morph", type=int, dest="noise_r_morph")
-        p.add_argument("--noise-p-flip", type=float, dest="noise_p_flip")
-        p.add_argument("--memory-window", type=int, dest="memory_window")
+        p.add_argument("--overlap-mode")
+        p.add_argument("--dedup-iou", type=float)
+        p.add_argument("--noise-p-drop", type=float)
+        p.add_argument("--noise-r-morph", type=int)
+        p.add_argument("--noise-p-flip", type=float)
+        p.add_argument("--memory-window", type=int)
         p.add_argument("--no-points", action="store_true", help="skip the point index companion file")
 
     seg = sub.add_parser("segment", help="run the proposal pipeline on a scene")
@@ -86,39 +88,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_TO_FIELD = {
-    "tau": "tau",
-    "depth_tol": "depth_tolerance",
-    "stride": "view_stride",
-    "kappa": "kappa",
-    "strategy": "strategy",
-    "samples_per_round": "samples_per_round",
-    "max_rounds": "max_rounds",
-    "seed": "seed",
-    "overlap_mode": "overlap_mode",
-    "dedup_iou": "dedup_iou",
-    "noise_p_drop": "noise_p_drop",
-    "noise_r_morph": "noise_r_morph",
-    "noise_p_flip": "noise_p_flip",
-    "memory_window": "memory_window",
-}
-
-
 def _resolve_config(args) -> PipelineConfig:
-    config = PipelineConfig()
-    if args.config:
-        config = PipelineConfig.from_file(args.config, base=config)
-    overrides = {}
-    for flag, field_name in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field_name] = value
-    if overrides:
-        try:
-            config = PipelineConfig.from_mapping(overrides, base=config)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    return config
+    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+    flags = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
+    try:
+        return PipelineConfig.from_mapping({k: v for k, v in flags.items() if v is not None}, base=config)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _parse_dims(text: str, n: int, flag: str) -> tuple:
@@ -151,29 +127,23 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_tracker(args):
-    tracker = args.tracker
-    if tracker in ("oracle", "noisy"):
-        return tracker, None
-    if tracker.startswith("file:"):
-        return "file", read_tracks(tracker[len("file:") :])
-    raise UsageError(f"unknown tracker {tracker!r}; expected oracle, noisy or file:PATH")
+def _load_inputs(args, need_gt: bool = False):
+    """(scene, tracker, instance renders, tracks, seconds to load the scene).
 
-
-def _run_segment(scene_dir, args, config):
-    t0 = time.perf_counter()
-    scene = load_scene(scene_dir, require_instances=args.tracker in ("oracle", "noisy"))
-    load_s = time.perf_counter() - t0
-    tracker, tracks = _load_tracker(args)
-    result = run_pipeline(
-        scene.cloud,
-        scene.frames,
-        config,
-        tracker=tracker,
-        instances=scene.instances if tracker in ("oracle", "noisy") else None,
-        tracks=tracks,
-    )
-    return scene, result, {"load": load_s, **result.timings_s}
+    The scene loads first, then the track file of a ``file:PATH`` tracker;
+    the oracle and noisy trackers read the scene's instance renders instead.
+    """
+    rendered = args.tracker in ("oracle", "noisy")
+    start = time.perf_counter()
+    scene = load_scene(args.scene, require_instances=rendered)
+    load_s = time.perf_counter() - start
+    if need_gt and (scene.cloud.gt_instance is None or not np.any(scene.cloud.gt_instance >= 0)):
+        raise DataError(f"{args.scene}: ablation needs ground-truth instances")
+    if rendered:
+        return scene, args.tracker, scene.instances, None, load_s
+    if not args.tracker.startswith("file:"):
+        raise UsageError(f"unknown tracker {args.tracker!r}; expected oracle, noisy or file:PATH")
+    return scene, "file", None, read_tracks(args.tracker[len("file:") :]), load_s
 
 
 def _write_manifest(path, command, args, config, result, timings, outputs):
@@ -184,15 +154,8 @@ def _write_manifest(path, command, args, config, result, timings, outputs):
         "config": config.to_dict(),
         "seed": config.seed,
         "rounds": [
-            {
-                "round": r.round_index,
-                "seeds_used": r.seeds_used,
-                "proposals_emitted": r.proposals_emitted,
-                "no_pivot": r.no_pivot,
-                "prompt_on_background": r.prompt_on_background,
-                "empty_selection": r.empty_selection,
-                "unliftable_seeds": r.unliftable_seeds,
-            }
+            {"round": r.round_index, "unliftable_seeds": r.unliftable_seeds,
+             **{k: v for k, v in asdict(r).items() if k != "round_index"}}
             for r in result.rounds
         ],
         "superpoint_count": result.superpoint_count,
@@ -213,7 +176,9 @@ def cmd_segment(args) -> int:
     config = _resolve_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scene, result, timings = _run_segment(args.scene, args, config)
+    scene, tracker, instances, tracks, load_s = _load_inputs(args)
+    result = run_pipeline(scene.cloud, scene.frames, config, tracker, instances, tracks)
+    timings = {"load": load_s, **result.timings_s}
     proposals_path = out_dir / "proposals.jsonl"
     write_proposals(result.proposals, proposals_path)
     outputs = {"proposals": str(proposals_path)}
@@ -239,17 +204,11 @@ def cmd_eval(args) -> int:
         raise DataError(f"{points_path}: point index companion file is required for eval")
     point_masks = read_proposal_points(points_path, len(cloud)) if records else {}
     records = sorted(records, key=lambda r: (-r["score"], r["id"]))
-    masks, scores = [], []
     for record in records:
         if record["id"] not in point_masks:
             raise DataError(f"proposal {record['id']}: missing point indices")
-        masks.append(point_masks[record["id"]])
-        scores.append(float(record["score"]))
-    if masks:
-        report = evaluate(masks, scores, cloud.gt_instance)
-        text = report.text()
-    else:
-        text = "\n".join(f"{name}\t{0.0:.6f}" for name in ("ap", "ap50", "ap25", "rc", "rc50", "rc25"))
+    masks = [point_masks[r["id"]] for r in records]
+    text = evaluate(masks, [float(r["score"]) for r in records], cloud.gt_instance).text()
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="ascii")
@@ -260,33 +219,17 @@ def cmd_ablate(args) -> int:
     config = _resolve_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    scene = load_scene(args.scene, require_instances=args.tracker in ("oracle", "noisy"))
-    if scene.cloud.gt_instance is None or not np.any(scene.cloud.gt_instance >= 0):
-        raise DataError(f"{args.scene}: ablation needs ground-truth instances")
-    tracker, tracks = _load_tracker(args)
-    instances = scene.instances if tracker in ("oracle", "noisy") else None
+    scene, tracker, instances, tracks, _ = _load_inputs(args, need_gt=True)
     state = prepare_state(scene.cloud, scene.frames, instances, config)
 
-    header = ["strategy", "ap", "ap50", "ap25", "rc", "rc50", "rc25", "mean_objective", "seed"]
-    lines = ["\t".join(header)]
+    rows = []
     for strategy in ABLATION_STRATEGIES:
-        result = run_rounds(state, strategy, tracker, tracks)
-        masks = [p.point_mask for p in result.proposals]
-        scores = [p.score for p in result.proposals]
-        if masks:
-            report = evaluate(masks, scores, scene.cloud.gt_instance)
-            metrics = [report.ap, report.ap50, report.ap25, report.rc, report.rc50, report.rc25]
-        else:
-            metrics = [0.0] * 6
-        mean_obj = float(np.mean([p.objective for p in result.proposals])) if result.proposals else 0.0
-        lines.append(
-            "\t".join(
-                [strategy]
-                + [f"{m:.6f}" for m in metrics]
-                + [f"{mean_obj:.3f}", str(config.seed)]
-            )
-        )
-    table = "\n".join(lines)
+        proposals = run_rounds(state, strategy, tracker, tracks).proposals
+        report = evaluate([p.point_mask for p in proposals], [p.score for p in proposals], scene.cloud.gt_instance)
+        mean_obj = float(np.mean([p.objective for p in proposals])) if proposals else 0.0
+        rows.append([strategy, *(f"{v:.6f}" for _, v in report.table()), f"{mean_obj:.3f}", str(config.seed)])
+    header = ["strategy", *(name for name, _ in report.table()), "mean_objective", "seed"]
+    table = "\n".join("\t".join(row) for row in [header, *rows])
     print(table)
     (out_dir / "ablation.tsv").write_text(table + "\n", encoding="ascii")
     return 0

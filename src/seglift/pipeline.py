@@ -58,7 +58,7 @@ __all__ = [
 
 STRATEGY_NAMES = ("dp", "all_lifted", "brute_views", "brute_superpoints", "top_k:<k>")
 
-_TOP_K_RE = re.compile(r"^top_k[:(](\d+)\)?$")
+_TOP_K_RE = re.compile(r"top_k(?::(\d+)|\((\d+)\))")
 
 
 def parse_strategy(name: str):
@@ -71,9 +71,9 @@ def parse_strategy(name: str):
         return brute_force_views
     if name == "brute_superpoints":
         return brute_force_superpoints
-    match = _TOP_K_RE.match(name)
+    match = _TOP_K_RE.fullmatch(name)
     if match:
-        k = int(match.group(1))
+        k = int(match.group(1) or match.group(2))
         if k < 1:
             raise ValueError("top_k strategy needs k >= 1")
         return lambda vis: top_k_views_refine(vis, k)
@@ -149,13 +149,11 @@ class PipelineConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict, base: "PipelineConfig | None" = None) -> "PipelineConfig":
-        known = {f.name: f.type for f in fields(cls)}
-        values = (base.to_dict() if base is not None else {})
+        values = (base if base is not None else cls()).to_dict()
         for key, raw in mapping.items():
-            if key not in known:
+            if key not in values:
                 raise ValueError(f"unknown config key {key!r}")
-            current = getattr(base if base is not None else cls(), key)
-            values[key] = _coerce(raw, type(current))
+            values[key] = type(values[key])(raw)  # int, float or str, as the field's value
         return cls(**values)
 
     @classmethod
@@ -173,16 +171,6 @@ class PipelineConfig:
             return cls.from_mapping(mapping, base=base)
         except ValueError as exc:
             raise DataError(f"{path}: {exc}") from exc
-
-
-def _coerce(raw, target_type):
-    if isinstance(raw, str):
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-        return raw
-    return target_type(raw)
 
 
 @dataclass
@@ -541,7 +529,7 @@ def write_proposals(proposals: list[Proposal], path) -> None:
 def read_proposals(path) -> list[dict]:
     import json
 
-    records = []
+    records: dict[int, dict] = {}
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -554,8 +542,10 @@ def read_proposals(path) -> list[dict]:
             raise DataError(f"{path}: line {lineno}: {exc}") from exc
         if not finite or type(record.get("id")) is not int:
             raise DataError(f"{path}: line {lineno}: needs an integer \"id\" and a finite \"score\"")
-        records.append(record)
-    return records
+        if record["id"] in records:
+            raise DataError(f"{path}: line {lineno}: repeated id {record['id']}")
+        records[record["id"]] = record
+    return list(records.values())
 
 
 def write_proposal_points(proposals: list[Proposal], path) -> None:
@@ -578,6 +568,8 @@ def read_proposal_points(path, point_count: int) -> dict[int, np.ndarray]:
             raise DataError(f"{path}: line {lineno}: bad point record") from exc
         if idx.size and (idx.min() < 0 or idx.max() >= point_count):
             raise DataError(f"{path}: line {lineno}: point index out of range")
+        if pid in out:
+            raise DataError(f"{path}: line {lineno}: repeated id {pid}")
         mask = np.zeros(point_count, dtype=bool)
         mask[idx] = True
         out[pid] = mask

@@ -274,14 +274,7 @@ def write_tracks(
     width: int | None = None,
 ) -> None:
     if height is None or width is None:
-        for track in tracks:
-            for mask in track.masks.values():
-                height, width = mask.shape
-                break
-            if height is not None:
-                break
-    if height is None or width is None:
-        height = width = 0
+        height, width = next((mask.shape for track in tracks for mask in track.masks.values()), (0, 0))
     lines = [f"{_HEADER} {height} {width}"]
     for track in tracks:
         parts = [str(track.track_id), repr(float(track.score)), str(track.pivot_view), str(track.seed_superpoint)]

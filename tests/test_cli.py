@@ -2,6 +2,7 @@
 
 import json
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -144,6 +145,25 @@ class TestSegment:
         assert "tracker" in capsys.readouterr().err
 
 
+# (flag, PipelineConfig field, value in a --config file, value on the command line)
+CONFIG_FLAGS = [
+    ("--tau", "tau", "0.4", "0.3"),
+    ("--depth-tol", "depth_tolerance", "0.2", "0.3"),
+    ("--stride", "view_stride", "5", "3"),
+    ("--kappa", "kappa", "4", "6"),
+    ("--strategy", "strategy", "all_lifted", "top_k:2"),
+    ("--samples-per-round", "samples_per_round", "10", "12"),
+    ("--max-rounds", "max_rounds", "2", "3"),
+    ("--seed", "seed", "1", "2"),
+    ("--overlap-mode", "overlap_mode", "iou", "containment"),
+    ("--dedup-iou", "dedup_iou", "0.8", "0.7"),
+    ("--noise-p-drop", "noise_p_drop", "0.1", "0.2"),
+    ("--noise-r-morph", "noise_r_morph", "1", "2"),
+    ("--noise-p-flip", "noise_p_flip", "0.1", "0.2"),
+    ("--memory-window", "memory_window", "3", "5"),
+]
+
+
 class TestFlagPrecedence:
     def test_flag_beats_config_beats_default(self, scene_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -165,6 +185,24 @@ class TestFlagPrecedence:
         man_c = json.loads((out_c / "manifest.json").read_text())
         assert man_c["config"]["tau"] == 0.3
         assert man_c["config"]["max_rounds"] == 2
+
+    @pytest.mark.parametrize("command", ["segment", "ablate"])
+    def test_config_flags_are_the_config_fields(self, command):
+        args = cli._build_parser().parse_args([command, "--scene", "s", "--out", "o"])
+        assert {f.name for f in fields(PipelineConfig)} & set(vars(args)) == {row[1] for row in CONFIG_FLAGS}
+
+    @pytest.mark.parametrize("flag, name, in_file, on_line", CONFIG_FLAGS, ids=[row[0] for row in CONFIG_FLAGS])
+    def test_flag_beats_config_file(self, tmp_path, flag, name, in_file, on_line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {in_file}\n")
+        argv = ["segment", "--scene", "s", "--out", "o", "--config", str(cfg)]
+        parser = cli._build_parser()
+        from_file = cli._resolve_config(parser.parse_args(argv))
+        from_flag = cli._resolve_config(parser.parse_args(argv + [flag, on_line]))
+        kind = type(getattr(PipelineConfig(), name))
+        assert getattr(from_file, name) == kind(in_file) != getattr(PipelineConfig(), name)
+        assert getattr(from_flag, name) == kind(on_line) != kind(in_file)
+        assert from_flag == PipelineConfig.from_mapping({name: on_line}, base=from_file)
 
     def test_invalid_flag_value_is_usage_error(self, scene_dir, tmp_path, capsys):
         out = tmp_path / "bad"
@@ -338,6 +376,12 @@ INPUT_ERRORS = [
      ["eval", "--scene", "{scene}", "--proposals", "{scene}/run/proposals.jsonl"]),
     ("eval-points-beyond-int64",
      {"run/proposals.jsonl": _write('{"id": 0, "score": 0.5}\n'), "run/points.txt": _write("0 99999999999999999999\n")},
+     ["eval", "--scene", "{scene}", "--proposals", "{scene}/run/proposals.jsonl"]),
+    ("eval-proposals-repeated-id",
+     {"run/proposals.jsonl": _write('{"id": 0, "score": 0.5}\n' * 2), "run/points.txt": _write("0 1 2\n")},
+     ["eval", "--scene", "{scene}", "--proposals", "{scene}/run/proposals.jsonl"]),
+    ("eval-points-repeated-id",
+     {"run/proposals.jsonl": _write('{"id": 0, "score": 0.5}\n'), "run/points.txt": _write("0 1 2\n0 3 4\n")},
      ["eval", "--scene", "{scene}", "--proposals", "{scene}/run/proposals.jsonl"]),
     ("tracker-file-missing", {},
      ["segment", "--scene", "{scene}", "--tracker", "file:{tmp}/missing.txt", "--out", "{tmp}/out"]),

@@ -71,8 +71,9 @@ class TestConfig:
         assert parse_strategy("all_lifted").__name__ == "all_lifted"
         for spelling in ("top_k:5", "top_k(5)"):
             assert parse_strategy(spelling) is not None
-        with pytest.raises(ValueError):
-            parse_strategy("top_k:0")
+        for spelling in ("top_k:0", "top_k:5)", "top_k(5", "top_k5"):
+            with pytest.raises(ValueError):
+                parse_strategy(spelling)
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
