@@ -2,8 +2,8 @@
 
 Flag precedence is command line > config file > built-in default. Exit
 codes: 0 success, 2 usage error, 3 data/format error, 4 internal invariant
-violation. Every segment/ablate run writes a manifest capturing the exact
-configuration needed to reproduce it.
+violation. Every segment run writes a manifest capturing the exact
+configuration needed to reproduce it; ablate writes only its table.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--noise-r-morph", type=int)
         p.add_argument("--noise-p-flip", type=float)
         p.add_argument("--memory-window", type=int)
-        p.add_argument("--no-points", action="store_true", help="skip the point index companion file")
 
     seg = sub.add_parser("segment", help="run the proposal pipeline on a scene")
     add_segment_flags(seg)
+    seg.add_argument("--no-points", action="store_true", help="skip the point index companion file")
 
     ev = sub.add_parser("eval", help="score a proposal file against scene ground truth")
     ev.add_argument("--scene", required=True)
@@ -216,6 +216,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    if args.strategy is not None:  # a config file's strategy is ignored: one file serves both commands
+        raise UsageError(f"ablate always runs the strategies {', '.join(ABLATION_STRATEGIES)}; drop --strategy")
     config = _resolve_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _ROT_TOL = 1e-6
+_NORMALS_BLOCK = 8192  # points per block of estimate_normals: bounds its (block, k+1, 3) neighbourhood
 
 
 @dataclass
@@ -332,14 +333,16 @@ def estimate_normals(
         _, neighbors = cKDTree(pts).query(pts, k=k + 1)
     elif neighbors.shape != (n, k + 1):
         raise ValueError("neighbors must be (N, k+1)")
-    hood = pts[neighbors]
-    centered = hood - hood.mean(axis=1, keepdims=True)
-    cov = np.einsum("mki,mkj->mij", centered, centered)
-    evals, evecs = np.linalg.eigh(cov)
-    normals = evecs[:, :, 0].copy()
-    spread = evals[:, 2]
-    degenerate = (spread <= 0.0) | (evals[:, 1] <= 1e-10 * spread)
-    normals[degenerate] = (0.0, 0.0, 1.0)
+    # every step is per point, so blocks give the whole-array result bit for bit
+    normals = np.empty((n, 3))
+    for start in range(0, n, _NORMALS_BLOCK):
+        block = slice(start, start + _NORMALS_BLOCK)
+        hood = pts[neighbors[block]]
+        hood -= hood.mean(axis=1, keepdims=True)
+        evals, evecs = np.linalg.eigh(np.einsum("mki,mkj->mij", hood, hood))
+        spread = evals[:, 2]
+        normals[block] = evecs[:, :, 0]
+        normals[block][(spread <= 0.0) | (evals[:, 1] <= 1e-10 * spread)] = (0.0, 0.0, 1.0)
     lead = np.argmax(np.abs(normals), axis=1)
     signs = np.sign(normals[np.arange(n), lead])
     signs[signs == 0] = 1.0

@@ -201,6 +201,7 @@ class RoundStats:
     no_pivot: int = 0
     prompt_on_background: int = 0
     empty_selection: int = 0
+    deduped: int = 0  # of the proposals emitted, those that dedup removed
 
     @property
     def unliftable_seeds(self) -> int:
@@ -278,6 +279,7 @@ def prepare_state(cloud, frames, instances, config) -> PipelineState:
         min_size=config.superpoint_min_size,
         neighbors=graph_nbr,
     )
+    del normal_nbr, graph_nbr, normals  # the k-NN and normals are not needed past the partition
     neighbors = knn_centroids(partition.centroids, config.kappa)
     projections = project_cloud(cloud.positions, working, config.depth_tolerance)
     pixels = PixelIndex.build(partition, projections, (working[0].height, working[0].width))
@@ -487,11 +489,14 @@ def run_rounds(
             round_index += 1
         leftover = int(free.sum())
 
-    deduped = _dedup(proposals, config.dedup_iou)
-    for i, prop in enumerate(deduped):
+    kept = _dedup(proposals, config.dedup_iou)
+    for prop in proposals:
+        rounds[prop.round_index].deduped += 1
+    for i, prop in enumerate(kept):
         prop.proposal_id = i
+        rounds[prop.round_index].deduped -= 1
     return PipelineResult(
-        proposals=deduped,
+        proposals=kept,
         rounds=rounds,
         leftover_free_superpoints=leftover,
         superpoint_count=state.partition.count,

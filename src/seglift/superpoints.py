@@ -19,13 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .geometry import PointCloud
 
 __all__ = ["SuperpointPartition", "partition_superpoints"]
+
+_EDGE_BLOCK = 8192  # edges per block of the edge weights: bounds their two (block, 3) normal gathers
 
 
 @dataclass
@@ -137,21 +139,29 @@ def partition_superpoints(
         _, neighbors = cKDTree(positions).query(positions, k=knn_k + 1)
     elif neighbors.shape != (n, knn_k + 1):
         raise ValueError("neighbors must be (N, knn_k+1)")
-    src = np.repeat(np.arange(n), knn_k)
-    dst = neighbors[:, 1:].reshape(-1)
-    keys = np.sort(np.minimum(src, dst) * n + np.maximum(src, dst))
-    keys = keys[np.concatenate(([True], np.diff(keys) != 0))]
-    lo, hi = keys // n, keys % n
-    weights = 1.0 - np.abs(np.einsum("ij,ij->i", normals[lo], normals[hi]))
-    weights = np.clip(weights, 0.0, 1.0)
-    # stable on (lo, hi)-sorted edges: ascending (weight, lo, hi)
+    # undirected edge keys lo * n + hi, built in place in a fresh copy of the neighbour ids
+    keys = neighbors[:, 1:].astype(np.int64)
+    rows = np.arange(n)[:, None]
+    hi = np.maximum(keys, rows)
+    np.minimum(keys, rows, out=keys)
+    keys *= n
+    keys += hi
+    del hi
+    keys = np.sort(keys, axis=None)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    pairs = (np.divmod(keys[s : s + _EDGE_BLOCK], n) for s in range(0, len(keys), _EDGE_BLOCK))
+    weights = np.concatenate([np.einsum("ij,ij->i", normals[lo], normals[hi]) for lo, hi in pairs])
+    weights = np.clip(1.0 - np.abs(weights), 0.0, 1.0)
+    # stable on sorted keys: ascending (weight, lo, hi)
     order = np.argsort(weights, kind="stable")
-    lo, hi, weights = lo[order], hi[order], weights[order]
+    keys, weights = keys[order], weights[order]
+    lo, hi = np.divmod(keys, n)
+    del keys, order
 
-    # the weight-0 prefix always merges: its components seed the union-find
-    flat = weights == 0.0
-    graph = coo_matrix((np.ones(np.count_nonzero(flat)), (lo[flat], hi[flat])), shape=(n, n))
-    _, comp = connected_components(graph, directed=False)
+    # the weight-0 prefix always merges: its components seed the union-find (still in key order, it is CSR)
+    flat = np.count_nonzero(weights == 0.0)
+    indptr = np.searchsorted(lo[:flat], np.arange(n + 1))
+    _, comp = connected_components(csr_matrix((np.ones(flat), hi[:flat], indptr), shape=(n, n)), directed=False)
     a, b = comp[lo], comp[hi]
     cross = a != b
     a, b, ws = a[cross], b[cross], weights[cross]

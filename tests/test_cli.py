@@ -299,6 +299,10 @@ class TestManifest:
             assert sum(entry[c] for c in causes) + entry["proposals_emitted"] == entry["seeds_used"]
             assert sum(entry[c] for c in causes) == entry["unliftable_seeds"]
         assert sum(entry["prompt_on_background"] for entry in rounds) > 0
+        # dedup's removals, attributed to the round of each removed proposal
+        written = len((out / "proposals.jsonl").read_text().splitlines())
+        assert sum(entry["proposals_emitted"] - entry["deduped"] for entry in rounds) == written
+        assert all(0 <= entry["deduped"] <= entry["proposals_emitted"] for entry in rounds)
 
 
 # (case, command, generate or segment flags or one proposals.jsonl line, exit code)
@@ -483,6 +487,28 @@ class TestAblate:
         # derived check: dp mean objective at least all_lifted's under noise
         mean_obj = {r[0]: float(r[header.index("mean_objective")]) for r in rows}
         assert mean_obj["dp"] >= mean_obj["all_lifted"]
+
+    def test_no_points_is_a_segment_flag(self, scene_dir, tmp_path, capsys):
+        argv = ["ablate", "--scene", str(scene_dir), "--out", str(tmp_path / "out"), "--no-points"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--no-points" in capsys.readouterr().err
+
+    def test_strategy_flag_is_a_usage_error(self, scene_dir, tmp_path, capsys):
+        argv = ["ablate", "--scene", str(scene_dir), "--out", str(tmp_path / "out"), "--strategy", "dp"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert all(strategy in err for strategy in cli.ABLATION_STRATEGIES)
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_strategy_is_accepted(self, scene_dir, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("strategy = top_k:3\n")
+        argv = ["ablate", "--scene", str(scene_dir)]
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "with")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "without")]) == 0
+        assert (tmp_path / "with" / "ablation.tsv").read_bytes() == (tmp_path / "without" / "ablation.tsv").read_bytes()
 
     def test_zero_noise_all_strategies_reach_ap_090(self, scene_dir, tmp_path):
         out = tmp_path / "ablate0"

@@ -1,12 +1,15 @@
 """Projection, sampling and neighborhood tests with hand-computed expectations."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from seglift import geometry
 from seglift.geometry import (
     CameraFrame,
     PixelSet,
@@ -22,6 +25,40 @@ from conftest import flat_depth, make_frame, pose_from, rotation_z
 
 
 # --- references: the earlier implementations ---------------------------------
+
+
+def reference_normals(positions, k, neighbors):
+    """estimate_normals over the whole (N, k+1, 3) neighbourhood at once."""
+    pts = np.asarray(positions, dtype=np.float64)
+    n = len(pts)
+    hood = pts[neighbors]
+    centered = hood - hood.mean(axis=1, keepdims=True)
+    cov = np.einsum("mki,mkj->mij", centered, centered)
+    evals, evecs = np.linalg.eigh(cov)
+    normals = evecs[:, :, 0].copy()
+    spread = evals[:, 2]
+    degenerate = (spread <= 0.0) | (evals[:, 1] <= 1e-10 * spread)
+    normals[degenerate] = (0.0, 0.0, 1.0)
+    lead = np.argmax(np.abs(normals), axis=1)
+    signs = np.sign(normals[np.arange(n), lead])
+    signs[signs == 0] = 1.0
+    return normals * signs[:, None]
+
+
+def normals_case(kind, n, seed):
+    """n points: random, planar, collinear, duplicated, or planar with a collinear strip."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, 3))
+    if kind == "planar":
+        pts[:, 2] = 0.0
+    elif kind == "collinear":
+        pts[:, 1:] = pts[:, :1] * (0.5, -2.0)
+    elif kind == "duplicates":  # a few distinct points, each repeated
+        pts = pts[rng.integers(0, max(1, n // 4), size=n)]
+    elif kind == "mixed":
+        pts[:, 2] = 0.0
+        pts[: n // 3, 1] = 0.0
+    return pts
 
 
 def _round_half_away(values):
@@ -344,6 +381,33 @@ class TestEstimateNormals:
         pts = np.column_stack([np.linspace(0, 1, 30), np.zeros(30), np.zeros(30)])
         normals = estimate_normals(pts, 5)
         np.testing.assert_allclose(normals, np.tile([0.0, 0.0, 1.0], (30, 1)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "planar", "collinear", "duplicates", "mixed"]),
+        k=st.integers(3, 10),
+        extra=st.integers(0, 30),
+        size=st.sampled_from(["below", "at", "above", "several"]),
+        remainder=st.integers(1, 1000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # one-point last block; a block of one point
+    @example(kind="planar", k=3, extra=0, size="above", remainder=1, seed=0)
+    @example(kind="duplicates", k=3, extra=0, size="several", remainder=1, seed=1)
+    def test_blocks_equal_whole_array(self, kind, k, extra, size, remainder, seed):
+        block = k + 2 + extra  # so that block - 1 points still exceed k
+        n = {"below": block - 1, "at": block, "above": block + 1}.get(size, 3 * block + remainder % (block - 1) + 1)
+        pts = normals_case(kind, n, seed)
+        nbr = cKDTree(pts).query(pts, k=k + 1)[1]
+        with mock.patch.object(geometry, "_NORMALS_BLOCK", block):
+            got = estimate_normals(pts, k, neighbors=nbr)
+        assert got.tobytes() == reference_normals(pts, k, nbr).tobytes()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 2 * geometry._NORMALS_BLOCK + 77])
+    def test_module_block_equals_whole_array(self, offset):
+        pts = normals_case("mixed", geometry._NORMALS_BLOCK + offset, 3)
+        nbr = cKDTree(pts).query(pts, k=13)[1]
+        assert estimate_normals(pts, 12, neighbors=nbr).tobytes() == reference_normals(pts, 12, nbr).tobytes()
 
     def test_parameter_validation(self):
         pts = np.random.default_rng(0).uniform(size=(10, 3))

@@ -1,0 +1,61 @@
+"""Working-memory bounds of scene setup, traced with tracemalloc.
+
+numpy reports its buffers to tracemalloc, so the traced peak of a call is
+the most its arrays held at once. The bounds are sums of the arrays each
+stage is meant to keep: a few whole-cloud arrays plus the temporaries of
+one block. The earlier whole-array stages went well past them (about
+34 MB for the normals and 25 MB for the partition on this cloud).
+"""
+
+import tracemalloc
+
+import pytest
+
+from seglift import geometry, superpoints
+from seglift.geometry import estimate_normals, shared_knn
+from seglift.superpoints import partition_superpoints
+from seglift.synth import SceneSpec, build_scene
+
+NORMALS_K = 12
+GRAPH_K = 10
+
+
+@pytest.fixture(scope="module")
+def cloud():
+    """A fixed 40,075-point room with eight objects."""
+    scene = build_scene(SceneSpec(object_count=8, frame_count=1, seed=3, density=270.0, image_size=(16, 12)))
+    assert len(scene.cloud) == 40_075
+    return scene.cloud
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Bytes that ``fn`` held at its peak, above what was allocated before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_normals_peak_is_one_block(cloud):
+    n = len(cloud)
+    assert 4 * geometry._NORMALS_BLOCK < n  # several blocks: a whole-cloud fit cannot pass
+    nbr, _ = shared_knn(cloud.positions, (NORMALS_K, GRAPH_K))
+    block_hood = geometry._NORMALS_BLOCK * (NORMALS_K + 1) * 3 * 8  # one block's gathered neighbourhood
+    bound = 3 * block_hood + 4 * n * 3 * 8  # plus four (N, 3) float arrays: the result and its sign pass
+    peak = traced_peak(estimate_normals, cloud.positions, NORMALS_K, neighbors=nbr)
+    assert peak < bound
+
+
+def test_partition_peak_is_a_few_edge_arrays(cloud):
+    n = len(cloud)
+    assert 4 * superpoints._EDGE_BLOCK < n  # several blocks of edges, at least one per two points
+    normal_nbr, nbr = shared_knn(cloud.positions, (NORMALS_K, GRAPH_K))
+    normals = estimate_normals(cloud.positions, NORMALS_K, neighbors=normal_nbr)
+    edge_array = n * GRAPH_K * 8  # int64 or float64 over every directed k-NN edge
+    gathers = 2 * superpoints._EDGE_BLOCK * 3 * 8  # the two (block, 3) normal gathers
+    bound = 5 * edge_array + gathers
+    peak = traced_peak(partition_superpoints, cloud, normals, knn_k=GRAPH_K, neighbors=nbr)
+    assert peak < bound

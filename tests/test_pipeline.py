@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seglift import pipeline
 from seglift.errors import DataError
 from seglift.evaluation import mask_iou
 from seglift.geometry import PointCloud
@@ -248,6 +249,24 @@ class TestRunPipeline:
         assert sum(r.no_pivot for r in result.rounds) > 0
         gt_mask = cloud.gt_instance == 0
         assert any(mask_iou(p.point_mask, gt_mask) > 0.9 for p in result.proposals)
+
+    def test_deduped_counted_in_the_round_of_each_removed_proposal(self, small_scene, monkeypatch):
+        emitted = []
+
+        def spy(*args):
+            result = run_round(*args)
+            emitted.extend(result[0])
+            return result
+
+        monkeypatch.setattr(pipeline, "run_round", spy)
+        config = quick_config(samples_per_round=3, dedup_iou=0.05)
+        result = run_pipeline(small_scene.cloud, small_scene.frames, config, "oracle", small_scene.instances)
+        assert len(result.rounds) > 1 and len(result.proposals) < len(emitted)
+        kept = {id(p) for p in result.proposals}
+        for stats in result.rounds:
+            removed = [p for p in emitted if p.round_index == stats.round_index and id(p) not in kept]
+            assert stats.deduped == len(removed)
+            assert stats.unliftable_seeds + stats.proposals_emitted == stats.seeds_used
 
     def test_frame_mismatch_rejected_before_work(self, small_scene):
         frames = list(small_scene.frames)

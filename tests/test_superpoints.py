@@ -1,5 +1,7 @@
 """Graph-cut partition tests against connected-component, purity and loop oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,9 +10,10 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from seglift import superpoints
 from seglift.geometry import PointCloud, estimate_normals, shared_knn
 from seglift.pipeline import PipelineConfig, prepare_state
-from seglift.superpoints import SuperpointPartition, partition_superpoints
+from seglift.superpoints import SuperpointPartition, _UnionFind, partition_superpoints
 
 
 def grid_plane(nx, ny, spacing, origin, axes):
@@ -142,6 +145,45 @@ def _reference_partition(
     return SuperpointPartition.from_assignment(labels, positions)
 
 
+def _whole_array_partition(cloud, normals, knn_k, merge_threshold, min_size, neighbors):
+    """partition_superpoints with its earlier edge build: whole-array edge keys
+    and two (E, 3) normal gathers; the union-find passes are the same."""
+    n = len(cloud.positions)
+    src = np.repeat(np.arange(n), knn_k)
+    dst = neighbors[:, 1:].reshape(-1)
+    keys = np.sort(np.minimum(src, dst) * n + np.maximum(src, dst))
+    keys = keys[np.concatenate(([True], np.diff(keys) != 0))]
+    lo, hi = keys // n, keys % n
+    weights = 1.0 - np.abs(np.einsum("ij,ij->i", normals[lo], normals[hi]))
+    weights = np.clip(weights, 0.0, 1.0)
+    order = np.argsort(weights, kind="stable")
+    lo, hi, weights = lo[order], hi[order], weights[order]
+
+    flat = weights == 0.0
+    graph = coo_matrix((np.ones(np.count_nonzero(flat)), (lo[flat], hi[flat])), shape=(n, n))
+    _, comp = connected_components(graph, directed=False)
+    a, b = comp[lo], comp[hi]
+    cross = a != b
+    a, b, ws = a[cross], b[cross], weights[cross]
+    uf = _UnionFind(np.bincount(comp).tolist())
+    for ca, cb, w in zip(a.tolist(), b.tolist(), ws.tolist()):
+        ra, rb = uf.find(ca), uf.find(cb)
+        if ra != rb and (
+            w <= uf.internal[ra] + merge_threshold / uf.size[ra]
+            and w <= uf.internal[rb] + merge_threshold / uf.size[rb]
+        ):
+            uf.internal[uf.union(ra, rb)] = w
+    roots, sizes = uf.roots(), np.asarray(uf.size)
+    ra, rb = roots[a], roots[b]
+    small = (ra != rb) & ((sizes[ra] < min_size) | (sizes[rb] < min_size))
+    for ca, cb in zip(a[small].tolist(), b[small].tolist()):
+        ra, rb = uf.find(ca), uf.find(cb)
+        if ra != rb and (uf.size[ra] < min_size or uf.size[rb] < min_size):
+            uf.union(ra, rb)
+    _, first, inverse = np.unique(uf.roots()[comp], return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
 def oracle_case(kind, n, seed):
     """Points and normals: coplanar grid, random, or mixed flat patches."""
     rng = np.random.default_rng(seed)
@@ -196,6 +238,49 @@ class TestReferenceOracle:
             expected = _reference_partition(cloud, normals, **kwargs)
             got = partition_superpoints(cloud, normals, **kwargs)
             np.testing.assert_array_equal(got.assignment, expected.assignment)
+
+
+class TestBlockedEdges:
+    """The in-place edge keys and blocked edge weights change no label."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["grid", "random", "mixed"]),
+        n=st.integers(2, 400),
+        seed=st.integers(0, 2**32 - 1),
+        knn_k=st.integers(1, 12),
+        min_size=st.integers(1, 30),
+        merge_threshold=st.sampled_from([1e-4, 0.05, 2.0]),
+        block=st.sampled_from([1, 7, 64, 4096]),
+    )
+    @example(kind="mixed", n=40, seed=0, knn_k=3, min_size=5, merge_threshold=0.05, block=1)
+    def test_labels_equal_whole_array_edges(self, kind, n, seed, knn_k, min_size, merge_threshold, block):
+        pts, normals = oracle_case(kind, n, seed)
+        knn_k = min(knn_k, len(pts) - 1)
+        (nbr,) = shared_knn(pts, (knn_k,))
+        kwargs = dict(knn_k=knn_k, merge_threshold=merge_threshold, min_size=min_size)
+        with mock.patch.object(superpoints, "_EDGE_BLOCK", block):
+            got = partition_superpoints(as_cloud(pts), normals, neighbors=nbr, **kwargs)
+        expected = _whole_array_partition(as_cloud(pts), normals, neighbors=nbr, **kwargs)
+        np.testing.assert_array_equal(got.assignment, expected)
+
+    def test_labels_equal_whole_array_edges_on_scene(self, small_scene):
+        pts = small_scene.cloud.positions
+        normal_nbr, nbr = shared_knn(pts, (12, 10))
+        normals = estimate_normals(pts, 12, neighbors=normal_nbr)
+        got = partition_superpoints(small_scene.cloud, normals, neighbors=nbr)
+        expected = _whole_array_partition(small_scene.cloud, normals, 10, 0.05, 20, nbr)
+        np.testing.assert_array_equal(got.assignment, expected)
+
+    @pytest.mark.parametrize("layout", ["prefix", "contiguous"])
+    def test_neighbors_left_unchanged(self, layout, small_scene):
+        pts = small_scene.cloud.positions
+        (nbr,) = shared_knn(pts, (10,))
+        if layout == "prefix":  # a column prefix of a wider query, as prepare_state passes it
+            nbr = shared_knn(pts, (12, 10))[1]
+        before = nbr.copy()
+        partition_superpoints(small_scene.cloud, estimate_normals(pts, 12), neighbors=nbr)
+        np.testing.assert_array_equal(nbr, before)
 
 
 class TestPartition:
