@@ -2,7 +2,8 @@
 
 Flag precedence is command line > config file > built-in default. Exit
 codes: 0 success, 2 usage error, 3 data/format error, 4 internal invariant
-violation. Every segment run writes a manifest capturing the exact
+violation; a run whose stdout was closed early (``seglift eval ... | head -1``)
+exits 1 without a message. Every segment run writes a manifest capturing the exact
 configuration needed to reproduce it; ablate writes only its table.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, fields
@@ -260,7 +262,14 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe fails here, not in a traceback at exit
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull so the final flush drops the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -102,7 +102,8 @@ class CameraFrame:
             raise ValueError("extrinsics rotation must have determinant +1")
         if not np.allclose(self.extrinsics[3], (0.0, 0.0, 0.0, 1.0)):
             raise ValueError("extrinsics bottom row must be (0, 0, 0, 1)")
-        self.depth = np.asarray(self.depth, dtype=np.float64)
+        depth = np.asarray(self.depth)  # float32 or float64 is kept: comparisons promote it exactly
+        self.depth = depth if depth.dtype in (np.float32, np.float64) else depth.astype(np.float64)
         if self.depth.shape != (self.height, self.width):
             raise ValueError(
                 f"depth map shape {self.depth.shape} does not match "

@@ -133,17 +133,16 @@ def visibility_matrix(
     for t in views:
         if not 0 <= t < T:
             raise ValueError(f"track {track.track_id} view {t}: outside the {T} views of the pixel index")
-        if track.masks[t].shape != pixels.shape:
-            raise ValueError(
-                f"track {track.track_id} view {t}: mask shape {track.masks[t].shape} "
-                f"does not match frame {pixels.shape}"
-            )
     total_counts = pixels.counts[views]
     in_counts = np.zeros((len(views), L), dtype=np.int64)
     rows = np.zeros((len(views), L), dtype=bool)
     for v, t in enumerate(views):
+        mask = track.masks[t]  # indexed once: a file track decodes its mask here
+        if mask.shape != pixels.shape:
+            raise ValueError(
+                f"track {track.track_id} view {t}: mask shape {mask.shape} does not match frame {pixels.shape}"
+            )
         span = pixels.view(t)
-        mask = track.masks[t]
         labels, rr, cc = pixels.labels[span], pixels.rows[span], pixels.cols[span]
         inside = np.take(mask.reshape(-1), rr * mask.shape[1] + cc)
         in_counts[v] = np.bincount(labels[inside], minlength=L)
@@ -191,11 +190,12 @@ def objective_value(
     selected_points = theta[partition.assignment]
     total = 0
     for t in track.views():
-        if track.masks[t].shape != (frames[t].height, frames[t].width):
+        mask = track.masks[t]
+        if mask.shape != (frames[t].height, frames[t].width):
             raise ValueError(f"track {track.track_id} view {t}: mask shape does not match frame")
         ps = project_points(positions, frames[t], depth_tolerance)
         chosen = selected_points[ps.indices]
-        inside = int(np.count_nonzero(track.masks[t][ps.rows, ps.cols] & chosen))
+        inside = int(np.count_nonzero(mask[ps.rows, ps.cols] & chosen))
         outside = int(np.count_nonzero(chosen)) - inside
         total += inside - outside
     return total

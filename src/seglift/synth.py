@@ -575,7 +575,7 @@ def load_scene(path, require_instances: bool = False) -> Scene:
         else:
             instance = np.full((height, width), -1, dtype=np.int32)
         try:
-            frame = CameraFrame(fx, fy, cx, cy, pose, depth.astype(np.float64).reshape(height, width), width, height)
+            frame = CameraFrame(fx, fy, cx, cy, pose, depth.reshape(height, width), width, height)
         except ValueError as exc:
             raise DataError(f"{root}: frame {t}: {exc}") from exc
         rendered.append(RenderedFrame(frame, instance))

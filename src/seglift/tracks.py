@@ -8,11 +8,14 @@ Three sources of tracks exist:
   boundary-flip noise plus a forgetting rule after long invisibility gaps,
 * :func:`read_tracks` ingests externally produced track files.
 
-Masks are plain (H, W) boolean arrays keyed by working-view index.
+Masks are (H, W) boolean arrays keyed by working-view index. A track read
+from a file keeps each view's run lengths and decodes that view's mask only
+when it is indexed, so a dense mask lives only while its view is lifted.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +88,7 @@ class MaskTrack:
 
     track_id: int
     score: float
-    masks: dict[int, np.ndarray]
+    masks: Mapping[int, np.ndarray]
     pivot_view: int
     seed_superpoint: int
 
@@ -256,15 +259,42 @@ def encode_rle(mask: np.ndarray) -> list[int]:
     return [int(r) for r in runs]
 
 
-def decode_rle(runs: list[int] | np.ndarray, height: int, width: int) -> np.ndarray:
+def _check_runs(runs: list[int] | np.ndarray, height: int, width: int) -> np.ndarray:
+    """The run lengths as int64, once they sum to height * width and none is negative."""
     runs = np.asarray(runs)
     total = sum(runs.tolist())  # Python ints: an int64 sum could wrap to height * width
     if total != height * width:
         raise ValueError(f"run lengths sum to {total}, expected {height * width}")
     if np.any(runs < 0):
         raise ValueError("run lengths must be nonnegative")
-    flat = np.repeat(np.arange(len(runs)) % 2 == 1, runs.astype(np.int64, copy=False))
-    return flat.reshape(height, width)
+    return runs.astype(np.int64, copy=False)
+
+
+def decode_rle(runs: list[int] | np.ndarray, height: int, width: int) -> np.ndarray:
+    runs = _check_runs(runs, height, width)
+    return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(height, width)
+
+
+class _RunLengthMasks(Mapping):
+    """The masks of a track read from a file: each view's run lengths are
+    held, and its mask is decoded with :func:`decode_rle` each time the view
+    is indexed. ``in``, ``len`` and iteration decode nothing."""
+
+    def __init__(self, runs: dict[int, np.ndarray], height: int, width: int) -> None:
+        self._runs = runs
+        self._shape = (height, width)
+
+    def __getitem__(self, view: int) -> np.ndarray:
+        return decode_rle(self._runs[view], *self._shape)
+
+    def __contains__(self, view) -> bool:
+        return view in self._runs
+
+    def __iter__(self):
+        return iter(self._runs)
+
+    def __len__(self) -> int:
+        return len(self._runs)
 
 
 def write_tracks(
@@ -322,7 +352,7 @@ def read_tracks(path) -> list[MaskTrack]:
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: bad seed field") from exc
             rest = rest[1:]
-        masks = _parse_views(rest, height, width, path, lineno)
+        masks = _RunLengthMasks(_parse_views(rest, height, width, path, lineno), height, width)
         try:
             tracks.append(MaskTrack(track_id, score, masks, pivot, seed))
         except ValueError as exc:
@@ -331,7 +361,8 @@ def read_tracks(path) -> list[MaskTrack]:
 
 
 def _parse_views(rest: list[str], height: int, width: int, path, lineno: int) -> dict[int, np.ndarray]:
-    """Masks of one line's ``t:r0 r1 ...`` entries, all numbers converted at once."""
+    """Checked int64 run lengths of one line's ``t:r0 r1 ...`` entries, all
+    numbers converted at once."""
     starts = [i for i, token in enumerate(rest) if ":" in token]
     if rest and starts[:1] != [0]:
         raise DataError(f"{path}: line {lineno}: run length before any view entry")
@@ -349,21 +380,21 @@ def _parse_views(rest: list[str], height: int, width: int, path, lineno: int) ->
     except (ValueError, OverflowError):
         # a bad or out-of-range number: the token loop names it, or parses it as before
         return _parse_views_by_token(rest, height, width, path, lineno)
-    masks: dict[int, np.ndarray] = {}
+    by_view: dict[int, np.ndarray] = {}
     for a, b in zip(bounds, bounds[1:]):
-        masks[int(values[a])] = _decode_checked(values[a + 1 : b], height, width, path, lineno)
-    return masks
+        by_view[int(values[a])] = _line_runs(values[a + 1 : b], height, width, path, lineno)
+    return by_view
 
 
 def _parse_views_by_token(rest: list[str], height: int, width: int, path, lineno: int) -> dict[int, np.ndarray]:
-    """The same masks, one token at a time: the first bad token is the one reported."""
-    masks: dict[int, np.ndarray] = {}
+    """The same run lengths, one token at a time: the first bad token is the one reported."""
+    by_view: dict[int, np.ndarray] = {}
     view: int | None = None
     runs: list[int] = []
     for token in rest:
         if ":" in token:
             if view is not None:
-                masks[view] = _decode_checked(runs, height, width, path, lineno)
+                by_view[view] = _line_runs(runs, height, width, path, lineno)
             head, _, tail = token.partition(":")
             try:
                 view = int(head)
@@ -378,12 +409,12 @@ def _parse_views_by_token(rest: list[str], height: int, width: int, path, lineno
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: bad run length {token!r}") from exc
     if view is not None:
-        masks[view] = _decode_checked(runs, height, width, path, lineno)
-    return masks
+        by_view[view] = _line_runs(runs, height, width, path, lineno)
+    return by_view
 
 
-def _decode_checked(runs: list[int] | np.ndarray, height: int, width: int, path, lineno: int) -> np.ndarray:
+def _line_runs(runs: list[int] | np.ndarray, height: int, width: int, path, lineno: int) -> np.ndarray:
     try:
-        return decode_rle(runs, height, width)
+        return _check_runs(runs, height, width)
     except ValueError as exc:
         raise DataError(f"{path}: line {lineno}: {exc}") from exc

@@ -1,12 +1,18 @@
 """Command-line behavior: subcommands, flag precedence, exit codes."""
 
+import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seglift
 from seglift import cli, pipeline
 from seglift.cli import main
 from seglift.optimize import Solution, all_lifted
@@ -276,6 +282,45 @@ class TestEval:
         run_segment(scene_dir, out)
         code = main(["eval", "--scene", str(bare), "--proposals", str(out / "proposals.jsonl")])
         assert code == 3
+
+
+class TestClosedStdout:
+    """``seglift eval ... | head -1``: the reader closes stdout before the table is written."""
+
+    def test_eval_into_a_broken_pipe_exits_quietly(self, scene_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        run_segment(scene_dir, out)
+        capsys.readouterr()
+        sink = open(tmp_path / "sink", "w")
+
+        class ClosedPipe(io.TextIOBase):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return sink.fileno()
+
+        monkeypatch.setattr(sys, "argv", ["seglift", "eval", "--scene", str(scene_dir), "--proposals", str(out / "proposals.jsonl")])
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entrypoint()
+        sink.close()
+        assert exit_info.value.code == 1
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_leaves_stderr_empty(self, scene_dir, tmp_path):
+        out = tmp_path / "run"
+        run_segment(scene_dir, out)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        env = {**os.environ, "PYTHONPATH": str(Path(seglift.__file__).parents[1])}
+        argv = [sys.executable, "-W", "error", "-m", "seglift", "eval", "--scene", str(scene_dir), "--proposals", str(out / "proposals.jsonl")]
+        try:
+            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1
 
 
 class TestManifest:

@@ -215,6 +215,28 @@ class TestProjectPoints:
         with pytest.raises(ValueError):
             project_points(np.zeros((2, 3)), frame, 0.1, indices=np.array([5, 2]))
 
+    def test_float32_depth_projects_like_its_float64_copy(self):
+        # depths on a 1/8 grid are exact in both widths, so z = depth +- 0.25 is exactly at the tolerance
+        rng = np.random.default_rng(5)
+        depth = (rng.integers(8, 32, size=(16, 16)) / 8).astype(np.float32)
+        depth[rng.random((16, 16)) < 0.1] = 0.0
+        frames = [CameraFrame(100.0, 100.0, 7.5, 7.5, np.eye(4), d, 16, 16) for d in (depth, depth.astype(np.float64))]
+        assert [f.depth.dtype for f in frames] == [np.float32, np.float64]
+        rows, cols = np.divmod(np.arange(256), 16)
+        measured = depth.reshape(-1).astype(np.float64)
+        z = np.concatenate([measured + offset for offset in (-0.25, 0.25, 0.2500001, -0.1, 0.6)])
+        r, c = np.tile(rows, 5), np.tile(cols, 5)
+        pts = np.column_stack([(c - 7.5) * z / 100.0, (r - 7.5) * z / 100.0, z])
+        pts = np.concatenate([pts, rng.uniform((-0.1, -0.1, 0.5), (0.1, 0.1, 4.5), size=(500, 3))])
+        ps32, ps64 = (project_points(pts, f, 0.25) for f in frames)
+        for name in ("rows", "cols", "indices"):
+            got, want = getattr(ps32, name), getattr(ps64, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        at_tolerance = np.flatnonzero(measured > 0)
+        assert np.isin(np.concatenate([at_tolerance, 256 + at_tolerance]), ps32.indices).all()
+        assert not np.isin(512 + np.arange(256), ps32.indices).any()
+
     @pytest.mark.parametrize("z", [1e-300, 1e-320])
     def test_points_on_the_camera_plane_are_dropped_quietly(self, z):
         # off-axis, fx * x / z overflows int64 (1e-300) or float64 (1e-320);

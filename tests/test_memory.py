@@ -1,20 +1,23 @@
-"""Working-memory bounds of scene setup, traced with tracemalloc.
+"""Working-memory bounds of scene setup and track reading, traced with tracemalloc.
 
 numpy reports its buffers to tracemalloc, so the traced peak of a call is
 the most its arrays held at once. The bounds are sums of the arrays each
 stage is meant to keep: a few whole-cloud arrays plus the temporaries of
 one block. The earlier whole-array stages went well past them (about
-34 MB for the normals and 25 MB for the partition on this cloud).
+34 MB for the normals and 25 MB for the partition on this cloud, and 23 MB
+of decoded masks for the track file).
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from seglift import geometry, superpoints
 from seglift.geometry import estimate_normals, shared_knn
 from seglift.superpoints import partition_superpoints
 from seglift.synth import SceneSpec, build_scene
+from seglift.tracks import MaskTrack, read_tracks, write_tracks
 
 NORMALS_K = 12
 GRAPH_K = 10
@@ -58,4 +61,28 @@ def test_partition_peak_is_a_few_edge_arrays(cloud):
     gathers = 2 * superpoints._EDGE_BLOCK * 3 * 8  # the two (block, 3) normal gathers
     bound = 5 * edge_array + gathers
     peak = traced_peak(partition_superpoints, cloud, normals, knn_k=GRAPH_K, neighbors=nbr)
+    assert peak < bound
+
+
+def test_track_file_peak_is_set_by_its_runs(tmp_path):
+    """10 tracks of 30 views at 240x320, each mask a 40-row rectangle: 81 runs
+    per view. Dense masks would take tracks x views x H x W bytes (23 MB)."""
+    height, width, track_count, view_count = 240, 320, 10, 30
+    tracks = []
+    for i in range(track_count):
+        masks = {}
+        for t in range(view_count):
+            mask = np.zeros((height, width), dtype=bool)
+            mask[60 + t : 100 + t, 40 + 5 * i : 120 + 5 * i] = True
+            masks[t] = mask
+        tracks.append(MaskTrack(i, 1.0, masks, pivot_view=0, seed_superpoint=i))
+    path = tmp_path / "rect.tracks"
+    write_tracks(tracks, path)
+    entries = track_count * view_count
+    runs = entries * (1 + 2 * 40)
+    # 8 B per int64 run, the text twice (file and lines) at under 6 B per run,
+    # one line's tokens as Python strings; 1 KB per view for its array and slot
+    bound = 64 * runs + 1024 * entries
+    assert 8 * bound < entries * height * width  # a dense mask per view cannot pass
+    peak = traced_peak(read_tracks, path)
     assert peak < bound

@@ -140,6 +140,14 @@ class TestSceneIO:
         np.testing.assert_allclose(f0.depth, g0.depth, atol=1e-6)
         np.testing.assert_array_equal(loaded.instances[3], small_scene.instances[3])
 
+    def test_loaded_depth_stays_float32(self, tmp_path, small_scene):
+        path = tmp_path / "scene"
+        save_scene(small_scene, path)
+        loaded = load_scene(path)
+        for frame, original in zip(loaded.frames, small_scene.frames):
+            assert frame.depth.dtype == np.float32
+            np.testing.assert_array_equal(frame.depth, original.depth.astype(np.float32))
+
     def test_refuses_nonempty_dir(self, tmp_path, small_scene):
         path = tmp_path / "scene"
         path.mkdir()

@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from seglift import tracks as tracks_module
 from seglift.errors import DataError, TrackingError
+from seglift.optimize import visibility_matrix
 from seglift.superpoints import SuperpointPartition
 from seglift.tracks import (
     MaskTrack,
@@ -361,3 +363,52 @@ class TestTrackFiles:
     def test_pivot_must_be_present(self):
         with pytest.raises(ValueError):
             MaskTrack(0, 1.0, {1: np.zeros((2, 2), dtype=bool)}, pivot_view=0, seed_superpoint=0)
+
+
+@st.composite
+def same_shape_masks(draw):
+    """One to four boolean masks of one shape, each side 1 to 9."""
+    shape = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    return [draw(arrays(bool, shape)) for _ in range(draw(st.integers(1, 4)))]
+
+
+class TestLazyMasks:
+    """A track read from a file holds run lengths and decodes one view per index."""
+
+    @given(same_shape_masks())
+    @settings(max_examples=100, deadline=None)
+    @example([np.ones((1, 1), dtype=bool)])
+    @example([np.zeros((1, 1), dtype=bool)])
+    @example([np.ones((4, 7), dtype=bool), np.zeros((4, 7), dtype=bool)])
+    def test_file_round_trip_keeps_every_mask(self, tmp_path_factory, masks):
+        path = tmp_path_factory.getbasetemp() / "lazy.tracks"
+        track = MaskTrack(0, 1.0, dict(enumerate(masks)), pivot_view=0, seed_superpoint=2)
+        write_tracks([track], path)
+        (loaded,) = read_tracks(path)
+        assert loaded.views() == track.views()
+        for t, mask in enumerate(masks):
+            got = loaded.masks[t]
+            assert (got.shape, got.dtype) == (mask.shape, mask.dtype)
+            assert got.tobytes() == mask.tobytes()
+
+    def test_keys_decode_nothing_and_lifting_decodes_each_view_once(self, tmp_path, monkeypatch):
+        renders = block_renders([True] * 4)
+        dense = oracle_track(center_query(1), renders, track_id=0, seed_superpoint=0)
+        path = tmp_path / "spy.tracks"
+        write_tracks([dense], path)
+        decoded = []
+        real = tracks_module.decode_rle
+        monkeypatch.setattr(tracks_module, "decode_rle", lambda runs, h, w: decoded.append(1) or real(runs, h, w))
+
+        (track,) = read_tracks(path)  # MaskTrack.__post_init__ checks the pivot with `in`
+        assert 1 in track.masks and 7 not in track.masks
+        assert len(track.masks) == 4 and track.views() == [0, 1, 2, 3] and list(track.masks) == [0, 1, 2, 3]
+        assert decoded == []
+
+        pts = tight_cluster(4)
+        pixels = pixel_index(single_superpoint_partition(pts), pts, visible_pattern_frames([True] * 4))
+        lazy = visibility_matrix(track, pixels)
+        assert len(decoded) == 4
+        eager = visibility_matrix(dense, pixels)
+        for name in ("views", "rows", "in_counts", "total_counts"):
+            np.testing.assert_array_equal(getattr(lazy, name), getattr(eager, name))
