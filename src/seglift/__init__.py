@@ -3,7 +3,7 @@
 The pipeline over-segments a point cloud into superpoints, picks the view
 where each sampled superpoint is most visible, obtains a 2D mask track for
 the underlying object, lifts the track to candidate superpoints, and
-refines the candidate set with a dynamic-programming sweep over views.
+refines the candidate set with a greedy forward sweep over views.
 """
 
 from .errors import DataError, InvariantViolation, TrackingError
@@ -12,7 +12,6 @@ from .geometry import (
     CameraFrame,
     PixelSet,
     PointCloud,
-    backproject_pixels,
     estimate_normals,
     fps_sample,
     knn_centroids,
@@ -27,7 +26,6 @@ from .optimize import (
     brute_force_views,
     dp_refine,
     objective_from_counts,
-    objective_value,
     top_k_views_refine,
     visibility_matrix,
 )

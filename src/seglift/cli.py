@@ -69,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples-per-round", type=int)
         p.add_argument("--max-rounds", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--overlap-mode")
         p.add_argument("--dedup-iou", type=float)
         p.add_argument("--noise-p-drop", type=float)
         p.add_argument("--noise-r-morph", type=int)

@@ -23,7 +23,6 @@ __all__ = [
     "PixelSet",
     "project_points",
     "project_cloud",
-    "backproject_pixels",
     "fps_sample",
     "knn_centroids",
     "shared_knn",
@@ -159,34 +158,17 @@ def _round_half_away(values: np.ndarray) -> np.ndarray:
     return np.trunc(values + np.copysign(0.5, values))
 
 
-def project_points(
-    positions: np.ndarray,
-    frame: CameraFrame,
-    depth_tolerance: float = 0.1,
-    indices: np.ndarray | None = None,
-) -> PixelSet:
+def project_points(positions: np.ndarray, frame: CameraFrame, depth_tolerance: float = 0.1) -> PixelSet:
     """Project points into a posed depth frame with an occlusion test.
 
     A point is kept iff its camera depth is strictly positive, its rounded
     pixel is in bounds, the frame's depth there is valid (> 0), and the
-    camera depth agrees with the depth map within ``depth_tolerance``.
-
-    ``indices`` optionally maps rows of ``positions`` to ids in a larger
-    cloud; it must be strictly increasing.
+    camera depth agrees with the depth map within ``depth_tolerance``. The
+    kept points' ids are their rows of ``positions``.
     """
-    if depth_tolerance <= 0:
-        raise ValueError("depth_tolerance must be positive")
+    if not (np.isfinite(depth_tolerance) and depth_tolerance > 0):
+        raise ValueError("depth_tolerance must be finite and positive")
     pts = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-    n = len(pts)
-    if indices is None:
-        idx = np.arange(n, dtype=np.int64)
-    else:
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.shape != (n,):
-            raise ValueError("indices must have one entry per point")
-        if n > 1 and np.any(np.diff(idx) <= 0):
-            raise ValueError("indices must be strictly increasing")
-
     cam = pts @ frame.rotation.T + frame.translation
     z = cam[:, 2]
     # points behind or near the camera plane give inf or nan here; the bounds
@@ -198,7 +180,7 @@ def project_points(
     r, c, z = rr[hit].astype(np.int64), cc[hit].astype(np.int64), z[hit]
     measured = frame.depth.reshape(-1)[r * frame.width + c]
     keep = (measured > 0) & (np.abs(z - measured) <= depth_tolerance)
-    return PixelSet(r[keep], c[keep], idx[hit[keep]])
+    return PixelSet(r[keep], c[keep], hit[keep])
 
 
 def project_cloud(
@@ -208,22 +190,6 @@ def project_cloud(
 ) -> list[PixelSet]:
     """Project the whole cloud into every frame; one PixelSet per view."""
     return [project_points(positions, f, depth_tolerance) for f in frames]
-
-
-def backproject_pixels(
-    frame: CameraFrame,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    depths: np.ndarray,
-) -> np.ndarray:
-    """Lift pixels (row, col) at given camera depths to world coordinates."""
-    rows = np.asarray(rows, dtype=np.float64)
-    cols = np.asarray(cols, dtype=np.float64)
-    depths = np.asarray(depths, dtype=np.float64)
-    x = (cols - frame.cx) / frame.fx * depths
-    y = (rows - frame.cy) / frame.fy * depths
-    cam = np.stack([x, y, depths], axis=-1)
-    return (cam - frame.translation) @ frame.rotation
 
 
 def fps_sample(

@@ -1,12 +1,13 @@
 """Lifting 2D mask tracks to superpoint sets and refining the 3D mask.
 
-A track's masks are lifted to a :class:`VisibilityMatrix`: per view, the
-superpoints whose projection overlaps the mask above a threshold. The
-refinement objective counts, summed over the track's views, how many
-projected points of the selected superpoints fall inside the mask minus
-how many fall outside. Because superpoints partition the points, every
-projected point belongs to exactly one superpoint and the objective is a
-sum of cached per-view, per-superpoint contributions.
+A track's masks are lifted to a :class:`VisibilityMatrix` by one rule,
+containment: per view, the superpoints with at least a fraction ``tau`` of
+their projected points inside the mask. The refinement objective counts,
+summed over the track's views, how many projected points of the selected
+superpoints fall inside the mask minus how many fall outside. Because
+superpoints partition the points, every projected point belongs to exactly
+one superpoint and the objective is a sum of cached per-view,
+per-superpoint contributions.
 
 Solvers over the visibility structure:
 
@@ -29,8 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraFrame, project_points
-from .superpoints import SuperpointPartition
 from .tracks import MaskTrack
 from .view_select import PixelIndex
 
@@ -38,7 +37,6 @@ __all__ = [
     "VisibilityMatrix",
     "Solution",
     "visibility_matrix",
-    "objective_value",
     "objective_from_counts",
     "dp_refine",
     "brute_force_views",
@@ -56,7 +54,7 @@ class VisibilityMatrix:
     """Per-view visible superpoint sets plus cached overlap counts.
 
     views:        (V,) ascending working-view indices present in the track
-    rows:         (V, L) booleans, True where the overlap ratio met the threshold
+    rows:         (V, L) booleans, True where the contained fraction met tau
     in_counts:    (V, L) projected points of each superpoint inside the mask
     total_counts: (V, L) projected points of each superpoint in the view
     """
@@ -110,24 +108,16 @@ class Solution:
         return np.flatnonzero(self.theta)
 
 
-def visibility_matrix(
-    track: MaskTrack,
-    pixels: PixelIndex,
-    tau: float = 0.5,
-    overlap_mode: str = "containment",
-) -> VisibilityMatrix:
+def visibility_matrix(track: MaskTrack, pixels: PixelIndex, tau: float = 0.5) -> VisibilityMatrix:
     """Lift a track's 2D masks to per-view visible superpoint sets.
 
-    ``containment`` marks a superpoint visible in a view when at least
-    ``tau`` of its projected points fall inside the mask. ``iou`` instead
-    thresholds the pixel-set IoU between the superpoint's distinct pixels
-    and the mask. Superpoints with no projected points in a view are never
-    visible there. ``pixels`` is the scene's pixel index.
+    A superpoint is visible in a view when at least ``tau`` of its projected
+    points there fall inside the mask (containment); one with no projected
+    points in a view is never visible there. ``pixels`` is the scene's pixel
+    index.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
-    if overlap_mode not in ("containment", "iou"):
-        raise ValueError(f"unknown overlap mode {overlap_mode!r}")
     views = track.views()
     T, L = pixels.counts.shape
     for t in views:
@@ -135,7 +125,6 @@ def visibility_matrix(
             raise ValueError(f"track {track.track_id} view {t}: outside the {T} views of the pixel index")
     total_counts = pixels.counts[views]
     in_counts = np.zeros((len(views), L), dtype=np.int64)
-    rows = np.zeros((len(views), L), dtype=bool)
     for v, t in enumerate(views):
         mask = track.masks[t]  # indexed once: a file track decodes its mask here
         if mask.shape != pixels.shape:
@@ -146,59 +135,10 @@ def visibility_matrix(
         labels, rr, cc = pixels.labels[span], pixels.rows[span], pixels.cols[span]
         inside = np.take(mask.reshape(-1), rr * mask.shape[1] + cc)
         in_counts[v] = np.bincount(labels[inside], minlength=L)
-        if overlap_mode == "iou":
-            rows[v] = _iou_row(rr, cc, labels, mask, L) >= tau
-    if overlap_mode == "containment":
-        with np.errstate(invalid="ignore"):
-            ratio = in_counts / total_counts
-        rows = (total_counts > 0) & (np.nan_to_num(ratio) >= tau)
+    with np.errstate(invalid="ignore"):
+        ratio = in_counts / total_counts
+    rows = (total_counts > 0) & (np.nan_to_num(ratio) >= tau)
     return VisibilityMatrix(np.asarray(views), rows, in_counts, total_counts)
-
-
-def _iou_row(rows: np.ndarray, cols: np.ndarray, labels: np.ndarray, mask: np.ndarray, L: int) -> np.ndarray:
-    """Pixel-set IoU of each superpoint's distinct pixels against the mask."""
-    h, w = mask.shape
-    pix = rows.astype(np.int64) * w + cols  # int32 keys would overflow at L*H*W >= 2**31
-    pairs = np.unique(labels.astype(np.int64) * (h * w) + pix)
-    pair_labels = pairs // (h * w)
-    pair_pix = pairs % (h * w)
-    unique_pix = np.bincount(pair_labels, minlength=L)
-    inside = mask.reshape(-1)[pair_pix]
-    in_pix = np.bincount(pair_labels[inside], minlength=L)
-    mask_area = int(np.count_nonzero(mask))
-    union = unique_pix + mask_area - in_pix
-    with np.errstate(invalid="ignore", divide="ignore"):
-        iou = in_pix / union
-    return np.where(unique_pix > 0, np.nan_to_num(iou), 0.0)
-
-
-def objective_value(
-    theta: np.ndarray,
-    track: MaskTrack,
-    positions: np.ndarray,
-    partition: SuperpointPartition,
-    frames: list[CameraFrame],
-    depth_tolerance: float = 0.1,
-) -> int:
-    """Inside-minus-outside projected-point count of a selection, summed
-    over the track's views. Points are counted with multiplicity; the
-    projection of the selection is the union of its member superpoints'
-    pixel sets. Reprojects the points, independently of the pixel index."""
-    theta = np.asarray(theta, dtype=bool)
-    if theta.shape != (partition.count,):
-        raise ValueError("theta must have one entry per superpoint")
-    selected_points = theta[partition.assignment]
-    total = 0
-    for t in track.views():
-        mask = track.masks[t]
-        if mask.shape != (frames[t].height, frames[t].width):
-            raise ValueError(f"track {track.track_id} view {t}: mask shape does not match frame")
-        ps = project_points(positions, frames[t], depth_tolerance)
-        chosen = selected_points[ps.indices]
-        inside = int(np.count_nonzero(mask[ps.rows, ps.cols] & chosen))
-        outside = int(np.count_nonzero(chosen)) - inside
-        total += inside - outside
-    return total
 
 
 def objective_from_counts(theta: np.ndarray, vis: VisibilityMatrix) -> int:

@@ -58,7 +58,7 @@ __all__ = [
 
 STRATEGY_NAMES = ("dp", "all_lifted", "brute_views", "brute_superpoints", "top_k:<k>")
 
-_TOP_K_RE = re.compile(r"top_k(?::(\d+)|\((\d+)\))")
+_TOP_K_RE = re.compile(r"top_k:(\d+)")
 
 
 def parse_strategy(name: str):
@@ -73,7 +73,7 @@ def parse_strategy(name: str):
         return brute_force_superpoints
     match = _TOP_K_RE.fullmatch(name)
     if match:
-        k = int(match.group(1) or match.group(2))
+        k = int(match.group(1))
         if k < 1:
             raise ValueError("top_k strategy needs k >= 1")
         return lambda vis: top_k_views_refine(vis, k)
@@ -92,7 +92,6 @@ class PipelineConfig:
     max_rounds: int = 50
     dedup_iou: float = 0.9
     strategy: str = "dp"
-    overlap_mode: str = "containment"
     seed: int = 0
     prompt_count: int = 3
     memory_window: int = 7
@@ -108,8 +107,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
-        if self.depth_tolerance <= 0:
-            raise ValueError("depth_tolerance must be positive")
+        if not (math.isfinite(self.depth_tolerance) and self.depth_tolerance > 0):
+            raise ValueError("depth_tolerance must be finite and positive")
         if self.view_stride < 1:
             raise ValueError("view_stride must be at least 1")
         if self.kappa < 1:
@@ -120,14 +119,12 @@ class PipelineConfig:
             raise ValueError("max_rounds must be at least 1")
         if not 0.0 < self.dedup_iou <= 1.0:
             raise ValueError("dedup_iou must lie in (0, 1]")
-        if self.overlap_mode not in ("containment", "iou"):
-            raise ValueError("overlap_mode must be 'containment' or 'iou'")
         if self.prompt_count < 1:
             raise ValueError("prompt_count must be at least 1")
         if self.superpoint_knn < 1:
             raise ValueError("superpoint_knn must be at least 1")
-        if self.superpoint_threshold <= 0:
-            raise ValueError("superpoint_threshold must be positive")
+        if not (math.isfinite(self.superpoint_threshold) and self.superpoint_threshold > 0):
+            raise ValueError("superpoint_threshold must be finite and positive")
         if self.superpoint_min_size < 1:
             raise ValueError("superpoint_min_size must be at least 1")
         if self.normals_k < 3:
@@ -304,7 +301,7 @@ class LiftedTrack:
 
 def _lift(state: PipelineState, track: MaskTrack) -> LiftedTrack:
     cfg = state.config
-    vis = visibility_matrix(track, state.pixels, tau=cfg.tau, overlap_mode=cfg.overlap_mode)
+    vis = visibility_matrix(track, state.pixels, tau=cfg.tau)
     return LiftedTrack(vis, track.track_id, float(track.score), track.pivot_view, track.seed_superpoint)
 
 

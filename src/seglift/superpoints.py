@@ -122,8 +122,8 @@ def partition_superpoints(
     """
     if knn_k < 1:
         raise ValueError("knn_k must be at least 1")
-    if merge_threshold <= 0:
-        raise ValueError("merge_threshold must be positive")
+    if not (np.isfinite(merge_threshold) and merge_threshold > 0):
+        raise ValueError("merge_threshold must be finite and positive")
     if min_size < 1:
         raise ValueError("min_size must be at least 1")
     positions = cloud.positions

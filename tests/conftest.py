@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seglift.geometry import CameraFrame, project_cloud
+from seglift.geometry import CameraFrame, project_cloud, project_points
 from seglift.synth import SceneSpec, build_scene
 from seglift.view_select import PixelIndex
 
@@ -22,6 +22,39 @@ def pixel_index(partition, positions, frames, depth_tolerance=0.1):
     """The pixel index of ``positions`` seen by ``frames``, as prepare_state builds it."""
     projections = project_cloud(positions, frames, depth_tolerance)
     return PixelIndex.build(partition, projections, (frames[0].height, frames[0].width))
+
+
+def objective_value(theta, track, positions, partition, frames, depth_tolerance=0.1):
+    """Inside-minus-outside projected-point count of a selection, summed
+    over the track's views. Points are counted with multiplicity; the
+    projection of the selection is the union of its member superpoints'
+    pixel sets. Reprojects the points, independently of the pixel index."""
+    theta = np.asarray(theta, dtype=bool)
+    if theta.shape != (partition.count,):
+        raise ValueError("theta must have one entry per superpoint")
+    selected_points = theta[partition.assignment]
+    total = 0
+    for t in track.views():
+        mask = track.masks[t]
+        if mask.shape != (frames[t].height, frames[t].width):
+            raise ValueError(f"track {track.track_id} view {t}: mask shape does not match frame")
+        ps = project_points(positions, frames[t], depth_tolerance)
+        chosen = selected_points[ps.indices]
+        inside = int(np.count_nonzero(mask[ps.rows, ps.cols] & chosen))
+        outside = int(np.count_nonzero(chosen)) - inside
+        total += inside - outside
+    return total
+
+
+def backproject_pixels(frame, rows, cols, depths):
+    """Lift pixels (row, col) at given camera depths to world coordinates."""
+    rows = np.asarray(rows, dtype=np.float64)
+    cols = np.asarray(cols, dtype=np.float64)
+    depths = np.asarray(depths, dtype=np.float64)
+    x = (cols - frame.cx) / frame.fx * depths
+    y = (rows - frame.cy) / frame.fy * depths
+    cam = np.stack([x, y, depths], axis=-1)
+    return (cam - frame.translation) @ frame.rotation
 
 
 def flat_depth(h, w, value):

@@ -13,7 +13,6 @@ import numpy as np
 
 from seglift.evaluation import evaluate
 from seglift.geometry import (
-    backproject_pixels,
     estimate_normals,
     knn_centroids,
     project_points,
@@ -24,7 +23,6 @@ from seglift.optimize import (
     brute_force_superpoints,
     brute_force_views,
     dp_refine,
-    objective_value,
     top_k_views_refine,
     visibility_matrix,
 )
@@ -36,7 +34,7 @@ from seglift.view_select import NoPivotViewError, pivot_view
 from seglift.errors import TrackingError
 from seglift.cli import main as cli_main
 
-from conftest import make_frame, pixel_index, pose_from, rotation_z
+from conftest import backproject_pixels, make_frame, objective_value, pixel_index, pose_from, rotation_z
 
 # the acceptance boundary-noise fixture; mild enough that the greedy sweep
 # matches the exhaustive view search on all but a few tracks

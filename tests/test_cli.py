@@ -161,7 +161,6 @@ CONFIG_FLAGS = [
     ("--samples-per-round", "samples_per_round", "10", "12"),
     ("--max-rounds", "max_rounds", "2", "3"),
     ("--seed", "seed", "1", "2"),
-    ("--overlap-mode", "overlap_mode", "iou", "containment"),
     ("--dedup-iou", "dedup_iou", "0.8", "0.7"),
     ("--noise-p-drop", "noise_p_drop", "0.1", "0.2"),
     ("--noise-r-morph", "noise_r_morph", "1", "2"),
@@ -373,6 +372,9 @@ EXIT_CODES = [
     # at stride 1 the test scene's tracks span more than the 20 views a view enumerator takes
     ("segment-brute-views-over-cap", "segment", ["--stride", "1", "--strategy", "brute_views"], 3),
     ("segment-top-k-over-cap", "segment", ["--stride", "1", "--strategy", "top_k:25"], 3),
+    ("segment-overlap-mode-flag", "segment", ["--overlap-mode", "iou"], 2),
+    ("segment-depth-tol-nan", "segment", ["--depth-tol", "nan"], 2),
+    ("segment-top-k-parenthesised", "segment", ["--strategy", "top_k(5)"], 2),
 ]
 
 
@@ -390,10 +392,15 @@ class TestExitCodes:
             proposals.write_text(arg + "\n")
             (tmp_path / "points.txt").write_text("0 1 2 3\n")
             argv = ["eval", "--scene", str(scene_dir), "--proposals", str(proposals)]
-        assert main(argv) == code
+        try:
+            assert main(argv) == code
+            prefix = {0: "", 2: "usage error: ", 3: "data error: "}[code]
+        except SystemExit as exc:  # argparse rejects an unknown flag from inside parse_args
+            assert exc.code == code
+            prefix = "usage: seglift"
         err = capsys.readouterr().err
-        assert err.startswith({0: "", 2: "usage error: ", 3: "data error: "}[code])
-        if command == "segment":
+        assert err.startswith(prefix)
+        if command == "segment" and code == 3:
             assert err.startswith("data error: track ") and "enumeration cap of 20" in err
 
 
@@ -406,6 +413,7 @@ def _write(new):
 
 
 _SEGMENT = ["segment", "--scene", "{scene}", "--out", "{tmp}/out"]
+_CONFIG_SEGMENT = ["segment", "--scene", "{scene}", "--config", "{scene}/bad.cfg", "--out", "{tmp}/out"]
 
 # (case, edits of files in a copy of the test scene, argv with {scene} and {tmp} placeholders)
 INPUT_ERRORS = [
@@ -436,10 +444,14 @@ INPUT_ERRORS = [
      ["segment", "--scene", "{scene}", "--tracker", "file:{tmp}/missing.txt", "--out", "{tmp}/out"]),
     ("config-missing", {}, ["segment", "--scene", "{scene}", "--config", "{tmp}/missing.cfg", "--out", "{tmp}/out"]),
 ] + [
-    (f"config-{line.split()[0]}", {"bad.cfg": _write(line + "\n")},
-     ["segment", "--scene", "{scene}", "--config", "{scene}/bad.cfg", "--out", "{tmp}/out"])
+    (f"config-{line.split()[0]}", {"bad.cfg": _write(line + "\n")}, _CONFIG_SEGMENT)
     for line in ("superpoint_knn = 0", "normals_k = 2", "superpoint_min_size = 0", "superpoint_threshold = 0",
                  "prompt_count = 0")
+] + [
+    # an unknown key, and non-finite values, which a "<= 0" check lets through
+    (f"config-{line.replace(' = ', '-')}", {"bad.cfg": _write(line + "\n")}, _CONFIG_SEGMENT)
+    for line in ("overlap_mode = containment", "depth_tolerance = nan", "depth_tolerance = inf",
+                 "superpoint_threshold = nan")
 ]
 
 

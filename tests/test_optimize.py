@@ -20,12 +20,11 @@ from seglift.optimize import (
     brute_force_views,
     dp_refine,
     objective_from_counts,
-    objective_value,
     top_k_views_refine,
     visibility_matrix,
 )
 
-from conftest import make_frame, pixel_index
+from conftest import make_frame, objective_value, pixel_index
 
 
 def vis_from_counts(in_counts, total_counts, tau=0.5):
@@ -179,22 +178,6 @@ class TestVisibilityMatrix:
                 assert not np.any(vis.rows & ~previous)
             previous = vis.rows
 
-    def test_iou_mode(self):
-        pts, partition, frame = self._geometry_fixture()
-        mask = np.zeros((32, 32), dtype=bool)
-        mask[16, 11:21] = True  # covers all ten pixels of superpoint 0 exactly
-        vis = visibility_matrix(
-            self._track(mask), pixel_index(partition, pts, [frame]), tau=0.99, overlap_mode="iou"
-        )
-        assert vis.rows[0, 0]
-        # widen the mask: union grows, IoU drops below the threshold
-        mask2 = np.zeros((32, 32), dtype=bool)
-        mask2[14:19, 5:27] = True
-        vis2 = visibility_matrix(
-            self._track(mask2), pixel_index(partition, pts, [frame]), tau=0.5, overlap_mode="iou"
-        )
-        assert not vis2.rows[0, 0]
-
     def test_empty_track_mask_dict_not_allowed_but_empty_matrix_ok(self):
         vis = vis_from_counts(np.zeros((0, 3)), np.zeros((0, 3)))
         assert vis.view_count == 0
@@ -207,8 +190,6 @@ class TestVisibilityMatrix:
         mask[16, 11] = True
         with pytest.raises(ValueError):
             visibility_matrix(self._track(mask), pixel_index(partition, pts, [frame]), tau=0.0)
-        with pytest.raises(ValueError):
-            visibility_matrix(self._track(mask), pixel_index(partition, pts, [frame]), tau=0.5, overlap_mode="dice")
 
     def test_mask_shape_must_match_the_index(self):
         pts, partition, frame = self._geometry_fixture()

@@ -64,15 +64,12 @@ class TestConfig:
             PipelineConfig(view_stride=0)
         with pytest.raises(ValueError):
             PipelineConfig(strategy="magic")
-        with pytest.raises(ValueError):
-            PipelineConfig(overlap_mode="dice")
 
     def test_strategy_parsing(self):
         assert parse_strategy("dp").__name__ == "dp_refine"
         assert parse_strategy("all_lifted").__name__ == "all_lifted"
-        for spelling in ("top_k:5", "top_k(5)"):
-            assert parse_strategy(spelling) is not None
-        for spelling in ("top_k:0", "top_k:5)", "top_k(5", "top_k5"):
+        assert parse_strategy("top_k:5") is not None
+        for spelling in ("top_k:0", "top_k:5)", "top_k(5", "top_k(5)", "top_k5"):
             with pytest.raises(ValueError):
                 parse_strategy(spelling)
 

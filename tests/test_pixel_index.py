@@ -54,7 +54,7 @@ def _restrict(ps, assignment, superpoint):
     return PixelSet(ps.rows[keep], ps.cols[keep], ps.indices[keep])
 
 
-def reference_visibility_matrix(track, partition, tau, overlap_mode, projections):
+def reference_visibility_matrix(track, partition, tau, projections):
     L = partition.count
     per_view = {t: projections[t] for t in track.views()}
     views = sorted(per_view)
@@ -71,29 +71,10 @@ def reference_visibility_matrix(track, partition, tau, overlap_mode, projections
         inside = mask[ps.rows, ps.cols]
         total_counts[v] = np.bincount(labels, minlength=L)
         in_counts[v] = np.bincount(labels[inside], minlength=L)
-        if overlap_mode == "containment":
-            with np.errstate(invalid="ignore"):
-                ratio = in_counts[v] / total_counts[v]
-            rows[v] = (total_counts[v] > 0) & (np.nan_to_num(ratio) >= tau)
-        else:
-            rows[v] = _reference_iou_row(ps, labels, mask, L) >= tau
+        with np.errstate(invalid="ignore"):
+            ratio = in_counts[v] / total_counts[v]
+        rows[v] = (total_counts[v] > 0) & (np.nan_to_num(ratio) >= tau)
     return VisibilityMatrix(np.asarray(views), rows, in_counts, total_counts)
-
-
-def _reference_iou_row(ps, labels, mask, L):
-    h, w = mask.shape
-    pix = ps.rows * w + ps.cols
-    pairs = np.unique(labels * (h * w) + pix)
-    pair_labels = pairs // (h * w)
-    pair_pix = pairs % (h * w)
-    unique_pix = np.bincount(pair_labels, minlength=L)
-    inside = mask.reshape(-1)[pair_pix]
-    in_pix = np.bincount(pair_labels[inside], minlength=L)
-    mask_area = int(np.count_nonzero(mask))
-    union = unique_pix + mask_area - in_pix
-    with np.errstate(invalid="ignore", divide="ignore"):
-        iou = in_pix / union
-    return np.where(unique_pix > 0, np.nan_to_num(iou), 0.0)
 
 
 # --- random scenes -----------------------------------------------------------
@@ -154,9 +135,9 @@ def assert_same_query(seed, partition, frames, pixels, projections, memory_windo
         assert query.reprompt_points == expected.reprompt_points
 
 
-def assert_same_vis(track, partition, frames, pixels, projections, tau, mode):
-    expected = reference_visibility_matrix(track, partition, tau, mode, projections)
-    vis = visibility_matrix(track, pixels, tau=tau, overlap_mode=mode)
+def assert_same_vis(track, partition, frames, pixels, projections, tau):
+    expected = reference_visibility_matrix(track, partition, tau, projections)
+    vis = visibility_matrix(track, pixels, tau=tau)
     for name in ("views", "rows", "in_counts", "total_counts"):
         np.testing.assert_array_equal(getattr(vis, name), getattr(expected, name), err_msg=name)
 
@@ -182,8 +163,7 @@ class TestMatchesPerViewReference:
             assert_same_query(sp, partition, frames, pixels, projections, memory_window, prompt_count)
         for _ in range(3):
             track = random_track(rng, frames)
-            for mode in ("containment", "iou"):
-                assert_same_vis(track, partition, frames, pixels, projections, tau, mode)
+            assert_same_vis(track, partition, frames, pixels, projections, tau)
 
     def test_gaps_and_blank_views_occur(self):
         # the random scenes exercise what they claim: blank views, gaps longer
@@ -213,8 +193,7 @@ class TestMatchesPerViewReference:
             masks = {t: r == oid for t, r in enumerate(small_scene.instances[::4]) if np.any(r == oid)}
             masks[len(frames) - 1] = np.zeros_like(small_scene.instances[0], dtype=bool)
             track = MaskTrack(oid, 1.0, masks, min(masks), -1)
-            for mode in ("containment", "iou"):
-                assert_same_vis(track, partition, frames, pixels, projections, 0.5, mode)
+            assert_same_vis(track, partition, frames, pixels, projections, 0.5)
 
 
 class TestLayout:

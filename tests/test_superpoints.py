@@ -370,8 +370,9 @@ class TestPartition:
         normals = np.tile([0.0, 0.0, 1.0], (50, 1))
         with pytest.raises(ValueError):
             partition_superpoints(cloud, normals, knn_k=0)
-        with pytest.raises(ValueError):
-            partition_superpoints(cloud, normals, merge_threshold=0.0)
+        for threshold in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                partition_superpoints(cloud, normals, merge_threshold=threshold)
         with pytest.raises(ValueError):
             partition_superpoints(cloud, normals, min_size=0)
 
