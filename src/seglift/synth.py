@@ -64,14 +64,14 @@ class SceneSpec:
     clearance: float = 0.2
 
     def __post_init__(self) -> None:
-        if any(s <= 0 for s in self.room_size):
-            raise ValueError("room extents must be positive")
+        if not all(math.isfinite(s) and s > 0 for s in self.room_size):
+            raise ValueError("room extents must be finite and positive")
         if self.frame_count < 1:
             raise ValueError("frame count must be at least 1")
         if self.object_count < 0:
             raise ValueError("object count must be nonnegative")
-        if self.density <= 0:
-            raise ValueError("density must be positive")
+        if not (math.isfinite(self.density) and self.density > 0):
+            raise ValueError("density must be finite and positive")
         if min(self.image_size) < 1:
             raise ValueError("image size must be positive")
         if not self.shapes:

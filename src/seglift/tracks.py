@@ -122,8 +122,8 @@ def build_tracker_query(
     if pixels.counts[pivot, superpoint] == 0:
         raise TrackingError("superpoint invisible in pivot")
 
-    cell = pixels.cell(pivot, superpoint)
-    uniq = np.unique(np.stack([pixels.rows[cell], pixels.cols[cell]], axis=1), axis=0)
+    # ascending pixel ids are the (row, col) pairs in lexicographic order
+    uniq = np.stack(np.divmod(np.unique(pixels.flat[pixels.cell(pivot, superpoint)]), pixels.shape[1]), axis=1)
     embedded = np.column_stack([uniq.astype(np.float64), np.zeros(len(uniq))])
     picks = fps_sample(embedded, min(prompt_count, len(uniq)))
     prompts = [(int(uniq[i, 0]), int(uniq[i, 1])) for i in picks]
@@ -131,8 +131,7 @@ def build_tracker_query(
     visible = np.flatnonzero(pixels.counts[:, superpoint] > 0)
     reprompts: dict[int, tuple[int, int]] = {}
     for t in visible[1:][np.diff(visible) - 1 > memory_window]:
-        first = pixels.cell(t, superpoint).start
-        reprompts[int(t)] = (int(pixels.rows[first]), int(pixels.cols[first]))
+        reprompts[int(t)] = divmod(int(pixels.flat[pixels.cell(t, superpoint).start]), pixels.shape[1])
     return TrackerQuery(pivot, prompts, reprompts)
 
 

@@ -42,16 +42,14 @@ class PixelIndex:
     """Every working view's projected points, grouped by view, then superpoint.
 
     ``counts`` is (T, L). The points of view t and superpoint s are entries
-    ``offsets[t*L + s]`` up to ``offsets[t*L + s + 1]`` of the int32 ``rows``,
-    ``cols`` and ``labels`` (their superpoint), in ascending point id.
+    ``offsets[t*L + s]`` up to ``offsets[t*L + s + 1]`` of ``flat``, each the
+    int32 pixel id ``row * W + col``, in ascending point id.
     ``shape`` is the (H, W) of every view's image.
     """
 
     counts: np.ndarray
     offsets: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    labels: np.ndarray
+    flat: np.ndarray
     shape: tuple[int, int]
 
     @classmethod
@@ -60,15 +58,14 @@ class PixelIndex:
     ) -> "PixelIndex":
         counts = superpoint_view_counts(partition, projections)
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        rows, cols, labels = (np.empty(offsets[-1], dtype=np.int32) for _ in range(3))
+        flat = np.empty(offsets[-1], dtype=np.int32)
         # the narrowest key lets numpy radix-sort; a stable order is the same in any dtype
         key = np.min_scalar_type(partition.count - 1)
         for t, ps in enumerate(projections):
-            view_labels = partition.assignment[ps.indices]
-            order = np.argsort(view_labels.astype(key), kind="stable")
+            order = np.argsort(partition.assignment[ps.indices].astype(key), kind="stable")
             span = slice(offsets[t * partition.count], offsets[(t + 1) * partition.count])
-            rows[span], cols[span], labels[span] = ps.rows[order], ps.cols[order], view_labels[order]
-        return cls(counts, offsets, rows, cols, labels, tuple(shape))
+            flat[span] = (ps.rows * shape[1] + ps.cols)[order]
+        return cls(counts, offsets, flat, tuple(shape))
 
     def view(self, t: int) -> slice:
         """Entries of every superpoint in view ``t``."""

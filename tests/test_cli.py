@@ -358,6 +358,9 @@ EXIT_CODES = [
     ("generate-zero-frames", "generate", ["--frames", "0"], 2),
     ("generate-zero-density", "generate", ["--density", "0"], 2),
     ("generate-flat-room", "generate", ["--room", "0x6x3"], 2),
+    ("generate-nan-density", "generate", ["--density", "nan"], 2),
+    ("generate-inf-density", "generate", ["--density", "inf"], 2),
+    ("generate-overflowing-room", "generate", ["--room", "1.e400x6x3"], 2),
     ("generate-size-one-value", "generate", ["--size", "64"], 2),
     ("eval-ok", "eval", '{"id": 0, "score": 0.5}', 0),
     ("eval-no-score", "eval", '{"id": 0}', 3),

@@ -19,6 +19,8 @@ from seglift.superpoints import partition_superpoints
 from seglift.synth import SceneSpec, build_scene
 from seglift.tracks import MaskTrack, read_tracks, write_tracks
 
+from conftest import pixel_index
+
 NORMALS_K = 12
 GRAPH_K = 10
 
@@ -86,3 +88,15 @@ def test_track_file_peak_is_set_by_its_runs(tmp_path):
     assert 8 * bound < entries * height * width  # a dense mask per view cannot pass
     peak = traced_peak(read_tracks, path)
     assert peak < bound
+
+
+def test_pixel_index_holds_four_bytes_per_entry():
+    """One int32 pixel id per projected point, besides the (T, L) counts and
+    their offsets; parallel row, column and label arrays would take 12 B."""
+    scene = build_scene(SceneSpec(object_count=3, frame_count=8, seed=1))
+    partition = partition_superpoints(scene.cloud, estimate_normals(scene.cloud.positions, NORMALS_K))
+    pixels = pixel_index(partition, scene.cloud.positions, scene.frames)
+    entries = int(pixels.offsets[-1])
+    assert entries > 0
+    held = sum(value.nbytes for value in vars(pixels).values() if isinstance(value, np.ndarray))
+    assert held <= 4 * entries + pixels.counts.nbytes + pixels.offsets.nbytes

@@ -195,6 +195,26 @@ class TestMatchesPerViewReference:
             track = MaskTrack(oid, 1.0, masks, min(masks), -1)
             assert_same_vis(track, partition, frames, pixels, projections, 0.5)
 
+    def test_empty_cells_and_a_mask_on_the_view_ends(self):
+        # view 0 sees superpoints 1 and 3 only: its cells 0, 2 and 4 are empty,
+        # and the mask covers its first entry (point 0) and last entry (point 3)
+        assignment = np.array([1, 3, 1, 3, 0, 2, 4])
+        partition = SuperpointPartition.from_assignment(assignment, np.zeros((7, 3)))
+        frames = [make_frame(np.full((4, 5), 2.0)) for _ in range(2)]
+        projections = [
+            PixelSet([0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 3]),
+            PixelSet([0, 0, 1, 1, 2, 2, 3], [0, 1, 0, 1, 0, 1, 0], np.arange(7)),
+        ]
+        pixels = PixelIndex.build(partition, projections, (4, 5))
+        mask = np.zeros((4, 5), dtype=bool)
+        mask[0, 0] = mask[3, 4] = True
+        track = MaskTrack(0, 1.0, {0: mask, 1: mask}, 0, 1)
+        for tau in (0.5, 1.0):
+            assert_same_vis(track, partition, frames, pixels, projections, tau)
+        np.testing.assert_array_equal(visibility_matrix(track, pixels).in_counts[0], [0, 1, 0, 1, 0])
+        for sp in range(partition.count):
+            assert_same_query(sp, partition, frames, pixels, projections, 1, 2)
+
 
 class TestLayout:
     def test_cells_hold_each_view_by_superpoint_then_point_id(self):
@@ -203,15 +223,13 @@ class TestLayout:
         projections = project_cloud(pts, frames, 0.15)
         pixels = PixelIndex.build(partition, projections, (frames[0].height, frames[0].width))
         assert pixels.offsets[-1] == sum(len(ps) for ps in projections)
-        for array in (pixels.rows, pixels.cols, pixels.labels):
-            assert array.dtype == np.int32
+        assert pixels.flat.dtype == np.int32
+        width = frames[0].width
         for t, ps in enumerate(projections):
             for sp in range(partition.count):
                 keep = partition.assignment[ps.indices] == sp
                 cell = pixels.cell(t, sp)
-                np.testing.assert_array_equal(pixels.rows[cell], ps.rows[keep])
-                np.testing.assert_array_equal(pixels.cols[cell], ps.cols[keep])
-                assert np.all(pixels.labels[cell] == sp)
+                np.testing.assert_array_equal(pixels.flat[cell], ps.rows[keep] * width + ps.cols[keep])
             assert pixels.view(t) == slice(pixels.cell(t, 0).start, pixels.cell(t, partition.count - 1).stop)
 
     @pytest.mark.parametrize("labels", [255, 256, 257])
@@ -226,12 +244,8 @@ class TestLayout:
             ids = np.flatnonzero(rng.random(n) < 0.6)
             projections.append(PixelSet(rng.integers(0, 90, ids.size), rng.integers(0, 120, ids.size), ids))
         pixels = PixelIndex.build(partition, projections, (90, 120))
-        expected = {name: [] for name in ("rows", "cols", "labels")}
+        expected = []
         for ps in projections:
-            view_labels = partition.assignment[ps.indices]
-            order = np.argsort(view_labels.astype(np.int64), kind="stable")
-            expected["rows"].append(ps.rows[order])
-            expected["cols"].append(ps.cols[order])
-            expected["labels"].append(view_labels[order])
-        for name, parts in expected.items():
-            np.testing.assert_array_equal(getattr(pixels, name), np.concatenate(parts), err_msg=name)
+            order = np.argsort(partition.assignment[ps.indices].astype(np.int64), kind="stable")
+            expected.append((ps.rows * 120 + ps.cols)[order])
+        np.testing.assert_array_equal(pixels.flat, np.concatenate(expected))
