@@ -169,13 +169,16 @@ def project_points(positions: np.ndarray, frame: CameraFrame, depth_tolerance: f
     if not (np.isfinite(depth_tolerance) and depth_tolerance > 0):
         raise ValueError("depth_tolerance must be finite and positive")
     pts = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-    cam = pts @ frame.rotation.T + frame.translation
-    z = cam[:, 2]
+    # camera-major (3, N): each coordinate is a contiguous row, so the
+    # translation is added in long runs instead of three elements at a time
+    cam = frame.rotation @ pts.T
+    cam += frame.translation[:, None]
+    x, y, z = cam
     # points behind or near the camera plane give inf or nan here; the bounds
     # test below drops them before anything is cast to int
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rr = _round_half_away(frame.fy * cam[:, 1] / z + frame.cy)
-        cc = _round_half_away(frame.fx * cam[:, 0] / z + frame.cx)
+        rr = _round_half_away(frame.fy * y / z + frame.cy)
+        cc = _round_half_away(frame.fx * x / z + frame.cx)
     hit = np.flatnonzero((z > 0) & (rr >= 0) & (rr < frame.height) & (cc >= 0) & (cc < frame.width))
     r, c, z = rr[hit].astype(np.int64), cc[hit].astype(np.int64), z[hit]
     measured = frame.depth.reshape(-1)[r * frame.width + c]

@@ -278,7 +278,8 @@ def prepare_state(cloud, frames, instances, config) -> PipelineState:
     )
     del normal_nbr, graph_nbr, normals  # the k-NN and normals are not needed past the partition
     neighbors = knn_centroids(partition.centroids, config.kappa)
-    projections = project_cloud(cloud.positions, working, config.depth_tolerance)
+    # one view projected at a time: only the index is kept, never every view's points at once
+    projections = (project_cloud(cloud.positions, [f], config.depth_tolerance)[0] for f in working)
     pixels = PixelIndex.build(partition, projections, (working[0].height, working[0].width))
     return PipelineState(winst, partition, neighbors, pixels, config)
 

@@ -270,21 +270,26 @@ def _check_runs(runs: list[int] | np.ndarray, height: int, width: int) -> np.nda
 
 
 def decode_rle(runs: list[int] | np.ndarray, height: int, width: int) -> np.ndarray:
-    runs = _check_runs(runs, height, width)
+    return _repeat_runs(_check_runs(runs, height, width), height, width)
+
+
+def _repeat_runs(runs: np.ndarray, height: int, width: int) -> np.ndarray:
+    """The mask of int64 run lengths that :func:`_check_runs` has passed."""
     return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(height, width)
 
 
 class _RunLengthMasks(Mapping):
     """The masks of a track read from a file: each view's run lengths are
-    held, and its mask is decoded with :func:`decode_rle` each time the view
-    is indexed. ``in``, ``len`` and iteration decode nothing."""
+    held, and its mask is decoded each time the view is indexed. ``in``,
+    ``len`` and iteration decode nothing. The runs were checked as the file
+    was read, so a decode does not check them again."""
 
     def __init__(self, runs: dict[int, np.ndarray], height: int, width: int) -> None:
         self._runs = runs
         self._shape = (height, width)
 
     def __getitem__(self, view: int) -> np.ndarray:
-        return decode_rle(self._runs[view], *self._shape)
+        return _repeat_runs(self._runs[view], *self._shape)
 
     def __contains__(self, view) -> bool:
         return view in self._runs

@@ -7,6 +7,7 @@ the view with the highest score, ties to the lowest view index.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,17 +55,24 @@ class PixelIndex:
 
     @classmethod
     def build(
-        cls, partition: SuperpointPartition, projections: list[PixelSet], shape: tuple[int, int]
+        cls, partition: SuperpointPartition, projections: Iterable[PixelSet], shape: tuple[int, int]
     ) -> "PixelIndex":
-        counts = superpoint_view_counts(partition, projections)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        flat = np.empty(offsets[-1], dtype=np.int32)
+        """Index an iterable of views in one pass: each view is reduced to its
+        counts row and its int32 pixel ids, sorted stably by superpoint,
+        before the next is read, so a generator that projects one view at a
+        time never holds every view's projected points at once."""
         # the narrowest key lets numpy radix-sort; a stable order is the same in any dtype
         key = np.min_scalar_type(partition.count - 1)
-        for t, ps in enumerate(projections):
+        count_rows, parts = [], []
+        for ps in projections:
+            # as Python ints: numpy holds on to freed buffers under 1 KB for reuse,
+            # and one live row per view, spread over the heap, kept it from shrinking
+            count_rows.append(superpoint_view_counts(partition, [ps])[0].tolist())
             order = np.argsort(partition.assignment[ps.indices].astype(key), kind="stable")
-            span = slice(offsets[t * partition.count], offsets[(t + 1) * partition.count])
-            flat[span] = (ps.rows * shape[1] + ps.cols)[order]
+            parts.append((ps.rows * shape[1] + ps.cols).astype(np.int32)[order])
+        counts = np.array(count_rows, dtype=np.int64).reshape(-1, partition.count)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
         return cls(counts, offsets, flat, tuple(shape))
 
     def view(self, t: int) -> slice:

@@ -19,8 +19,9 @@ def make_frame(depth, fx=100.0, fy=100.0, cx=None, cy=None, extrinsics=None):
 
 
 def pixel_index(partition, positions, frames, depth_tolerance=0.1):
-    """The pixel index of ``positions`` seen by ``frames``, as prepare_state builds it."""
-    projections = project_cloud(positions, frames, depth_tolerance)
+    """The pixel index of ``positions`` seen by ``frames``, as prepare_state
+    builds it: each view is projected as the index reads it."""
+    projections = (project_cloud(positions, [f], depth_tolerance)[0] for f in frames)
     return PixelIndex.build(partition, projections, (frames[0].height, frames[0].width))
 
 

@@ -20,6 +20,8 @@ from seglift.geometry import (
     project_points,
 )
 
+from seglift.synth import SceneSpec, build_scene
+
 from conftest import backproject_pixels, flat_depth, make_frame, pose_from, rotation_z
 
 
@@ -250,6 +252,34 @@ class TestProjectPoints:
         # the random cases above are not all empty: most keep some points
         cases = [random_projection_case(np.random.default_rng(seed), False) for seed in range(40)]
         assert sum(len(project_points(world, frame, 3.0)) > 0 for world, frame in cases) > 20
+
+    @pytest.mark.parametrize("layout", ["contiguous", "column slice"])
+    def test_matches_reference_at_benchmark_size(self, layout):
+        """The stress scene's 74,216 points, in the (N, 7)[:, :3] layout that
+        load_cloud returns or as a contiguous copy. BLAS may pick other
+        kernels for these sizes and strides than for the small random cases.
+        Each view is projected against its rendered depth and against a flat
+        depth at a tolerance that keeps every point in the image, so the
+        rounded pixel of every visible point is compared."""
+        scene = build_scene(SceneSpec(object_count=8, frame_count=6, seed=3, density=500, image_size=(160, 120)))
+        pts = scene.cloud.positions
+        assert len(pts) >= 50_000
+        if layout == "column slice":
+            raw = np.column_stack([pts, scene.cloud.colors, scene.cloud.gt_instance])
+            pts = raw[:, :3]
+            assert not pts.flags.c_contiguous and pts.strides == (56, 8)
+        frames = []
+        for f in scene.frames:
+            flat = CameraFrame(f.fx, f.fy, f.cx, f.cy, f.extrinsics, np.ones((f.height, f.width)), f.width, f.height)
+            frames += [(f, 0.1), (flat, 1e9)]
+        kept = 0
+        for frame, tolerance in frames:
+            ps = project_points(pts, frame, tolerance)
+            expected = reference_project_points(pts, frame, tolerance)
+            for name in ("rows", "cols", "indices"):
+                np.testing.assert_array_equal(getattr(ps, name), getattr(expected, name), err_msg=name)
+            kept += len(ps)
+        assert kept > 2 * len(pts)
 
 
 class TestBackprojection:

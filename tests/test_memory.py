@@ -90,6 +90,24 @@ def test_track_file_peak_is_set_by_its_runs(tmp_path):
     assert peak < bound
 
 
+def test_projection_and_index_peak_is_the_index_and_one_view():
+    """Projecting view by view into the index holds the index, twice while
+    its per-view parts are joined, and one view's whole-cloud temporaries.
+    A list of every view's int64 rows, columns and ids (24 B per entry)
+    cannot pass."""
+    scene = build_scene(SceneSpec(object_count=3, frame_count=60, seed=1))
+    n = len(scene.cloud)
+    partition = partition_superpoints(scene.cloud, estimate_normals(scene.cloud.positions, NORMALS_K))
+    entries = int(pixel_index(partition, scene.cloud.positions, scene.frames).offsets[-1])
+    table = 2 * len(scene.frames) * partition.count * 8  # the (T, L) counts and their offsets
+    # 8 B per entry: the parts and the joined flat; eight (N,) float64 arrays
+    # of one view; 64 KB for the per-view Python objects
+    bound = 8 * entries + 8 * n * 8 + table + 65536
+    assert 24 * entries > bound  # the whole-scene list form cannot pass
+    peak = traced_peak(pixel_index, partition, scene.cloud.positions, scene.frames)
+    assert peak < bound
+
+
 def test_pixel_index_holds_four_bytes_per_entry():
     """One int32 pixel id per projected point, besides the (T, L) counts and
     their offsets; parallel row, column and label arrays would take 12 B."""

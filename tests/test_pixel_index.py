@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from seglift.errors import TrackingError
 from seglift.geometry import PixelSet, estimate_normals, fps_sample, project_cloud
 from seglift.optimize import VisibilityMatrix, visibility_matrix
+from seglift.pipeline import PipelineConfig, prepare_state, subsample_views
 from seglift.superpoints import SuperpointPartition, partition_superpoints
 from seglift.tracks import MaskTrack, TrackerQuery, build_tracker_query
 from seglift.view_select import PixelIndex, superpoint_view_counts
@@ -214,6 +215,40 @@ class TestMatchesPerViewReference:
         np.testing.assert_array_equal(visibility_matrix(track, pixels).in_counts[0], [0, 1, 0, 1, 0])
         for sp in range(partition.count):
             assert_same_query(sp, partition, frames, pixels, projections, 1, 2)
+
+
+class TestStreamedBuild:
+    """build reads its views from any iterable, in one pass."""
+
+    @staticmethod
+    def assert_same_index(got, want):
+        assert got.shape == want.shape
+        for name in ("counts", "offsets", "flat"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    @pytest.mark.parametrize("views", [0, 1, 9])
+    def test_generator_gives_the_list_index(self, views):
+        rng = np.random.default_rng(views)
+        pts, partition, frames = random_scene(rng, 200, 6, max(views, 1))
+        frames = frames[:views]
+        shape = (24, 24)  # random_scene's image size
+        projections = project_cloud(pts, frames, 0.15)
+        if views:
+            projections[0] = PixelSet([], [], [])  # a view that sees nothing
+        want = PixelIndex.build(partition, projections, shape)
+        self.assert_same_index(PixelIndex.build(partition, iter(projections), shape), want)
+        self.assert_same_index(PixelIndex.build(partition, (ps for ps in projections), shape), want)
+        assert want.counts.shape == (views, partition.count) and want.flat.dtype == np.int32
+
+    def test_prepare_state_indexes_the_working_views(self, small_scene):
+        config = PipelineConfig(view_stride=3)
+        state = prepare_state(small_scene.cloud, small_scene.frames, small_scene.instances, config)
+        working = subsample_views(small_scene.frames, config.view_stride)
+        want = pixel_index(state.partition, small_scene.cloud.positions, working, config.depth_tolerance)
+        assert len(working) > 1 and want.offsets[-1] > 0
+        self.assert_same_index(state.pixels, want)
 
 
 class TestLayout:

@@ -396,19 +396,31 @@ class TestLazyMasks:
         dense = oracle_track(center_query(1), renders, track_id=0, seed_superpoint=0)
         path = tmp_path / "spy.tracks"
         write_tracks([dense], path)
-        decoded = []
-        real = tracks_module.decode_rle
-        monkeypatch.setattr(tracks_module, "decode_rle", lambda runs, h, w: decoded.append(1) or real(runs, h, w))
+        decoded, checked = [], []
+        real_decode, real_check = tracks_module._repeat_runs, tracks_module._check_runs
+        monkeypatch.setattr(tracks_module, "_repeat_runs", lambda runs, h, w: decoded.append(1) or real_decode(runs, h, w))
+        monkeypatch.setattr(tracks_module, "_check_runs", lambda runs, h, w: checked.append(1) or real_check(runs, h, w))
 
         (track,) = read_tracks(path)  # MaskTrack.__post_init__ checks the pivot with `in`
         assert 1 in track.masks and 7 not in track.masks
         assert len(track.masks) == 4 and track.views() == [0, 1, 2, 3] and list(track.masks) == [0, 1, 2, 3]
-        assert decoded == []
+        assert decoded == [] and len(checked) == 4
 
         pts = tight_cluster(4)
         pixels = pixel_index(single_superpoint_partition(pts), pts, visible_pattern_frames([True] * 4))
         lazy = visibility_matrix(track, pixels)
         assert len(decoded) == 4
+        assert len(checked) == 4  # read_tracks checked the runs; decoding does not check them again
         eager = visibility_matrix(dense, pixels)
         for name in ("views", "rows", "in_counts", "total_counts"):
             np.testing.assert_array_equal(getattr(lazy, name), getattr(eager, name))
+
+    @pytest.mark.parametrize("runs, message", [("5 3 7", "run lengths sum to 15, expected 16"),
+                                               ("5 -3 14", "run lengths must be nonnegative")])
+    def test_bad_runs_fail_at_read_tracks(self, tmp_path, runs, message):
+        """Masks decode unchecked, so a bad view must stop the read itself."""
+        path = tmp_path / "bad.tracks"
+        path.write_text(f"tracks 1 4 4\n0 1.0 0 -1 0:16\n1 1.0 1 -1 0:16 1:{runs}\n")
+        with pytest.raises(DataError) as info:
+            read_tracks(path)
+        assert str(info.value) == f"{path}: line 3: {message}"
