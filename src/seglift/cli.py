@@ -132,7 +132,10 @@ def _load_inputs(args, need_gt: bool = False):
     """(scene, tracker, instance renders, tracks, seconds to load the scene).
 
     The scene loads first, then the track file of a ``file:PATH`` tracker;
-    the oracle and noisy trackers read the scene's instance renders instead.
+    the oracle and noisy trackers take the scene's instance renders instead.
+    Loading checks every frame file but reads none: ``prepare_state`` reads
+    the working views' depth maps and, for those two trackers, their
+    instance renders, so a file tracker never opens an instance render.
     """
     rendered = args.tracker in ("oracle", "noisy")
     start = time.perf_counter()

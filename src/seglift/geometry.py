@@ -20,6 +20,8 @@ from scipy.spatial import cKDTree
 __all__ = [
     "PointCloud",
     "CameraFrame",
+    "check_intrinsics",
+    "check_extrinsics",
     "PixelSet",
     "project_points",
     "project_cloud",
@@ -31,6 +33,7 @@ __all__ = [
 
 _ROT_TOL = 1e-6
 _NORMALS_BLOCK = 8192  # points per block of estimate_normals: bounds its (block, k+1, 3) neighbourhood
+_KNN_BLOCK = 8192  # query points per block of shared_knn: bounds the block's results before they are scattered
 
 
 @dataclass
@@ -71,6 +74,32 @@ class PointCloud:
         return len(self.positions)
 
 
+def check_intrinsics(fx: float, fy: float, cx: float, cy: float, width: int, height: int) -> None:
+    """Raise ValueError unless the pinhole intrinsics are finite, with
+    positive focal lengths and a positive image size."""
+    if not np.all(np.isfinite((fx, fy, cx, cy))):
+        raise ValueError("intrinsics must be finite")
+    if fx <= 0 or fy <= 0:
+        raise ValueError("focal lengths must be positive")
+    if width <= 0 or height <= 0:
+        raise ValueError("image size must be positive")
+
+
+def check_extrinsics(extrinsics) -> np.ndarray:
+    """The extrinsics as a float64 4x4 array; ValueError unless rigid."""
+    extrinsics = np.asarray(extrinsics, dtype=np.float64)
+    if extrinsics.shape != (4, 4):
+        raise ValueError("extrinsics must be a 4x4 matrix")
+    rot = extrinsics[:3, :3]
+    if not np.allclose(rot @ rot.T, np.eye(3), atol=_ROT_TOL):
+        raise ValueError("extrinsics rotation block is not orthonormal")
+    if abs(np.linalg.det(rot) - 1.0) > _ROT_TOL:
+        raise ValueError("extrinsics rotation must have determinant +1")
+    if not np.allclose(extrinsics[3], (0.0, 0.0, 0.0, 1.0)):
+        raise ValueError("extrinsics bottom row must be (0, 0, 0, 1)")
+    return extrinsics
+
+
 @dataclass
 class CameraFrame:
     """A posed depth frame: pinhole intrinsics, rigid extrinsics, depth map."""
@@ -85,22 +114,8 @@ class CameraFrame:
     height: int
 
     def __post_init__(self) -> None:
-        if not np.all(np.isfinite((self.fx, self.fy, self.cx, self.cy))):
-            raise ValueError("intrinsics must be finite")
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image size must be positive")
-        self.extrinsics = np.asarray(self.extrinsics, dtype=np.float64)
-        if self.extrinsics.shape != (4, 4):
-            raise ValueError("extrinsics must be a 4x4 matrix")
-        rot = self.extrinsics[:3, :3]
-        if not np.allclose(rot @ rot.T, np.eye(3), atol=_ROT_TOL):
-            raise ValueError("extrinsics rotation block is not orthonormal")
-        if abs(np.linalg.det(rot) - 1.0) > _ROT_TOL:
-            raise ValueError("extrinsics rotation must have determinant +1")
-        if not np.allclose(self.extrinsics[3], (0.0, 0.0, 0.0, 1.0)):
-            raise ValueError("extrinsics bottom row must be (0, 0, 0, 1)")
+        check_intrinsics(self.fx, self.fy, self.cx, self.cy, self.width, self.height)
+        self.extrinsics = check_extrinsics(self.extrinsics)
         depth = np.asarray(self.depth)  # float32 or float64 is kept: comparisons promote it exactly
         self.depth = depth if depth.dtype in (np.float32, np.float64) else depth.astype(np.float64)
         if self.depth.shape != (self.height, self.width):
@@ -266,7 +281,13 @@ def shared_knn(positions: np.ndarray, ks: tuple[int, ...]) -> list[np.ndarray]:
     pts = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     tree = cKDTree(pts)
     width = max(ks) + 1
-    dist, nbr = tree.query(pts, k=width)
+    # queried in the tree's leaf order, one block at a time, so neighbouring
+    # queries walk the same nodes; each block is scattered back into its rows
+    dist = np.empty((len(pts), width))
+    nbr = np.empty((len(pts), width), dtype=np.intp)
+    for start in range(0, len(pts), _KNN_BLOCK):
+        rows = tree.indices[start : start + _KNN_BLOCK]
+        dist[rows], nbr[rows] = tree.query(pts[rows], k=width)
     out = []
     for k in ks:
         cols = k + 1

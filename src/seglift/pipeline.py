@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -215,22 +216,26 @@ class PipelineResult:
     timings_s: dict[str, float] = field(default_factory=dict, repr=False)
 
 
-def subsample_views(frames: list, stride: int) -> list:
-    """Every stride-th frame, starting at 0, order preserved."""
+def subsample_views(frames: Sequence, stride: int) -> Sequence:
+    """Every stride-th frame, starting at 0, order preserved: a slice, so a
+    loaded scene's views stay unread."""
     if stride < 1:
         raise ValueError("stride must be at least 1")
-    return list(frames[::stride])
+    return frames[::stride]
 
 
 @dataclass
 class PipelineState:
     """Context shared by every round and every strategy run on one scene.
 
-    Everything but ``lifted`` is read-only. ``lifted`` memoises the
-    strategy-independent half of each seed, keyed by (tracker, seed,
-    track id): its ``LiftedTrack`` or its failure cause. The pivot, the
-    query and the noisy tracker's RNG seed depend only on the state, its
-    config and that key, so every strategy reads the same entry.
+    Everything but ``lifted`` is read-only. ``instances`` holds the working
+    views' instance renders, which the oracle and noisy trackers read.
+    ``lifted`` memoises the strategy-independent half of each track: its
+    ``LiftedTrack`` or its failure cause. A seed's key is (tracker, seed,
+    track id); the pivot, the query and the noisy tracker's RNG seed depend
+    only on the state, its config and that key, so every strategy reads the
+    same entry. A file track's key is ("file", its position in the track
+    list, its track id), so a state serves one track list.
     """
 
     instances: list[np.ndarray] | None
@@ -241,28 +246,20 @@ class PipelineState:
     lifted: dict[tuple[str, int, int], LiftedTrack | str] = field(default_factory=dict, repr=False)
 
 
-def _validate_frames(frames: list[CameraFrame], instances: list[np.ndarray] | None) -> None:
-    if not frames:
-        raise DataError("scene has no frames")
-    shape = (frames[0].height, frames[0].width)
-    for t, frame in enumerate(frames):
-        if (frame.height, frame.width) != shape:
-            raise DataError(
-                f"frame {t}: image size {(frame.height, frame.width)} differs from {shape}"
-            )
-    if instances is not None:
-        if len(instances) != len(frames):
-            raise DataError("one instance render per frame required")
-        for t, render in enumerate(instances):
-            if render.shape != shape:
-                raise DataError(f"instance render {t}: shape {render.shape} differs from {shape}")
-
-
 def prepare_state(cloud, frames, instances, config) -> PipelineState:
-    """Subsample views, partition the cloud, and index its projections."""
+    """Subsample views, partition the cloud, and index its projections.
+
+    Each working view is read once, as it is projected, after the
+    partition: no depth map is held while the normals and the graph cut
+    run, and only one while views are projected. The working instance
+    renders are read in the same pass and kept in the state.
+    """
     working = subsample_views(frames, config.view_stride)
     winst = subsample_views(instances, config.view_stride) if instances is not None else None
-    _validate_frames(working, winst)
+    if not working:
+        raise DataError("scene has no frames")
+    if winst is not None and len(winst) != len(working):
+        raise DataError("one instance render per frame required")
     if len(cloud) < 4:  # estimate_normals fits planes to at least 3 neighbours
         raise DataError(f"the cloud has {len(cloud)} points; at least 4 are needed")
     normals_k = min(config.normals_k, len(cloud) - 1)
@@ -278,10 +275,23 @@ def prepare_state(cloud, frames, instances, config) -> PipelineState:
     )
     del normal_nbr, graph_nbr, normals  # the k-NN and normals are not needed past the partition
     neighbors = knn_centroids(partition.centroids, config.kappa)
-    # one view projected at a time: only the index is kept, never every view's points at once
-    projections = (project_cloud(cloud.positions, [f], config.depth_tolerance)[0] for f in working)
-    pixels = PixelIndex.build(partition, projections, (working[0].height, working[0].width))
-    return PipelineState(winst, partition, neighbors, pixels, config)
+    shape = (working[0].height, working[0].width)
+    renders = None if winst is None else []
+
+    def projections():
+        # one view read and projected at a time: only the index is kept, never every view's points at once
+        for t, frame in enumerate(working):
+            if (frame.height, frame.width) != shape:
+                raise DataError(f"frame {t}: image size {(frame.height, frame.width)} differs from {shape}")
+            if renders is not None:
+                render = winst[t]
+                if render.shape != shape:
+                    raise DataError(f"instance render {t}: shape {render.shape} differs from {shape}")
+                renders.append(render)
+            yield project_cloud(cloud.positions, [frame], config.depth_tolerance)[0]
+
+    pixels = PixelIndex.build(partition, projections(), shape)
+    return PipelineState(renders, partition, neighbors, pixels, config)
 
 
 def _combine_seed(base_seed: int, track_id: int) -> int:
@@ -421,10 +431,10 @@ def _check_tracker(tracker: str, instances, tracks) -> None:
 
 def run_pipeline(
     cloud: PointCloud,
-    frames: list[CameraFrame],
+    frames: Sequence[CameraFrame],
     config: PipelineConfig,
     tracker: str = "oracle",
-    instances: list[np.ndarray] | None = None,
+    instances: Sequence[np.ndarray] | None = None,
     tracks: list[MaskTrack] | None = None,
 ) -> PipelineResult:
     """Produce the deduplicated, score-sorted proposal bank for a scene.
@@ -451,9 +461,9 @@ def run_rounds(
 ) -> PipelineResult:
     """Proposals from a prepared state with one refinement strategy.
 
-    Each seed is tracked and lifted once per state (see ``PipelineState``),
-    so one state serves any number of strategies and only refinement runs
-    again.
+    Each seed, and each file track, is lifted once per state (see
+    ``PipelineState``), so one state serves any number of strategies and
+    only refinement runs again.
     """
     _check_tracker(tracker, state.instances, tracks)
     config = state.config
@@ -462,12 +472,14 @@ def run_rounds(
     proposals: list[Proposal] = []
     rounds: list[RoundStats] = []
     if tracker == "file":
-        for track in tracks:
-            try:
-                lifted = _lift(state, track)
-            except ValueError as exc:  # a view outside the index or a mask of the wrong shape
-                raise DataError(str(exc)) from exc
-            prop = _refine(state, lifted, refine, round_index=0)
+        for position, track in enumerate(tracks):
+            key = ("file", position, track.track_id)
+            if key not in state.lifted:
+                try:
+                    state.lifted[key] = _lift(state, track)
+                except ValueError as exc:  # a view outside the index or a mask of the wrong shape
+                    raise DataError(str(exc)) from exc
+            prop = _refine(state, state.lifted[key], refine, round_index=0)
             if prop is not None:
                 proposals.append(prop)
         empty = len(tracks) - len(proposals)

@@ -27,7 +27,7 @@ from .geometry import PointCloud
 
 __all__ = ["SuperpointPartition", "partition_superpoints"]
 
-_EDGE_BLOCK = 8192  # edges per block of the edge weights: bounds their two (block, 3) normal gathers
+_EDGE_BLOCK = 8192  # edges per block: bounds the weights' two (block, 3) normal gathers and the union-find's Python lists
 
 
 @dataclass
@@ -165,25 +165,33 @@ def partition_superpoints(
     a, b = comp[lo], comp[hi]
     cross = a != b
     a, b, ws = a[cross], b[cross], weights[cross]
+    del lo, hi, weights, cross  # the loops read only the cross-component edges
     uf = _UnionFind(np.bincount(comp).tolist())
-    for ca, cb, w in zip(a.tolist(), b.tolist(), ws.tolist()):
-        ra, rb = uf.find(ca), uf.find(cb)
-        if ra == rb:
-            continue
-        if (
-            w <= uf.internal[ra] + merge_threshold / uf.size[ra]
-            and w <= uf.internal[rb] + merge_threshold / uf.size[rb]
-        ):
-            uf.internal[uf.union(ra, rb)] = w
+    # the loops take their edges as Python scalars one block at a time, so
+    # the lists hold one block, not every edge
+    for s in range(0, len(a), _EDGE_BLOCK):
+        block = slice(s, s + _EDGE_BLOCK)
+        for ca, cb, w in zip(a[block].tolist(), b[block].tolist(), ws[block].tolist()):
+            ra, rb = uf.find(ca), uf.find(cb)
+            if ra == rb:
+                continue
+            if (
+                w <= uf.internal[ra] + merge_threshold / uf.size[ra]
+                and w <= uf.internal[rb] + merge_threshold / uf.size[rb]
+            ):
+                uf.internal[uf.union(ra, rb)] = w
 
     # ascending order means each small component meets its cheapest neighbor first
     roots, sizes = uf.roots(), np.asarray(uf.size)
     ra, rb = roots[a], roots[b]
-    small = (ra != rb) & ((sizes[ra] < min_size) | (sizes[rb] < min_size))
-    for ca, cb in zip(a[small].tolist(), b[small].tolist()):
-        ra, rb = uf.find(ca), uf.find(cb)
-        if ra != rb and (uf.size[ra] < min_size or uf.size[rb] < min_size):
-            uf.union(ra, rb)
+    small = np.flatnonzero((ra != rb) & ((sizes[ra] < min_size) | (sizes[rb] < min_size)))
+    del roots, sizes, ra, rb
+    for s in range(0, len(small), _EDGE_BLOCK):
+        block = small[s : s + _EDGE_BLOCK]
+        for ca, cb in zip(a[block].tolist(), b[block].tolist()):
+            ra, rb = uf.find(ca), uf.find(cb)
+            if ra != rb and (uf.size[ra] < min_size or uf.size[rb] < min_size):
+                uf.union(ra, rb)
 
     # dense labels, numbered by each superpoint's first point
     _, first, inverse = np.unique(uf.roots()[comp], return_index=True, return_inverse=True)

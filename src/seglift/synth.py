@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, read_text
-from .geometry import CameraFrame, PointCloud
+from .geometry import CameraFrame, PointCloud, check_extrinsics, check_intrinsics
 
 __all__ = [
     "SceneSpec",
@@ -283,16 +284,24 @@ class RenderedFrame:
 
 @dataclass
 class Scene:
+    """A cloud and its rendered views. A built scene holds its views in
+    lists; a loaded one reads a view's files each time it is indexed (see
+    :func:`load_scene`)."""
+
     cloud: PointCloud
-    rendered: list[RenderedFrame]
+    rendered: Sequence[RenderedFrame]
     objects: list = field(default_factory=list)
 
     @property
-    def frames(self) -> list[CameraFrame]:
+    def frames(self) -> Sequence[CameraFrame]:
+        if isinstance(self.rendered, _Views):
+            return self.rendered.reading("frame")
         return [r.frame for r in self.rendered]
 
     @property
-    def instances(self) -> list[np.ndarray]:
+    def instances(self) -> Sequence[np.ndarray]:
+        if isinstance(self.rendered, _Views):
+            return self.rendered.reading("instance")
         return [r.instance for r in self.rendered]
 
 
@@ -527,7 +536,100 @@ def load_cloud(path) -> PointCloud:
         raise DataError(f"{cloud_file}: {exc}") from exc
 
 
+def _read_view_file(path: Path, dtype: str, shape: tuple[int, int]) -> np.ndarray:
+    """One view's depth map or instance render, as an (H, W) array."""
+    try:
+        values = np.fromfile(path, dtype=dtype)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if values.size != shape[0] * shape[1]:
+        raise DataError(f"{path}: {values.size} values do not match {shape[1]}x{shape[0]} intrinsics")
+    return values.reshape(shape)
+
+
+class _FrameFiles:
+    """The frames of a scene directory: intrinsics and poses checked at
+    load, each view's depth map and instance render read when it is used."""
+
+    def __init__(self, root: Path, intrinsics: tuple, poses: list[np.ndarray], has_instance: list[bool]):
+        self._root = root
+        self._intrinsics = intrinsics  # fx, fy, cx, cy, W, H
+        self._poses = poses
+        self._has_instance = has_instance
+        # the last frame read, so a view's instance render is checked
+        # against its depth map without reading the depth map again
+        self._last: tuple[int, CameraFrame | None] = (-1, None)
+
+    def _path(self, t: int, suffix: str) -> Path:
+        return self._root / "frames" / f"{t:04d}.{suffix}"
+
+    def frame(self, t: int) -> CameraFrame:
+        if self._last[0] != t:
+            fx, fy, cx, cy, width, height = self._intrinsics
+            depth_file = self._path(t, "depth")
+            depth = _read_view_file(depth_file, "<f4", (height, width))
+            try:
+                frame = CameraFrame(fx, fy, cx, cy, self._poses[t], depth, width, height)
+            except ValueError as exc:
+                raise DataError(f"{depth_file}: {exc}") from exc
+            self._last = (t, frame)
+        return self._last[1]
+
+    def rendered(self, t: int) -> RenderedFrame:
+        frame = self.frame(t)
+        inst_file = self._path(t, "inst")
+        if self._has_instance[t]:
+            instance = _read_view_file(inst_file, "<i4", (frame.height, frame.width))
+        else:
+            instance = np.full((frame.height, frame.width), -1, dtype=np.int32)
+        try:
+            return RenderedFrame(frame, instance)
+        except ValueError as exc:
+            raise DataError(f"{inst_file}: {exc}") from exc
+
+    def instance(self, t: int) -> np.ndarray:
+        return self.rendered(t).instance
+
+
+class _Views(Sequence):
+    """Read-only views of a loaded scene: indexing one reads and checks its
+    files; a slice is another ``_Views`` and reads nothing."""
+
+    def __init__(self, files: _FrameFiles, kind: str, views: range):
+        self._files = files
+        self._kind = kind  # "frame", "instance" or "rendered": the _FrameFiles reader
+        self._views = views
+
+    def reading(self, kind: str) -> "_Views":
+        return _Views(self._files, kind, self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _Views(self._files, self._kind, self._views[index])
+        return getattr(self._files, self._kind)(self._views[index])
+
+    def __iter__(self):
+        read = getattr(self._files, self._kind)
+        return (read(t) for t in self._views)
+
+
 def load_scene(path, require_instances: bool = False) -> Scene:
+    """A scene directory whose views are read when they are used.
+
+    At load, the cloud is parsed and checked, the intrinsics are checked,
+    every pose is parsed and must be rigid, and every depth map and
+    instance render must hold W·H values, read from its file size. A
+    missing instance render is a ``DataError`` with ``require_instances``;
+    without it, the view's render is all -1. The scene's ``frames``,
+    ``instances`` and ``rendered`` are read-only sequences: indexing one
+    reads that view's files and checks their content (finite, nonnegative
+    depth; instance ids only where the depth is valid), raising a
+    ``DataError`` that names the file. Slicing reads nothing, so views that
+    are never used are never read.
+    """
     root = Path(path)
     cloud = load_cloud(root)
     intr_file = root / "intrinsics.txt"
@@ -537,49 +639,32 @@ def load_scene(path, require_instances: bool = False) -> Scene:
     try:
         fx, fy, cx, cy = map(float, tokens[:4])
         width, height = int(tokens[4]), int(tokens[5])
+        check_intrinsics(fx, fy, cx, cy, width, height)
     except ValueError as exc:
         raise DataError(f"{intr_file}: {exc}") from exc
-    if width <= 0 or height <= 0:
-        raise DataError(f"{intr_file}: image size must be positive")
 
-    rendered = []
-    t = 0
+    poses, has_instance = [], []
+    view_bytes = 4 * width * height  # one float32 or int32 per pixel
     while True:
+        t = len(poses)
         pose_file = root / "frames" / f"{t:04d}.pose"
         if not pose_file.is_file():
             break
         try:
-            pose = np.loadtxt(pose_file, dtype=np.float64)
+            poses.append(check_extrinsics(np.loadtxt(pose_file, dtype=np.float64)))
         except ValueError as exc:
             raise DataError(f"{pose_file}: {exc}") from exc
-        if pose.shape != (4, 4):
-            raise DataError(f"{pose_file}: expected 16 values in 4 rows")
-        depth_file = root / "frames" / f"{t:04d}.depth"
+        depth_file, inst_file = pose_file.with_suffix(".depth"), pose_file.with_suffix(".inst")
         if not depth_file.is_file():
             raise DataError(f"{depth_file}: missing depth map")
-        depth = np.fromfile(depth_file, dtype="<f4")
-        if depth.size != width * height:
-            raise DataError(
-                f"{depth_file}: {depth.size} values do not match {width}x{height} intrinsics"
-            )
-        inst_file = root / "frames" / f"{t:04d}.inst"
-        if inst_file.is_file():
-            instance = np.fromfile(inst_file, dtype="<i4")
-            if instance.size != width * height:
-                raise DataError(
-                    f"{inst_file}: {instance.size} values do not match {width}x{height} intrinsics"
-                )
-            instance = instance.reshape(height, width)
-        elif require_instances:
+        has_instance.append(inst_file.is_file())
+        if require_instances and not has_instance[-1]:
             raise DataError(f"{inst_file}: missing instance render")
-        else:
-            instance = np.full((height, width), -1, dtype=np.int32)
-        try:
-            frame = CameraFrame(fx, fy, cx, cy, pose, depth.reshape(height, width), width, height)
-        except ValueError as exc:
-            raise DataError(f"{root}: frame {t}: {exc}") from exc
-        rendered.append(RenderedFrame(frame, instance))
-        t += 1
-    if not rendered:
+        for view_file in (depth_file, inst_file) if has_instance[-1] else (depth_file,):
+            size = view_file.stat().st_size
+            if size != view_bytes:
+                raise DataError(f"{view_file}: {size} bytes do not match {width}x{height} intrinsics")
+    if not poses:
         raise DataError(f"{root}: no frames found")
-    return Scene(cloud, rendered)
+    files = _FrameFiles(root, (fx, fy, cx, cy, width, height), poses, has_instance)
+    return Scene(cloud, _Views(files, "rendered", range(len(poses))))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import seglift
-from seglift import cli, pipeline
+from seglift import cli, pipeline, synth, tracks
 from seglift.cli import main
 from seglift.optimize import Solution, all_lifted
 from seglift.pipeline import PipelineConfig, read_proposals, run_pipeline
@@ -35,6 +35,18 @@ def scene_dir(tmp_path_factory):
 def run_segment(scene_dir, out_dir, *extra):
     args = ["segment", "--scene", str(scene_dir), "--tracker", "oracle", "--out", str(out_dir)]
     return main(args + list(extra))
+
+
+def write_object_tracks(scene_dir, path) -> int:
+    """A track file of one exact track per object over the working views at
+    the default stride; returns its mask count."""
+    working = subsample_views(load_scene(scene_dir).instances, 10)
+    objects = []
+    for oid in range(3):
+        masks = {t: inst == oid for t, inst in enumerate(working) if np.any(inst == oid)}
+        objects.append(MaskTrack(oid, 0.9, masks, min(masks), -1))
+    write_tracks(objects, path)
+    return sum(len(track.masks) for track in objects)
 
 
 class TestGenerate:
@@ -415,6 +427,11 @@ def _write(new):
     return lambda text: new
 
 
+def _first_pixel(value):
+    """Set the first pixel of a binary frame file to a numpy scalar."""
+    return lambda data: value.tobytes() + data[value.nbytes :]
+
+
 _SEGMENT = ["segment", "--scene", "{scene}", "--out", "{tmp}/out"]
 _CONFIG_SEGMENT = ["segment", "--scene", "{scene}", "--config", "{scene}/bad.cfg", "--out", "{tmp}/out"]
 
@@ -430,6 +447,9 @@ INPUT_ERRORS = [
     ("intrinsics-negative-size", {"intrinsics.txt": lambda text: " ".join(text.split()[:4] + ["-64", "-64"])},
      _SEGMENT),
     ("pose-not-rigid", {"frames/0003.pose": _first_value("2")}, _SEGMENT),
+    ("depth-nan", {"frames/0000.depth": _first_pixel(np.float32(np.nan))}, _SEGMENT),
+    ("instance-without-depth",
+     {"frames/0000.depth": _first_pixel(np.float32(0)), "frames/0000.inst": _first_pixel(np.int32(0))}, _SEGMENT),
     ("eval-missing-proposals", {}, ["eval", "--scene", "{scene}", "--proposals", "{tmp}/missing/proposals.jsonl"]),
     ("eval-points-not-ascii",
      {"run/proposals.jsonl": _write('{"id": 0, "score": 0.5}\n'), "run/points.txt": _write("0 1 \xff\n")},
@@ -468,10 +488,55 @@ class TestInputErrors:
             for name, edit in edits.items():
                 target = scene / name
                 target.parent.mkdir(exist_ok=True)
-                target.write_text(edit(target.read_text() if target.is_file() else ""))
+                if target.suffix in (".depth", ".inst"):  # binary frame files: the edit maps bytes to bytes
+                    target.write_bytes(edit(target.read_bytes()))
+                else:
+                    target.write_text(edit(target.read_text() if target.is_file() else ""))
         argv = [arg.format(scene=scene, tmp=tmp_path) for arg in argv]
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("data error: ")
+
+
+class TestLazyViews:
+    """A frame file is read only when its view is working: a bad one that
+    no working view reads does not change a run."""
+
+    def _nan_scene(self, scene_dir, tmp_path):
+        scene = tmp_path / "nan-scene"
+        shutil.copytree(scene_dir, scene)
+        depth_file = scene / "frames" / "0001.depth"
+        depth = np.fromfile(depth_file, dtype="<f4")
+        depth[0] = np.nan
+        depth.tofile(depth_file)
+        return scene
+
+    def test_nan_depth_outside_the_working_views(self, scene_dir, tmp_path, capsys):
+        nan_scene = self._nan_scene(scene_dir, tmp_path)
+        assert run_segment(scene_dir, tmp_path / "clean", "--stride", "5") == 0
+        assert run_segment(nan_scene, tmp_path / "nan", "--stride", "5") == 0
+        for name in ("proposals.jsonl", "points.txt"):
+            assert (tmp_path / "clean" / name).read_bytes() == (tmp_path / "nan" / name).read_bytes()
+        capsys.readouterr()
+        assert run_segment(nan_scene, tmp_path / "nan1", "--stride", "1") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "0001.depth: depth values must be finite and nonnegative" in err
+
+    def test_file_tracker_opens_no_instance_render(self, scene_dir, tmp_path, monkeypatch):
+        track_path = tmp_path / "objects.tracks"
+        write_object_tracks(scene_dir, track_path)
+        no_inst = tmp_path / "no-inst"
+        shutil.copytree(scene_dir, no_inst)
+        for path in (no_inst / "frames").glob("*.inst"):
+            path.unlink()
+        read = synth._read_view_file
+        opened = []
+        monkeypatch.setattr(synth, "_read_view_file", lambda path, *a: opened.append(path.suffix) or read(path, *a))
+        for scene in (scene_dir, no_inst):
+            argv = ["segment", "--scene", str(scene), "--tracker", f"file:{track_path}", "--out", str(tmp_path / scene.name)]
+            assert main(argv) == 0
+        assert opened and set(opened) == {".depth"}
+        for name in ("proposals.jsonl", "points.txt"):
+            assert (tmp_path / scene_dir.name / name).read_bytes() == (tmp_path / "no-inst" / name).read_bytes()
 
 
 class TestInvariantViolation:
@@ -519,6 +584,27 @@ class TestAblate:
         assert main(argv) == 0
         distinct = len(set(pairs))
         assert 0 < len(pairs) == distinct < 5 * distinct
+
+    def test_file_tracks_are_decoded_once(self, scene_dir, tmp_path, monkeypatch):
+        track_path = tmp_path / "objects.tracks"
+        mask_count = write_object_tracks(scene_dir, track_path)
+        decoded = []
+        repeat = tracks._repeat_runs
+        monkeypatch.setattr(tracks, "_repeat_runs", lambda *a: decoded.append(a) or repeat(*a))
+        argv = ["ablate", "--scene", str(scene_dir), "--tracker", f"file:{track_path}", "--out"]
+        assert main(argv + [str(tmp_path / "shared")]) == 0
+        assert len(decoded) == mask_count
+        scene = load_scene(scene_dir)
+
+        def separate(state, strategy, tracker, tracks):
+            config = PipelineConfig.from_mapping({"strategy": strategy}, base=state.config)
+            return run_pipeline(scene.cloud, scene.frames, config, tracker, None, tracks)
+
+        monkeypatch.setattr(cli, "run_rounds", separate)
+        assert main(argv + [str(tmp_path / "separate")]) == 0
+        assert len(decoded) == 6 * mask_count  # five separate runs lift every track again
+        shared = (tmp_path / "shared" / "ablation.tsv").read_bytes()
+        assert shared == (tmp_path / "separate" / "ablation.tsv").read_bytes()
 
     def test_table_shape_and_shared_seed(self, scene_dir, tmp_path, capsys):
         out = tmp_path / "ablate"

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from seglift import geometry, superpoints
-from seglift.geometry import estimate_normals, shared_knn
+from seglift.geometry import PointCloud, estimate_normals, shared_knn
+from seglift.pipeline import PipelineConfig, prepare_state
 from seglift.superpoints import partition_superpoints
-from seglift.synth import SceneSpec, build_scene
+from seglift.synth import SceneSpec, build_scene, load_cloud, load_scene, save_scene
 from seglift.tracks import MaskTrack, read_tracks, write_tracks
 
 from conftest import pixel_index
@@ -118,3 +119,69 @@ def test_pixel_index_holds_four_bytes_per_entry():
     assert entries > 0
     held = sum(value.nbytes for value in vars(pixels).values() if isinstance(value, np.ndarray))
     assert held <= 4 * entries + pixels.counts.nbytes + pixels.offsets.nbytes
+
+
+def test_union_find_lists_hold_one_block():
+    """On a uniform random cloud almost no two normals are equal, so nearly
+    every edge reaches the Python union-find. Its edges are converted to
+    Python scalars one block at a time: lists over every edge, at about
+    100 B per edge (two int objects, a float object and three list slots),
+    cannot pass the bound of the room test above."""
+    n = 40_000
+    positions = np.random.default_rng(0).random((n, 3))
+    cloud = PointCloud(positions, np.zeros((n, 3)))
+    normal_nbr, nbr = shared_knn(positions, (NORMALS_K, GRAPH_K))
+    normals = estimate_normals(positions, NORMALS_K, neighbors=normal_nbr)
+    lo = np.minimum(nbr[:, 1:], np.arange(n)[:, None])
+    hi = np.maximum(nbr[:, 1:], np.arange(n)[:, None])
+    edges = np.unique(lo * n + hi)
+    lo, hi = np.divmod(edges, n)
+    weighted = int(np.count_nonzero(np.abs(np.einsum("ij,ij->i", normals[lo], normals[hi])) != 1.0))
+    bound = 5 * n * GRAPH_K * 8 + 2 * superpoints._EDGE_BLOCK * 3 * 8
+    assert weighted > 0.9 * len(edges)
+    assert 100 * weighted > bound  # lists over every weighted edge cannot pass
+    peak = traced_peak(partition_superpoints, cloud, normals, knn_k=GRAPH_K, neighbors=nbr)
+    assert peak < bound
+
+
+@pytest.fixture(scope="module")
+def frame_scene_dir(tmp_path_factory):
+    """60 frames of 160x120 around a small cloud: the frames' arrays
+    (9.2 MB of depth maps and instance renders) dwarf the cloud."""
+    path = tmp_path_factory.mktemp("frames") / "scene"
+    save_scene(build_scene(SceneSpec(object_count=2, frame_count=60, seed=1, density=10.0, image_size=(160, 120))), path)
+    return path
+
+
+def traced_held(fn, *args):
+    """Bytes still allocated by the result of ``fn`` once it returns."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[0] - base, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_loaded_scene_holds_no_frame_arrays(frame_scene_dir):
+    """Loading checks every frame file but reads none: beyond its cloud, a
+    loaded scene holds less than two frames' arrays, where reading every
+    frame would hold sixty."""
+    frame_bytes = 160 * 120 * (4 + 4)  # a float32 depth map and an int32 instance render
+    cloud_held, _ = traced_held(load_cloud, frame_scene_dir)
+    scene_held, scene = traced_held(load_scene, frame_scene_dir)
+    assert len(scene.frames) == 60
+    assert 60 * frame_bytes > cloud_held + 2 * frame_bytes  # an eager loader cannot pass
+    assert scene_held < cloud_held + 2 * frame_bytes
+    assert traced_peak(load_scene, frame_scene_dir) < traced_peak(load_cloud, frame_scene_dir) + 2 * frame_bytes
+
+
+def test_setup_never_holds_every_working_depth_map(frame_scene_dir):
+    """prepare_state reads each working depth map as it projects that view,
+    so its peak, which includes the normals and the graph cut, stays below
+    the bytes of all working depth maps together."""
+    scene = load_scene(frame_scene_dir)
+    depth_bytes = 60 * 160 * 120 * 4
+    peak = traced_peak(prepare_state, scene.cloud, scene.frames, None, PipelineConfig(view_stride=1))
+    assert peak < depth_bytes

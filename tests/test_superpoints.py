@@ -10,7 +10,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from seglift import superpoints
+from seglift import geometry, superpoints
 from seglift.geometry import PointCloud, estimate_normals, shared_knn
 from seglift.pipeline import PipelineConfig, prepare_state
 from seglift.superpoints import SuperpointPartition, _UnionFind, partition_superpoints
@@ -433,6 +433,15 @@ class TestSharedKnn:
             min_size=config.superpoint_min_size,
         )
         np.testing.assert_array_equal(state.partition.assignment, expected.assignment)
+
+    def test_blocked_query_equals_direct_query(self):
+        """A cloud of several query blocks: each block, taken in the tree's
+        leaf order, lands in its own rows."""
+        pts = np.random.default_rng(0).random((2 * geometry._KNN_BLOCK + 100, 3))
+        normal_nbr, nbr = shared_knn(pts, (12, 10))
+        direct = cKDTree(pts).query(pts, k=13)[1]
+        np.testing.assert_array_equal(normal_nbr, direct)
+        np.testing.assert_array_equal(nbr, direct[:, :11])
 
     def test_neighbor_shapes_checked(self):
         pts = grid_plane(5, 5, 0.05, (0, 0, 0), [(1, 0, 0), (0, 1, 0)])

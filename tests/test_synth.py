@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seglift import synth
 from seglift.errors import DataError
 from seglift.geometry import project_points
+from seglift.pipeline import PipelineConfig, prepare_state, subsample_views
 from seglift.synth import (
     SceneSpec,
     build_scene,
@@ -218,3 +220,83 @@ class TestSceneFileFuzz:
         frame = scene.frames[0]
         assert np.all(np.isfinite(scene.cloud.positions))
         assert np.all(np.isfinite((frame.fx, frame.fy, frame.cx, frame.cy)))
+
+
+@pytest.fixture
+def read_log(monkeypatch):
+    """The frame files read through the scene loader, in order."""
+    log = []
+    read = synth._read_view_file
+
+    def spy(path, dtype, shape):
+        log.append(path.name)
+        return read(path, dtype, shape)
+
+    monkeypatch.setattr(synth, "_read_view_file", spy)
+    return log
+
+
+class TestLazyViews:
+    """A loaded scene reads a view's files when that view is indexed."""
+
+    @pytest.fixture
+    def scene_dir(self, tmp_path, small_scene):
+        path = tmp_path / "scene"
+        save_scene(small_scene, path)
+        return path
+
+    def test_load_and_slices_read_nothing(self, scene_dir, read_log):
+        scene = load_scene(scene_dir, require_instances=True)
+        working = subsample_views(scene.frames, 10)
+        assert len(working) == 4 and len(scene.instances[1::5]) == 8
+        assert read_log == []
+        assert working[1].depth.shape == (64, 64)
+        assert read_log == ["0010.depth"]
+
+    def test_views_equal_the_saved_scene(self, scene_dir, small_scene, read_log):
+        scene = load_scene(scene_dir, require_instances=True)
+        for t in (0, 17, -1):
+            np.testing.assert_array_equal(scene.frames[t].depth, small_scene.frames[t].depth.astype(np.float32))
+            np.testing.assert_array_equal(scene.instances[t], small_scene.instances[t])
+            np.testing.assert_array_equal(scene.rendered[t].instance, small_scene.instances[t])
+        # an instance render is checked against the depth map just read, not a second read of it
+        assert read_log == ["0000.depth", "0000.inst", "0000.inst", "0017.depth", "0017.inst", "0017.inst",
+                            "0039.depth", "0039.inst", "0039.inst"]
+        with pytest.raises(IndexError):
+            scene.frames[40]
+        assert isinstance(scene.frames[::2][1:], type(scene.frames))
+
+    def test_built_scenes_keep_lists(self, small_scene):
+        assert type(small_scene.frames) is list and type(small_scene.instances) is list
+
+    def test_nan_depth_surfaces_when_its_view_is_read(self, scene_dir):
+        depth_file = scene_dir / "frames" / "0003.depth"
+        depth = np.fromfile(depth_file, dtype="<f4")
+        depth[5] = np.nan
+        depth.tofile(depth_file)
+        scene = load_scene(scene_dir)
+        scene.frames[2]
+        with pytest.raises(DataError, match=r"0003\.depth: depth values must be finite and nonnegative"):
+            scene.frames[3]
+
+    def test_instance_without_depth_names_its_file(self, scene_dir):
+        """An instance id on a pixel without valid depth is a DataError, not a ValueError."""
+        for name, value in (("0002.depth", np.float32(0)), ("0002.inst", np.int32(0))):
+            path = scene_dir / "frames" / name
+            path.write_bytes(value.tobytes() + path.read_bytes()[4:])
+        scene = load_scene(scene_dir)
+        scene.frames[2]  # the depth map alone is valid
+        with pytest.raises(DataError, match=r"0002\.inst: instance pixels must have valid surface depth"):
+            scene.instances[2]
+
+    def test_prepare_state_reads_each_working_view_once(self, scene_dir, read_log):
+        scene = load_scene(scene_dir, require_instances=True)
+        state = prepare_state(scene.cloud, scene.frames, scene.instances, PipelineConfig(view_stride=3))
+        working = range(0, 40, 3)
+        assert sorted(read_log) == sorted([f"{t:04d}.depth" for t in working] + [f"{t:04d}.inst" for t in working])
+        assert len(state.instances) == len(working)
+
+    def test_file_tracker_setup_reads_no_instance_render(self, scene_dir, read_log):
+        scene = load_scene(scene_dir)
+        prepare_state(scene.cloud, scene.frames, None, PipelineConfig(view_stride=3))
+        assert read_log == [f"{t:04d}.depth" for t in range(0, 40, 3)]
