@@ -114,12 +114,19 @@ def evaluate(
     scores_arr = np.asarray(scores, dtype=np.float64)
     if len(scores_arr) > 1 and np.any(np.diff(scores_arr) > 0):
         raise ValueError("proposals must be sorted by descending score")
-    for mask in masks:
-        if np.asarray(mask).shape != gt_instance.shape:
-            raise ValueError("proposal masks must cover the full cloud")
 
-    gt_masks = [gt_instance == g for g in gt_ids]
-    ious = np.array([[mask_iou(mask, gt) for gt in gt_masks] for mask in masks]).reshape(len(masks), len(gt_ids))
+    # each point's GT rank, background last: one bincount per proposal gives
+    # its intersections, the same integers that mask_iou divides
+    gt_rank = np.where(gt_instance < 0, len(gt_ids), np.searchsorted(gt_ids, gt_instance))
+    gt_sizes = np.bincount(gt_rank, minlength=len(gt_ids) + 1)[:-1].tolist()
+    rows = []
+    for mask in masks:
+        if np.shape(mask) != gt_instance.shape:
+            raise ValueError("proposal masks must cover the full cloud")
+        ranks = gt_rank[np.asarray(mask, dtype=bool)]
+        inter = np.bincount(ranks, minlength=len(gt_ids) + 1)[:-1].tolist()
+        rows.append([i / (len(ranks) + g - i) for i, g in zip(inter, gt_sizes)])
+    ious = np.array(rows).reshape(len(masks), len(gt_ids))
     wanted = sorted(set(thresholds) | {0.25, 0.50})
     per_threshold = {t: _match_at_threshold(ious, gt_ids.tolist(), t) for t in wanted}
     ap = float(np.mean([per_threshold[t].ap for t in thresholds]))

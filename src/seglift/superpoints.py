@@ -6,12 +6,15 @@ with the classic adaptive threshold ``merge_threshold / |component|``. A
 post-pass folds components below ``min_size`` into the neighbor they touch
 through their cheapest edge.
 
-Two exact shortcuts keep most edges out of the Python union-find loop. A
+Three exact shortcuts keep most edges out of the Python union-find loop. A
 weight-0 edge passes ``w <= Int(C) + k / |C|`` whatever the state, since
 ``Int(C) >= 0`` and ``k > 0``, and such edges come first; so that prefix of
 the loop yields the connected components of the weight-0 subgraph, all with
-``Int = 0``. The fold pass only grows components, so it skips edges that,
-when it starts, lie inside one component or join two of ``min_size`` or more.
+``Int = 0``. The merge loop stops at the first edge heavier than the
+largest ``Int(C) + k / |C|`` of any component formed so far: weights ascend,
+so no later edge can pass the test. The fold pass only grows components, so
+it skips edges that, when it starts, lie inside one component or join two of
+``min_size`` or more.
 """
 
 from __future__ import annotations
@@ -167,11 +170,16 @@ def partition_superpoints(
     a, b, ws = a[cross], b[cross], weights[cross]
     del lo, hi, weights, cross  # the loops read only the cross-component edges
     uf = _UnionFind(np.bincount(comp).tolist())
+    reach = merge_threshold / min(uf.size)  # the largest Int + k/|C| of any root so far
     # the loops take their edges as Python scalars one block at a time, so
     # the lists hold one block, not every edge
     for s in range(0, len(a), _EDGE_BLOCK):
+        if ws[s] > reach:  # a block that broke early leaves reach unchanged
+            break
         block = slice(s, s + _EDGE_BLOCK)
         for ca, cb, w in zip(a[block].tolist(), b[block].tolist(), ws[block].tolist()):
+            if w > reach:
+                break
             ra, rb = uf.find(ca), uf.find(cb)
             if ra == rb:
                 continue
@@ -179,7 +187,9 @@ def partition_superpoints(
                 w <= uf.internal[ra] + merge_threshold / uf.size[ra]
                 and w <= uf.internal[rb] + merge_threshold / uf.size[rb]
             ):
-                uf.internal[uf.union(ra, rb)] = w
+                root = uf.union(ra, rb)
+                uf.internal[root] = w
+                reach = max(reach, w + merge_threshold / uf.size[root])
 
     # ascending order means each small component meets its cheapest neighbor first
     roots, sizes = uf.roots(), np.asarray(uf.size)

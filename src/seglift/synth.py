@@ -531,7 +531,7 @@ def load_cloud(path) -> PointCloud:
     if not np.all((raw[:, 6] == np.round(raw[:, 6])) & (np.abs(raw[:, 6]) < 2.0**63)):
         raise DataError(f"{cloud_file}: instance ids must be int64 integers")
     try:
-        return PointCloud(raw[:, :3], np.clip(raw[:, 3:6], 0.0, 1.0), raw[:, 6].astype(np.int64))
+        return PointCloud(np.ascontiguousarray(raw[:, :3]), np.clip(raw[:, 3:6], 0.0, 1.0), raw[:, 6].astype(np.int64))
     except ValueError as exc:
         raise DataError(f"{cloud_file}: {exc}") from exc
 

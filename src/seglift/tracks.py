@@ -177,14 +177,21 @@ def noisy_track(
     any gap longer than the memory window until the next reprompt view; the
     pivot always survives and resets the gap. Masks noised down to empty
     count as dropped. Score is the surviving fraction of oracle views.
+    Morphology and flips run on the mask's bounding box grown by ``r_morph +
+    flip_band``, which gives the whole-image result; the flip draw still
+    covers the whole image.
     """
     base = oracle_track(query, instance_renders, track_id, seed_superpoint)
     rng = np.random.default_rng(rng_seed)
+    margin = noise.r_morph + noise.flip_band
     noised: dict[int, np.ndarray] = {}
     for t in sorted(base.masks):
-        mask = base.masks[t]
+        full = base.masks[t]
         if t != query.pivot_view and noise.p_drop > 0 and rng.random() < noise.p_drop:
             continue
+        rows, cols = np.flatnonzero(full.any(axis=1)), np.flatnonzero(full.any(axis=0))
+        box = np.s_[max(rows[0] - margin, 0) : rows[-1] + margin + 1, max(cols[0] - margin, 0) : cols[-1] + margin + 1]
+        mask = full[box]
         if noise.r_morph > 0:
             if rng.random() < 0.5:
                 mask = ndimage.binary_dilation(mask, iterations=noise.r_morph)
@@ -194,10 +201,11 @@ def noisy_track(
             band = ndimage.binary_dilation(mask, iterations=noise.flip_band) & ~ndimage.binary_erosion(
                 mask, iterations=noise.flip_band
             )
-            flips = band & (rng.random(mask.shape) < noise.p_flip)
+            flips = band & (rng.random(full.shape)[box] < noise.p_flip)
             mask = mask ^ flips
         if t == query.pivot_view or mask.any():
-            noised[t] = mask
+            noised[t] = np.zeros_like(full)
+            noised[t][box] = mask
 
     kept = _apply_forgetting(noised, query, len(instance_renders), noise.memory_window)
     score = len(kept) / len(base.masks)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from seglift.geometry import CameraFrame, project_cloud, project_points
 from seglift.synth import SceneSpec, build_scene
+from seglift.tracks import MaskTrack, _apply_forgetting, oracle_track
 from seglift.view_select import PixelIndex
 
 
@@ -45,6 +47,36 @@ def objective_value(theta, track, positions, partition, frames, depth_tolerance=
         outside = int(np.count_nonzero(chosen)) - inside
         total += inside - outside
     return total
+
+
+def reference_noisy_track(query, instance_renders, noise, rng_seed, track_id=0, seed_superpoint=-1):
+    """The noisy tracker with its morphology, band and flips run over the
+    whole image: the oracle for noisy_track, which runs them on each mask's
+    bounding box."""
+    base = oracle_track(query, instance_renders, track_id, seed_superpoint)
+    rng = np.random.default_rng(rng_seed)
+    noised = {}
+    for t in sorted(base.masks):
+        mask = base.masks[t]
+        if t != query.pivot_view and noise.p_drop > 0 and rng.random() < noise.p_drop:
+            continue
+        if noise.r_morph > 0:
+            if rng.random() < 0.5:
+                mask = ndimage.binary_dilation(mask, iterations=noise.r_morph)
+            else:
+                mask = ndimage.binary_erosion(mask, iterations=noise.r_morph)
+        if noise.p_flip > 0 and noise.flip_band > 0:
+            band = ndimage.binary_dilation(mask, iterations=noise.flip_band) & ~ndimage.binary_erosion(
+                mask, iterations=noise.flip_band
+            )
+            flips = band & (rng.random(mask.shape) < noise.p_flip)
+            mask = mask ^ flips
+        if t == query.pivot_view or mask.any():
+            noised[t] = mask
+
+    kept = _apply_forgetting(noised, query, len(instance_renders), noise.memory_window)
+    score = len(kept) / len(base.masks)
+    return MaskTrack(track_id, score, kept, query.pivot_view, seed_superpoint)
 
 
 def backproject_pixels(frame, rows, cols, depths):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seglift.evaluation import AP_THRESHOLDS, evaluate, mask_iou
+from seglift.evaluation import AP_THRESHOLDS, EvalReport, _match_at_threshold, evaluate, mask_iou
 
 
 def masks_from_labels(labels, ids):
@@ -174,3 +174,71 @@ class TestSharedIouTable:
             assert all(type(iou) is float for _, _, iou in result.matches)
             np.testing.assert_array_equal(result.recalls, np.array(hits) / len(gt_masks))
             np.testing.assert_array_equal(result.precisions, np.array(hits) / np.arange(1, proposals + 1))
+
+
+def mask_iou_report(masks, scores, labels, thresholds=AP_THRESHOLDS):
+    """The report of a (proposal, gt) table of mask_iou over dense GT masks."""
+    gt_ids = np.unique(labels[labels >= 0])
+    gt_masks = [labels == g for g in gt_ids]
+    ious = np.array([[mask_iou(mask, gt) for gt in gt_masks] for mask in masks]).reshape(len(masks), len(gt_ids))
+    per = {t: _match_at_threshold(ious, gt_ids.tolist(), t) for t in sorted(set(thresholds) | {0.25, 0.50})}
+    return EvalReport(
+        ap=float(np.mean([per[t].ap for t in thresholds])),
+        ap50=per[0.50].ap,
+        ap25=per[0.25].ap,
+        rc=float(np.mean([per[t].recall for t in thresholds])),
+        rc50=per[0.50].recall,
+        rc25=per[0.25].recall,
+        per_threshold=per,
+    )
+
+
+@st.composite
+def labelled_proposals(draw):
+    """Points labelled background or GT ids {0, 7, 42}, and proposals that are
+    empty, background-only, random, or unions of several instances."""
+    n = draw(st.integers(1, 60))
+    labels = np.array(draw(st.lists(st.sampled_from([-1, 0, 7, 42]), min_size=n, max_size=n)))
+    labels[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0, 7, 42]))
+    masks = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["empty", "background", "random", "union"]))
+        if kind == "empty":
+            mask = np.zeros(n, dtype=bool)
+        elif kind == "background":
+            mask = labels < 0
+        elif kind == "random":
+            mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        else:
+            mask = np.isin(labels, draw(st.lists(st.sampled_from([-1, 0, 7, 42]), min_size=1, max_size=4)))
+            for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+                mask[i] ^= True
+        masks.append(mask)
+    scores = draw(st.lists(st.sampled_from([0.1, 0.5, 1.0]), min_size=len(masks), max_size=len(masks)))
+    return masks, sorted(scores, reverse=True), labels
+
+
+class TestIntegerOverlapTable:
+    """evaluate's bincount intersections give the reports of the mask_iou table."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_proposals(), st.sampled_from([AP_THRESHOLDS, (0.0, 0.3, 0.5, 1.0)]))
+    def test_equals_mask_iou_report(self, case, thresholds):
+        masks, scores, labels = case
+        got = evaluate(masks, scores, labels, thresholds)
+        want = mask_iou_report(masks, scores, labels, thresholds)
+        assert got.table() == want.table()
+        assert got.per_threshold.keys() == want.per_threshold.keys()
+        for t, result in want.per_threshold.items():
+            assert got.per_threshold[t].matches == result.matches
+            assert (got.per_threshold[t].ap, got.per_threshold[t].recall) == (result.ap, result.recall)
+            np.testing.assert_array_equal(got.per_threshold[t].precisions, result.precisions)
+            np.testing.assert_array_equal(got.per_threshold[t].recalls, result.recalls)
+
+    def test_proposal_spanning_instances(self):
+        labels = np.array([-1, 0, 0, 7, 7, 7, 42, -1])
+        masks = [labels >= 0, np.zeros(8, bool), labels < 0, labels == 7]
+        report = evaluate(masks, [1.0, 0.9, 0.8, 0.7], labels, thresholds=(0.25,))
+        # the union covers 6 points: 2/6 of gt 0, 3/6 of gt 7, 1/6 of gt 42
+        assert report.per_threshold[0.25].matches == [(0, 7, 0.5)]
+        assert report.table() == mask_iou_report(masks, [1.0, 0.9, 0.8, 0.7], labels, (0.25,)).table()

@@ -240,6 +240,34 @@ class TestReferenceOracle:
             np.testing.assert_array_equal(got.assignment, expected.assignment)
 
 
+class TestMergeLoopExit:
+    def test_loop_stops_at_the_first_edge_no_root_can_take(self):
+        """Three constant-normal grid planes: A and B nearly parallel, C at a
+        right angle. A and B merge; no component can take an edge of weight
+        1, so the loop stops at the first one, and the labels still equal the
+        reference loop's."""
+        a = grid_plane(12, 12, 0.05, (0, 0, 0), [(1, 0, 0), (0, 1, 0)])
+        b = grid_plane(12, 12, 0.05, (0.6, 0, 0), [(1, 0, 0), (0, 1, 0)])
+        c = grid_plane(12, 12, 0.05, (0, 0.6, 0.05), [(1, 0, 0), (0, 0, 1)])
+        pts = np.concatenate([a, b, c])
+        tilted = np.array([0.0, np.sin(1e-3), np.cos(1e-3)])
+        normals = np.repeat([[0.0, 0.0, 1.0], tilted, [0.0, 1.0, 0.0]], 144, axis=0)
+        cloud = as_cloud(pts)
+        kwargs = dict(knn_k=6, merge_threshold=0.05, min_size=1)
+        # the weight-0 edges lie inside the planes, so every weighted edge joins two of them
+        (nbr,) = shared_knn(pts, (6,))
+        pairs = np.stack([np.repeat(np.arange(len(pts)), 6), nbr[:, 1:].ravel()], axis=1)
+        edges = np.unique(np.sort(pairs, axis=1), axis=0)
+        weights = 1.0 - np.abs(np.einsum("ij,ij->i", normals[edges[:, 0]], normals[edges[:, 1]]))
+        light, heavy = np.count_nonzero((weights > 0) & (weights < 0.5)), np.count_nonzero(weights >= 0.5)
+        assert light > 0 and heavy > 1
+        with mock.patch.object(_UnionFind, "find", autospec=True, side_effect=_UnionFind.find) as find:
+            got = partition_superpoints(cloud, normals, **kwargs)
+        assert find.call_count == 2 * light  # every light edge, then no heavy one
+        np.testing.assert_array_equal(got.assignment, _reference_partition(cloud, normals, **kwargs).assignment)
+        assert got.count == 2
+
+
 class TestBlockedEdges:
     """The in-place edge keys and blocked edge weights change no label."""
 

@@ -150,6 +150,17 @@ class TestSceneIO:
             assert frame.depth.dtype == np.float32
             np.testing.assert_array_equal(frame.depth, original.depth.astype(np.float32))
 
+    def test_loaded_positions_do_not_hold_the_parse(self, tmp_path, small_scene):
+        path = tmp_path / "scene"
+        save_scene(small_scene, path)
+        positions = synth.load_cloud(path).positions
+        assert positions.flags.c_contiguous
+        base = positions
+        while base is not None:  # no array under the positions is the (N, 7) parse
+            assert base.shape == positions.shape
+            base = base.base
+        np.testing.assert_allclose(positions, small_scene.cloud.positions)
+
     def test_refuses_nonempty_dir(self, tmp_path, small_scene):
         path = tmp_path / "scene"
         path.mkdir()

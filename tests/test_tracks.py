@@ -24,7 +24,7 @@ from seglift.tracks import (
 )
 from seglift.tracks import _parse_views, _parse_views_by_token
 
-from conftest import make_frame, pixel_index
+from conftest import make_frame, pixel_index, reference_noisy_track
 
 
 def tight_cluster(n, z=1.0):
@@ -191,6 +191,81 @@ class TestNoisyTrack:
             NoiseSpec(p_drop=1.5)
         with pytest.raises(ValueError):
             NoiseSpec(p_flip=-0.1)
+
+
+def object_renders(boxes, pivot, other):
+    """Renders of instance 0 filling ``boxes`` (r0, r1, c0, c1, fill), one per
+    view, over a background of instance 1 where ``other`` is set; the query
+    prompts the pivot's first object pixel."""
+    renders = []
+    for (r0, r1, c0, c1, fill), others in zip(boxes, other):
+        render = np.where(others, 1, -1)
+        render[r0:r1, c0:c1][fill] = 0
+        renders.append(render)
+    prompt = tuple(int(x) for x in np.argwhere(renders[pivot] == 0)[0])
+    return renders, TrackerQuery(pivot, [prompt])
+
+
+@st.composite
+def noisy_cases(draw):
+    height, width = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    views = draw(st.integers(1, 5))
+    pivot = draw(st.integers(0, views - 1))
+    boxes = []
+    for t in range(views):
+        r0 = draw(st.integers(0, height - 1))
+        r1 = draw(st.integers(r0 + 1, height))
+        c0 = draw(st.integers(0, width - 1))
+        c1 = draw(st.integers(c0 + 1, width))
+        fill = draw(arrays(bool, (r1 - r0, c1 - c0)))
+        if t == pivot:
+            fill.flat[draw(st.integers(0, fill.size - 1))] = True
+        boxes.append((r0, r1, c0, c1, fill))
+    other = [draw(arrays(bool, (height, width))) for _ in range(views)]
+    renders, query = object_renders(boxes, pivot, other)
+    noise = NoiseSpec(
+        p_drop=draw(st.sampled_from([0.0, 0.5])),
+        r_morph=draw(st.integers(0, 3)),
+        p_flip=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        flip_band=draw(st.integers(0, 3)),
+        memory_window=draw(st.integers(1, 3)),
+    )
+    return renders, query, noise, draw(st.integers(0, 2**32 - 1))
+
+
+def corner_case(height, width, views, noise, seed, size=2):
+    """Objects of ``size`` pixels square in each corner in turn, then one filling the image."""
+    corners = [(0, 0), (0, width - size), (height - size, 0), (height - size, width - size)]
+    boxes = [(r, r + size, c, c + size, np.ones((size, size), bool)) for r, c in corners[:views]]
+    boxes.append((0, height, 0, width, np.ones((height, width), bool)))
+    renders, query = object_renders(boxes, 0, [np.zeros((height, width), bool)] * len(boxes))
+    return renders, query, noise, seed
+
+
+class TestNoisyTrackBoundingBox:
+    """noisy_track on each mask's bounding box equals the whole-image tracker."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(noisy_cases())
+    @example(corner_case(9, 11, 4, NoiseSpec(r_morph=3, p_flip=1.0, flip_band=3), 0))
+    @example(corner_case(9, 11, 4, NoiseSpec(r_morph=1, p_flip=0.3, flip_band=2), 5))
+    @example(corner_case(6, 6, 4, NoiseSpec(p_drop=0.5, r_morph=2, p_flip=1.0, flip_band=1), 1))
+    # a one-pixel pivot eroded to empty (seed 0 draws erosion for view 0)
+    @example(corner_case(8, 8, 1, NoiseSpec(r_morph=1, p_flip=0.3, flip_band=1), 0, size=1))
+    def test_equals_whole_image_tracker(self, case):
+        renders, query, noise, seed = case
+        got = noisy_track(query, renders, noise, seed, track_id=3, seed_superpoint=4)
+        want = reference_noisy_track(query, renders, noise, seed, track_id=3, seed_superpoint=4)
+        assert list(got.masks) == list(want.masks)
+        assert got.score == want.score
+        for t in want.masks:
+            assert got.masks[t].dtype == want.masks[t].dtype and got.masks[t].shape == want.masks[t].shape
+            assert got.masks[t].tobytes() == want.masks[t].tobytes()
+
+    def test_pivot_eroded_to_empty_is_kept(self):
+        renders, query, noise, seed = corner_case(8, 8, 1, NoiseSpec(r_morph=1), 0, size=1)
+        track = noisy_track(query, renders, noise, seed)
+        assert query.pivot_view in track.masks and not track.masks[query.pivot_view].any()
 
 
 class TestRle:
