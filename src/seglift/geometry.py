@@ -32,7 +32,9 @@ __all__ = [
 ]
 
 _ROT_TOL = 1e-6
-_NORMALS_BLOCK = 8192  # points per block of estimate_normals: bounds its (block, k+1, 3) neighbourhood
+_EYE3, _BOTTOM_ROW = np.eye(3), np.array([0.0, 0.0, 0.0, 1.0])
+_NORMALS_BLOCK = 8192  # points per block of estimate_normals: bounds its (k+1, block, 3) neighbourhood
+_COV_ENTRIES = ((0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2))  # the distinct entries of a 3x3 covariance
 _KNN_BLOCK = 8192  # query points per block of shared_knn: bounds the block's results before they are scattered
 
 
@@ -91,11 +93,12 @@ def check_extrinsics(extrinsics) -> np.ndarray:
     if extrinsics.shape != (4, 4):
         raise ValueError("extrinsics must be a 4x4 matrix")
     rot = extrinsics[:3, :3]
-    if not np.allclose(rot @ rot.T, np.eye(3), atol=_ROT_TOL):
+    # the inequality np.allclose evaluates (NaN and inf fail it), without its per-call setup
+    if not np.all(np.abs(rot @ rot.T - _EYE3) <= _ROT_TOL + 1e-5 * _EYE3):
         raise ValueError("extrinsics rotation block is not orthonormal")
     if abs(np.linalg.det(rot) - 1.0) > _ROT_TOL:
         raise ValueError("extrinsics rotation must have determinant +1")
-    if not np.allclose(extrinsics[3], (0.0, 0.0, 0.0, 1.0)):
+    if not np.all(np.abs(extrinsics[3] - _BOTTOM_ROW) <= 1e-8 + 1e-5 * _BOTTOM_ROW):
         raise ValueError("extrinsics bottom row must be (0, 0, 0, 1)")
     return extrinsics
 
@@ -328,9 +331,19 @@ def estimate_normals(
     normals = np.empty((n, 3))
     for start in range(0, n, _NORMALS_BLOCK):
         block = slice(start, start + _NORMALS_BLOCK)
-        hood = pts[neighbors[block]]
-        hood -= hood.mean(axis=1, keepdims=True)
-        evals, evecs = np.linalg.eigh(np.einsum("mki,mkj->mij", hood, hood))
+        nb = neighbors[block]
+        hood = np.empty((k + 1, len(nb), 3))  # neighbour-major, gathered without a transposed copy of nb
+        for t, d in enumerate(hood):
+            np.take(pts, nb[:, t], axis=0, out=d)
+        hood -= hood.sum(axis=0) / (k + 1)
+        cov, prod = np.empty((len(nb), 3, 3)), np.empty(len(nb))
+        for i, j in _COV_ENTRIES:  # summed from 0.0 in neighbour order, as einsum sums: the same bits
+            total = np.zeros(len(nb))
+            for d in hood:
+                total += np.multiply(d[:, i], d[:, j], out=prod)
+            cov[:, i, j] = cov[:, j, i] = total
+        del hood, d  # so that no two blocks' neighbourhoods are held at once
+        evals, evecs = np.linalg.eigh(cov)
         spread = evals[:, 2]
         normals[block] = evecs[:, :, 0]
         normals[block][(spread <= 0.0) | (evals[:, 1] <= 1e-10 * spread)] = (0.0, 0.0, 1.0)

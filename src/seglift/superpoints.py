@@ -14,7 +14,8 @@ the loop yields the connected components of the weight-0 subgraph, all with
 largest ``Int(C) + k / |C|`` of any component formed so far: weights ascend,
 so no later edge can pass the test. The fold pass only grows components, so
 it skips edges that, when it starts, lie inside one component or join two of
-``min_size`` or more.
+``min_size`` or more, and it stops once no component below ``min_size`` has
+an edge left to fold along.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def partition_superpoints(
     keys = np.sort(keys, axis=None)
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     pairs = (np.divmod(keys[s : s + _EDGE_BLOCK], n) for s in range(0, len(keys), _EDGE_BLOCK))
-    weights = np.concatenate([np.einsum("ij,ij->i", normals[lo], normals[hi]) for lo, hi in pairs])
+    weights = np.concatenate([np.einsum("ij,ij->i", *np.take(normals, pair, axis=0)) for pair in pairs])
     weights = np.clip(1.0 - np.abs(weights), 0.0, 1.0)
     # stable on sorted keys: ascending (weight, lo, hi)
     order = np.argsort(weights, kind="stable")
@@ -170,9 +171,10 @@ def partition_superpoints(
     a, b, ws = a[cross], b[cross], weights[cross]
     del lo, hi, weights, cross  # the loops read only the cross-component edges
     uf = _UnionFind(np.bincount(comp).tolist())
+    parent, size, find = uf.parent, uf.size, uf.find
     reach = merge_threshold / min(uf.size)  # the largest Int + k/|C| of any root so far
-    # the loops take their edges as Python scalars one block at a time, so
-    # the lists hold one block, not every edge
+    # the loops take their edges as Python scalars one block at a time, so the lists hold
+    # one block, not every edge; roots are looked up inline, as most nodes sit at or just below one
     for s in range(0, len(a), _EDGE_BLOCK):
         if ws[s] > reach:  # a block that broke early leaves reach unchanged
             break
@@ -180,7 +182,9 @@ def partition_superpoints(
         for ca, cb, w in zip(a[block].tolist(), b[block].tolist(), ws[block].tolist()):
             if w > reach:
                 break
-            ra, rb = uf.find(ca), uf.find(cb)
+            ra, rb = parent[ca], parent[cb]
+            ra = ra if parent[ra] == ra else find(ca)
+            rb = rb if parent[rb] == rb else find(cb)
             if ra == rb:
                 continue
             if (
@@ -192,16 +196,27 @@ def partition_superpoints(
                 reach = max(reach, w + merge_threshold / uf.size[root])
 
     # ascending order means each small component meets its cheapest neighbor first
+    del ws  # the fold reads no weights
     roots, sizes = uf.roots(), np.asarray(uf.size)
     ra, rb = roots[a], roots[b]
     small = np.flatnonzero((ra != rb) & ((sizes[ra] < min_size) | (sizes[rb] < min_size)))
-    del roots, sizes, ra, rb
+    touched = np.zeros(len(sizes), dtype=bool)
+    touched[ra[small]] = touched[rb[small]] = True
+    left = np.count_nonzero(touched & (sizes < min_size))  # small roots with an edge to fold along
+    del roots, sizes, ra, rb, touched
     for s in range(0, len(small), _EDGE_BLOCK):
+        if not left:  # sizes only grow: no later edge touches a small root
+            break
         block = small[s : s + _EDGE_BLOCK]
         for ca, cb in zip(a[block].tolist(), b[block].tolist()):
-            ra, rb = uf.find(ca), uf.find(cb)
-            if ra != rb and (uf.size[ra] < min_size or uf.size[rb] < min_size):
-                uf.union(ra, rb)
+            ra, rb = parent[ca], parent[cb]
+            ra = ra if parent[ra] == ra else find(ca)
+            rb = rb if parent[rb] == rb else find(cb)
+            if ra != rb and (size[ra] < min_size or size[rb] < min_size):
+                left -= (size[ra] < min_size) + (size[rb] < min_size)
+                left += size[uf.union(ra, rb)] < min_size
+                if not left:
+                    break
 
     # dense labels, numbered by each superpoint's first point
     _, first, inverse = np.unique(uf.roots()[comp], return_index=True, return_inverse=True)

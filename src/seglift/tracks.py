@@ -38,6 +38,8 @@ __all__ = [
     "read_tracks",
 ]
 
+_CROSS = ndimage.generate_binary_structure(2, 1)  # the morphology's default structure, built once
+
 
 @dataclass
 class NoiseSpec:
@@ -194,13 +196,12 @@ def noisy_track(
         mask = full[box]
         if noise.r_morph > 0:
             if rng.random() < 0.5:
-                mask = ndimage.binary_dilation(mask, iterations=noise.r_morph)
+                mask = ndimage.binary_dilation(mask, _CROSS, iterations=noise.r_morph)
             else:
-                mask = ndimage.binary_erosion(mask, iterations=noise.r_morph)
+                mask = ndimage.binary_erosion(mask, _CROSS, iterations=noise.r_morph)
         if noise.p_flip > 0 and noise.flip_band > 0:
-            band = ndimage.binary_dilation(mask, iterations=noise.flip_band) & ~ndimage.binary_erosion(
-                mask, iterations=noise.flip_band
-            )
+            band = ndimage.binary_dilation(mask, _CROSS, iterations=noise.flip_band)
+            band &= ~ndimage.binary_erosion(mask, _CROSS, iterations=noise.flip_band)
             flips = band & (rng.random(full.shape)[box] < noise.p_flip)
             mask = mask ^ flips
         if t == query.pivot_view or mask.any():

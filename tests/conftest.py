@@ -1,11 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy import ndimage
 
 from seglift.geometry import CameraFrame, project_cloud, project_points
 from seglift.synth import SceneSpec, build_scene
 from seglift.tracks import MaskTrack, _apply_forgetting, oracle_track
 from seglift.view_select import PixelIndex
+
+# `pytest --hypothesis-profile ci` runs property tests at five times their
+# examples: the default's, or the count a test passes through examples()
+_CI_SCALE = 5
+settings.register_profile("ci", max_examples=_CI_SCALE * settings.get_profile("default").max_examples)
+
+
+def examples(count):
+    """A property test's example count, scaled up under the ``ci`` profile."""
+    return _CI_SCALE * count if settings.get_current_profile_name() == "ci" else count
 
 
 def make_frame(depth, fx=100.0, fy=100.0, cx=None, cy=None, extrinsics=None):

@@ -22,7 +22,7 @@ from seglift.geometry import (
 
 from seglift.synth import SceneSpec, build_scene
 
-from conftest import backproject_pixels, flat_depth, make_frame, pose_from, rotation_z
+from conftest import backproject_pixels, examples, flat_depth, make_frame, pose_from, rotation_z
 
 
 # --- references: the earlier implementations ---------------------------------
@@ -44,6 +44,19 @@ def reference_normals(positions, k, neighbors):
     signs = np.sign(normals[np.arange(n), lead])
     signs[signs == 0] = 1.0
     return normals * signs[:, None]
+
+
+def reference_check_extrinsics(extrinsics):
+    """check_extrinsics with its two tolerance tests as np.allclose calls."""
+    extrinsics = np.asarray(extrinsics, dtype=np.float64)
+    rot = extrinsics[:3, :3]
+    if not np.allclose(rot @ rot.T, np.eye(3), atol=1e-6):
+        raise ValueError("extrinsics rotation block is not orthonormal")
+    if abs(np.linalg.det(rot) - 1.0) > 1e-6:
+        raise ValueError("extrinsics rotation must have determinant +1")
+    if not np.allclose(extrinsics[3], (0.0, 0.0, 0.0, 1.0)):
+        raise ValueError("extrinsics bottom row must be (0, 0, 0, 1)")
+    return extrinsics
 
 
 def normals_case(kind, n, seed):
@@ -416,7 +429,7 @@ class TestEstimateNormals:
         normals = estimate_normals(pts, 5)
         np.testing.assert_allclose(normals, np.tile([0.0, 0.0, 1.0], (30, 1)))
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     @given(
         kind=st.sampled_from(["random", "planar", "collinear", "duplicates", "mixed"]),
         k=st.integers(3, 10),
@@ -476,6 +489,57 @@ class TestDomainTypes:
         refl[0, 0] = -1.0
         with pytest.raises(ValueError):
             make_frame(flat_depth(4, 4, 1.0), extrinsics=refl)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        edits=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.integers(0, 3),
+                st.one_of(
+                    st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.0, 1.0]),
+                    # offsets around the tolerances: 1e-8 and 1e-8 + 1e-5 on the
+                    # bottom row, and about 1e-6 on the rotation's Gram matrix
+                    st.builds(
+                        lambda m, e, sign: sign * m * 10.0**e,
+                        st.floats(0.5, 5.0),
+                        st.integers(-9, -5),
+                        st.sampled_from([-1.0, 1.0]),
+                    ),
+                ),
+                st.booleans(),
+            ),
+            max_size=3,
+        ),
+    )
+    # inside allclose's relative term, and either side of its absolute one
+    @example(seed=0, edits=[(3, 3, 1e-5, False)])
+    @example(seed=0, edits=[(3, 3, 1e-8 + 1e-5, False)])
+    @example(seed=0, edits=[(3, 0, 1e-8, False)])
+    @example(seed=0, edits=[(3, 0, 2e-8, False)])
+    @example(seed=0, edits=[(0, 0, 2e-6, False)])
+    @example(seed=0, edits=[(1, 2, 5e-7, False)])
+    @example(seed=0, edits=[(0, 1, np.nan, True)])
+    @example(seed=0, edits=[(3, 2, np.nan, True)])
+    @example(seed=0, edits=[(3, 1, -np.inf, True)])
+    def test_extrinsics_check_raises_as_allclose_does(self, seed, edits):
+        """The inline tolerance test rejects the same poses, with the same
+        message, as np.allclose. An edit either replaces an entry of a rigid
+        pose or is added to it."""
+        rng = np.random.default_rng(seed)
+        ext = pose_from(random_rotation(rng), rng.uniform(-2.0, 2.0, size=3))
+        for i, j, value, replace in edits:
+            ext[i, j] = value if replace or not np.isfinite(value) else ext[i, j] + value
+
+        def outcome(check):
+            with np.errstate(all="ignore"):
+                try:
+                    return check(ext).tobytes()
+                except ValueError as err:
+                    return str(err)
+
+        assert outcome(geometry.check_extrinsics) == outcome(reference_check_extrinsics)
 
     def test_pixel_set_requires_increasing_indices(self):
         with pytest.raises(ValueError):

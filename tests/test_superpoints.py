@@ -15,6 +15,8 @@ from seglift.geometry import PointCloud, estimate_normals, shared_knn
 from seglift.pipeline import PipelineConfig, prepare_state
 from seglift.superpoints import SuperpointPartition, _UnionFind, partition_superpoints
 
+from conftest import examples
+
 
 def grid_plane(nx, ny, spacing, origin, axes):
     """Points on a regular grid spanned by two axis vectors."""
@@ -207,7 +209,7 @@ def oracle_case(kind, n, seed):
 
 
 class TestReferenceOracle:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     @given(
         kind=st.sampled_from(["grid", "random", "mixed"]),
         n=st.integers(1, 400),
@@ -240,12 +242,23 @@ class TestReferenceOracle:
             np.testing.assert_array_equal(got.assignment, expected.assignment)
 
 
+class _CountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
 class TestMergeLoopExit:
     def test_loop_stops_at_the_first_edge_no_root_can_take(self):
         """Three constant-normal grid planes: A and B nearly parallel, C at a
         right angle. A and B merge; no component can take an edge of weight
         1, so the loop stops at the first one, and the labels still equal the
-        reference loop's."""
+        reference loop's. The visited edges are counted as reads of the
+        union-find's parent list."""
         a = grid_plane(12, 12, 0.05, (0, 0, 0), [(1, 0, 0), (0, 1, 0)])
         b = grid_plane(12, 12, 0.05, (0.6, 0, 0), [(1, 0, 0), (0, 1, 0)])
         c = grid_plane(12, 12, 0.05, (0, 0.6, 0.05), [(1, 0, 0), (0, 0, 1)])
@@ -261,9 +274,22 @@ class TestMergeLoopExit:
         weights = 1.0 - np.abs(np.einsum("ij,ij->i", normals[edges[:, 0]], normals[edges[:, 1]]))
         light, heavy = np.count_nonzero((weights > 0) & (weights < 0.5)), np.count_nonzero(weights >= 0.5)
         assert light > 0 and heavy > 1
-        with mock.patch.object(_UnionFind, "find", autospec=True, side_effect=_UnionFind.find) as find:
+        made, init = [], _UnionFind.__init__
+
+        def counting_init(uf, sizes):
+            init(uf, sizes)
+            uf.parent = _CountingList(uf.parent)
+            made.append(uf)
+
+        with (
+            mock.patch.object(_UnionFind, "__init__", counting_init),
+            mock.patch.object(_UnionFind, "find", autospec=True, side_effect=_UnionFind.find) as find,
+        ):
             got = partition_superpoints(cloud, normals, **kwargs)
-        assert find.call_count == 2 * light  # every light edge, then no heavy one
+        # three components make no tree deeper than one, so a visited edge
+        # reads its two ends' parents and theirs, and never needs find
+        assert find.call_count == 0
+        assert made[0].parent.reads == 4 * light  # every light edge, then no heavy one
         np.testing.assert_array_equal(got.assignment, _reference_partition(cloud, normals, **kwargs).assignment)
         assert got.count == 2
 
