@@ -93,9 +93,10 @@ def check_extrinsics(extrinsics) -> np.ndarray:
     if extrinsics.shape != (4, 4):
         raise ValueError("extrinsics must be a 4x4 matrix")
     rot = extrinsics[:3, :3]
-    # the inequality np.allclose evaluates (NaN and inf fail it), without its per-call setup
-    if not np.all(np.abs(rot @ rot.T - _EYE3) <= _ROT_TOL + 1e-5 * _EYE3):
-        raise ValueError("extrinsics rotation block is not orthonormal")
+    # the inequality np.allclose evaluates, without its per-call setup; NaN and inf fail it without a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        if not np.all(np.abs(rot @ rot.T - _EYE3) <= _ROT_TOL + 1e-5 * _EYE3):
+            raise ValueError("extrinsics rotation block is not orthonormal")
     if abs(np.linalg.det(rot) - 1.0) > _ROT_TOL:
         raise ValueError("extrinsics rotation must have determinant +1")
     if not np.all(np.abs(extrinsics[3] - _BOTTOM_ROW) <= 1e-8 + 1e-5 * _BOTTOM_ROW):
@@ -272,35 +273,37 @@ def shared_knn(positions: np.ndarray, ks: tuple[int, ...]) -> list[np.ndarray]:
     """Neighbor ids for several neighbor counts from one k-NN query.
 
     Returns one (N, k+1) array per ``k`` in ``ks``, self first, equal to
-    ``cKDTree(positions).query(positions, k + 1)[1]``. Each is a column
-    prefix of one query at the largest ``k``. A prefix can differ from a
-    direct query only where distances tie, at its boundary or inside it (a
-    duplicate point can even displace the query point from column 0), so
-    every row whose first ``k + 2`` distances hold a tie is queried again at
-    exactly ``k + 1``.
+    ``cKDTree(positions).query(positions, k + 1)[1]``, as int32 below 2**31
+    points. Each is a column prefix of one query at the largest ``k``. A
+    prefix can differ from a direct query only where distances tie, at its
+    boundary or inside it (a duplicate point can even displace the query
+    point from column 0), so every row whose first ``k + 2`` distances hold
+    a tie is queried again at exactly ``k + 1``.
     """
     if min(ks) < 1:
         raise ValueError("k must be at least 1")
     pts = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    n = len(pts)
     tree = cKDTree(pts)
     width = max(ks) + 1
     # queried in the tree's leaf order, one block at a time, so neighbouring
-    # queries walk the same nodes; each block is scattered back into its rows
-    dist = np.empty((len(pts), width))
-    nbr = np.empty((len(pts), width), dtype=np.intp)
-    for start in range(0, len(pts), _KNN_BLOCK):
+    # queries walk the same nodes; each block's ids are scattered back into
+    # their rows, and its distances are read for ties and dropped
+    nbr = np.empty((n, width), dtype=np.int32 if n < 2**31 else np.intp)
+    tied = np.zeros((len(ks), n), dtype=bool)  # per k, the rows whose first k + 2 distances hold a tie
+    for start in range(0, n, _KNN_BLOCK):
         rows = tree.indices[start : start + _KNN_BLOCK]
-        dist[rows], nbr[rows] = tree.query(pts[rows], k=width)
+        dist, nbr[rows] = tree.query(pts[rows], k=width)
+        same = dist[:, 1:] == dist[:, :-1]
+        for i, k in enumerate(ks):
+            tied[i, rows] = np.any(same[:, : k + 1], axis=1)
     out = []
-    for k in ks:
-        cols = k + 1
-        prefix = nbr[:, :cols]
-        if cols < width:
-            head = dist[:, : cols + 1]
-            tied = np.flatnonzero(np.any(head[:, 1:] == head[:, :-1], axis=1))
-            if tied.size:
-                prefix = prefix.copy()
-                prefix[tied] = tree.query(pts[tied], k=cols)[1]
+    for k, rows in zip(ks, tied):
+        prefix = nbr[:, : k + 1]
+        rows = np.flatnonzero(rows)
+        if k + 1 < width and rows.size:
+            prefix = prefix.copy()
+            prefix[rows] = tree.query(pts[rows], k=k + 1)[1]
         out.append(prefix)
     return out
 

@@ -229,7 +229,8 @@ class PipelineState:
     """Context shared by every round and every strategy run on one scene.
 
     Everything but ``lifted`` is read-only. ``instances`` holds the working
-    views' instance renders, which the oracle and noisy trackers read.
+    views' instance renders, which the oracle and noisy trackers read, each
+    in the narrowest signed integer type that holds its ids.
     ``lifted`` memoises the strategy-independent half of each track: its
     ``LiftedTrack`` or its failure cause. A seed's key is (tracker, seed,
     track id); the pivot, the query and the noisy tracker's RNG seed depend
@@ -287,7 +288,8 @@ def prepare_state(cloud, frames, instances, config) -> PipelineState:
                 render = winst[t]
                 if render.shape != shape:
                     raise DataError(f"instance render {t}: shape {render.shape} differs from {shape}")
-                renders.append(render)
+                # the narrowest signed type that holds -1 and the largest id: int8 up to id 127
+                renders.append(render.astype(np.min_scalar_type(min(int(render.min()), -1 - int(render.max())))))
             yield project_cloud(cloud.positions, [frame], config.depth_tolerance)[0]
 
     pixels = PixelIndex.build(partition, projections(), shape)

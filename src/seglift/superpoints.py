@@ -143,29 +143,35 @@ def partition_superpoints(
         _, neighbors = cKDTree(positions).query(positions, k=knn_k + 1)
     elif neighbors.shape != (n, knn_k + 1):
         raise ValueError("neighbors must be (N, knn_k+1)")
-    # undirected edge keys lo * n + hi, built in place in a fresh copy of the neighbour ids
-    keys = neighbors[:, 1:].astype(np.int64)
-    rows = np.arange(n)[:, None]
-    hi = np.maximum(keys, rows)
-    np.minimum(keys, rows, out=keys)
+    # undirected edge keys lo * n + hi, built in place in a fresh int64 array and sorted in place
+    nb, rows = neighbors[:, 1:], np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)[:, None]
+    keys = np.minimum(nb, rows, dtype=np.int64).ravel()
     keys *= n
-    keys += hi
-    del hi
-    keys = np.sort(keys, axis=None)
+    keys += np.maximum(nb, rows).ravel()
+    keys.sort()
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     pairs = (np.divmod(keys[s : s + _EDGE_BLOCK], n) for s in range(0, len(keys), _EDGE_BLOCK))
     weights = np.concatenate([np.einsum("ij,ij->i", *np.take(normals, pair, axis=0)) for pair in pairs])
-    weights = np.clip(1.0 - np.abs(weights), 0.0, 1.0)
+    np.subtract(1.0, np.abs(weights, out=weights), out=weights)
+    np.clip(weights, 0.0, 1.0, out=weights)
     # stable on sorted keys: ascending (weight, lo, hi)
     order = np.argsort(weights, kind="stable")
-    keys, weights = keys[order], weights[order]
+    weights = weights[order]
+    keys = keys[order]
+    del order
     lo, hi = np.divmod(keys, n)
-    del keys, order
+    del keys
 
-    # the weight-0 prefix always merges: its components seed the union-find (still in key order, it is CSR)
+    # the weight-0 prefix always merges: its components seed the union-find (still in key order, it is CSR);
+    # they join the ends of every prefix edge, so only the tail is kept for the loops, and cut before the call
     flat = np.count_nonzero(weights == 0.0)
-    indptr = np.searchsorted(lo[:flat], np.arange(n + 1))
-    _, comp = connected_components(csr_matrix((np.ones(flat), hi[:flat], indptr), shape=(n, n)), directed=False)
+    index = np.int32 if max(n, flat) < 2**31 else np.int64
+    indices, indptr = hi[:flat].astype(index), np.searchsorted(lo[:flat], np.arange(n + 1)).astype(index)
+    weights = weights[flat:].copy()  # one at a time, so that at most one is held twice
+    lo = lo[flat:].copy()
+    hi = hi[flat:].copy()
+    _, comp = connected_components(csr_matrix((np.ones(flat), indices, indptr), shape=(n, n)), directed=False)
+    del indices, indptr
     a, b = comp[lo], comp[hi]
     cross = a != b
     a, b, ws = a[cross], b[cross], weights[cross]

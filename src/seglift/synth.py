@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _EPS = 1e-9
+_POSE_CHARS = frozenset("0123456789+-.eE \t\n")  # what a pose file may hold
 
 _PALETTE = np.array(
     [
@@ -650,8 +651,12 @@ def load_scene(path, require_instances: bool = False) -> Scene:
         pose_file = root / "frames" / f"{t:04d}.pose"
         if not pose_file.is_file():
             break
-        try:
-            poses.append(check_extrinsics(np.loadtxt(pose_file, dtype=np.float64)))
+        text = read_text(pose_file)  # read as np.loadtxt reads a 4x4 file, to its bits, without its setup
+        rows = [row.split() for row in text.split("\n") if row.strip()]
+        if not _POSE_CHARS.issuperset(text):  # refused: 1_0, which float() reads, comments, nan and inf
+            raise DataError(f"{pose_file}: expected 4 lines of 4 decimal numbers")
+        try:  # any layout but 4x4 is a ragged array or a shape check_extrinsics rejects
+            poses.append(check_extrinsics(np.array(rows, dtype=np.float64)))
         except ValueError as exc:
             raise DataError(f"{pose_file}: {exc}") from exc
         depth_file, inst_file = pose_file.with_suffix(".depth"), pose_file.with_suffix(".inst")

@@ -62,9 +62,20 @@ def test_partition_peak_is_a_few_edge_arrays(cloud):
     normals = estimate_normals(cloud.positions, NORMALS_K, neighbors=normal_nbr)
     edge_array = n * GRAPH_K * 8  # int64 or float64 over every directed k-NN edge
     gathers = 2 * superpoints._EDGE_BLOCK * 3 * 8  # the two (block, 3) normal gathers
-    bound = 5 * edge_array + gathers
+    bound = 3 * edge_array + gathers
     peak = traced_peak(partition_superpoints, cloud, normals, knn_k=GRAPH_K, neighbors=nbr)
     assert peak < bound
+
+
+def test_knn_peak_is_its_four_byte_ids(cloud):
+    """The k-NN holds 4-byte ids and one block's distances; a whole (N, k+1)
+    distance matrix next to 8-byte ids would take twice the bound."""
+    n = len(cloud)
+    assert 4 * geometry._KNN_BLOCK < n  # several query blocks
+    bound = 1.5 * n * (NORMALS_K + 1) * 8
+    peak = traced_peak(shared_knn, cloud.positions, (NORMALS_K, GRAPH_K))
+    assert peak < bound
+    assert all(nbr.dtype.itemsize == 4 for nbr in shared_knn(cloud.positions, (NORMALS_K, GRAPH_K)))
 
 
 def test_track_file_peak_is_set_by_its_runs(tmp_path):

@@ -24,7 +24,7 @@ from seglift.pipeline import (
     write_proposal_points,
     write_proposals,
 )
-from seglift.tracks import MaskTrack, write_tracks, read_tracks
+from seglift.tracks import MaskTrack, NoiseSpec, TrackerQuery, noisy_track, oracle_track, read_tracks, write_tracks
 
 from conftest import make_frame
 
@@ -316,6 +316,45 @@ class TestSharedState:
             objectives[tracker] = [p.objective for p in shared.proposals]
         assert objectives["oracle"] != objectives["noisy"]
         assert {tracker for tracker, _, _ in state.lifted} == {"oracle", "noisy"}
+
+
+class TestNarrowRenders:
+    """prepare_state keeps each working instance render in the narrowest
+    signed integer type that holds its ids; the trackers read the same
+    masks from it as from the int32 renders."""
+
+    def test_scene_ids_fit_int8(self, small_scene):
+        state = prepare_state(small_scene.cloud, small_scene.frames, small_scene.instances, quick_config())
+        assert {render.dtype for render in state.instances} == {np.dtype(np.int8)}
+
+    def test_trackers_equal_on_int32_renders(self, small_scene):
+        # ids on both sides of the int8 and int16 limits, and two views that are all -1
+        views = [(5, 127), (), (128, 200), (300, 32767), (32768, 40000), (127, 40000)]
+        ids = sorted({i for view in views for i in view})
+        height, width = small_scene.frames[0].height, small_scene.frames[0].width
+        renders = []
+        for view in views:
+            render = np.full((height, width), -1, dtype=np.int32)
+            for i in view:  # one 3-row band per id, the same rows in every view
+                render[3 * ids.index(i) : 3 * ids.index(i) + 3, 2:-2] = i
+            renders.append(render)
+        frames = small_scene.frames[: len(views)]
+        state = prepare_state(small_scene.cloud, frames, renders, quick_config(view_stride=1))
+        assert [render.dtype for render in state.instances] == [np.dtype(t) for t in "i1 i1 i2 i2 i4 i4".split()]
+        for narrow, wide in zip(state.instances, renders):
+            np.testing.assert_array_equal(narrow, wide)
+        noise = NoiseSpec(p_drop=0.3, r_morph=1, p_flip=0.3, memory_window=2)
+        for j, i in enumerate(ids):
+            pivot = next(t for t, view in enumerate(views) if i in view)
+            query = TrackerQuery(pivot, [(3 * j + 1, width // 2)])
+            for track in (
+                lambda r: oracle_track(query, r, track_id=j),
+                lambda r: noisy_track(query, r, noise, rng_seed=j, track_id=j),
+            ):
+                got, want = track(state.instances), track(renders)
+                assert list(got.masks) == list(want.masks) and got.score == want.score
+                for t in want.masks:
+                    np.testing.assert_array_equal(got.masks[t], want.masks[t])
 
 
 class TestFileTracker:

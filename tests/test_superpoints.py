@@ -488,6 +488,33 @@ class TestSharedKnn:
         )
         np.testing.assert_array_equal(state.partition.assignment, expected.assignment)
 
+    @settings(max_examples=examples(60), deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 5), st.integers(2, 5), st.integers(2, 5)),
+        spacing=st.tuples(*[st.sampled_from([1.0, 1.5, 2.0, 3.0])] * 3),
+        jitter=st.sampled_from([0.0, 0.5, 0.9]),
+        duplicates=st.integers(0, 12),
+        block=st.integers(1, 6),
+        ks=st.lists(st.integers(1, 14), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ties_across_blocks_equal_direct_queries(self, shape, spacing, jitter, duplicates, block, ks, seed):
+        """A lattice, whose neighbours lie at a few exact distances, with a
+        share of its points moved off their ties, plus duplicate points;
+        shuffled and queried a few points per block, so that tied and untied
+        rows straddle blocks."""
+        rng = np.random.default_rng(seed)
+        axes = (np.arange(m) * d for m, d in zip(shape, spacing))
+        pts = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, 3)
+        pts += (rng.random((len(pts), 1)) < jitter) * rng.uniform(-0.2, 0.2, pts.shape)
+        pts = np.concatenate([pts, pts[rng.integers(0, len(pts), size=duplicates)]])
+        pts = pts[rng.permutation(len(pts))]
+        with mock.patch.object(geometry, "_KNN_BLOCK", block):
+            shared = shared_knn(pts, tuple(ks))
+        tree = cKDTree(pts)
+        for k, nbr in zip(ks, shared):
+            np.testing.assert_array_equal(nbr, tree.query(pts, k=k + 1)[1])
+
     def test_blocked_query_equals_direct_query(self):
         """A cloud of several query blocks: each block, taken in the tree's
         leaf order, lands in its own rows."""

@@ -1,5 +1,7 @@
 """Generator and renderer self-consistency checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from seglift import synth
 from seglift.errors import DataError
-from seglift.geometry import project_points
+from seglift.geometry import check_extrinsics, project_points
 from seglift.pipeline import PipelineConfig, prepare_state, subsample_views
 from seglift.synth import (
     SceneSpec,
@@ -17,6 +19,8 @@ from seglift.synth import (
     render_frames,
     save_scene,
 )
+
+from conftest import examples
 
 
 class TestGenerateScene:
@@ -231,6 +235,77 @@ class TestSceneFileFuzz:
         frame = scene.frames[0]
         assert np.all(np.isfinite(scene.cloud.positions))
         assert np.all(np.isfinite((frame.fx, frame.fy, frame.cx, frame.cy)))
+
+
+# round-trip formats, then ones too coarse for a rigid rotation
+_POSE_FORMATS = ("{!r}", "{:.17g}", "{:.25f}", "{:+.16E}", "{:e}", "{:+.3E}", "{:g}", "{:.0f}")
+# tokens float() reads and np.loadtxt refuses, ones np.loadtxt reads and the loader refuses, ones neither reads
+_POSE_GARBAGE = ("1_0", "\u0661", "nan", "inf", "-inf", "0x1", "1e", ".", "+-1", "1#", "#", "1d5", "1,0", "1e400", "")
+
+
+@st.composite
+def pose_texts(draw):
+    """A rigid pose, each entry in one of several formats, in one of
+    several layouts, sometimes with one token or character spoiled."""
+    quat = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 4)))
+    w, x, y, z = quat / np.linalg.norm(quat) if np.linalg.norm(quat) > 1e-3 else (1.0, 0.0, 0.0, 0.0)
+    pose = np.eye(4)
+    pose[:3, :3] = [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]
+    pose[:3, 3] = draw(st.tuples(*[st.floats(-1e6, 1e6)] * 3))
+    formats = st.sampled_from(_POSE_FORMATS[: draw(st.sampled_from([4, 4, 4, 8]))])
+    tokens = [draw(formats).format(float(v)) for v in pose.flat]
+    if draw(st.integers(0, 3)) == 0:
+        tokens[draw(st.integers(0, 15))] = draw(st.sampled_from(_POSE_GARBAGE))
+    width = draw(st.sampled_from([4, 4, 4, 2, 8, 16]))
+    space = st.sampled_from([" ", "  ", "\t", " \t"])
+    end = st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\n \t\n"])
+    lines = [draw(space).join(tokens[i : i + width]) for i in range(0, 16, width)]
+    text = draw(st.sampled_from(["", " ", "\n"])) + "".join(line + draw(end) for line in lines)
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 1))
+        text = text[:at] + draw(st.sampled_from("0123456789+-.eE_ \t\n#")) * (1 - cut) + text[at + cut :]
+    return text
+
+
+class TestPoseFiles:
+    """A pose file loads to the bits np.loadtxt and check_extrinsics give,
+    or is a DataError; on the characters of numbers and whitespace alone,
+    it loads whenever they accept it."""
+
+    @given(text=pose_texts())
+    @settings(max_examples=examples(300), deadline=None)
+    @example(text="1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    @example(text="1 0 0 0\n\n0 1 0 0\r\n 0 0 1 1e400\n0 0 0 1")
+    @example(text="1 0 0 1_0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    @example(text="1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1\n")
+    @example(text="1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1 # comment\n")
+    @example(text="")
+    @example(text="1e400 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")  # inf in the rotation: rejected without a warning
+    def test_equals_loadtxt_or_raises_data_error(self, tiny_scene_dir, text):
+        target = tiny_scene_dir / "frames" / "0000.pose"
+        original = target.read_bytes()
+        target.write_bytes(text.encode("utf-8"))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns about a file without data
+                want = check_extrinsics(np.loadtxt(target, dtype=np.float64))
+        except (ValueError, UserWarning):
+            want = None
+        try:
+            got = load_scene(tiny_scene_dir).frames[0].extrinsics
+        except DataError:
+            got = None
+        finally:
+            target.write_bytes(original)
+        if got is not None:
+            assert want is not None and got.tobytes() == want.tobytes()
+        if want is not None and set(text) <= set("0123456789+-.eE \t\r\n"):
+            assert got is not None
 
 
 @pytest.fixture
