@@ -1,7 +1,5 @@
 """Exception types shared across the package, and the checked read of input files."""
 
-from pathlib import Path
-
 
 class DataError(Exception):
     """Malformed input files or inconsistent scene data."""
@@ -18,6 +16,7 @@ class InvariantViolation(Exception):
 def read_text(path) -> str:
     """The whole of an ASCII input file; an unreadable one is a DataError."""
     try:
-        return Path(path).read_text(encoding="ascii")
+        with open(path, encoding="ascii") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

@@ -303,9 +303,12 @@ def _combine_seed(base_seed: int, track_id: int) -> int:
 @dataclass(frozen=True)
 class LiftedTrack:
     """A track lifted to its visibility matrix, with the fields a Proposal
-    keeps; the masks themselves are dropped."""
+    keeps; the masks themselves are dropped. ``vis`` keeps only the columns
+    of ``superpoints``, the track's sorted candidates: no strategy selects
+    a superpoint outside every visibility row."""
 
     vis: VisibilityMatrix
+    superpoints: np.ndarray
     track_id: int
     score: float
     pivot_view: int
@@ -315,7 +318,9 @@ class LiftedTrack:
 def _lift(state: PipelineState, track: MaskTrack) -> LiftedTrack:
     cfg = state.config
     vis = visibility_matrix(track, state.pixels, tau=cfg.tau)
-    return LiftedTrack(vis, track.track_id, float(track.score), track.pivot_view, track.seed_superpoint)
+    cand = vis.candidates()
+    vis = VisibilityMatrix(vis.views, vis.rows[:, cand], vis.in_counts[:, cand], vis.total_counts[:, cand])
+    return LiftedTrack(vis, cand, track.track_id, float(track.score), track.pivot_view, track.seed_superpoint)
 
 
 def _track_and_lift(state: PipelineState, seed: int, track_id: int, tracker: str) -> LiftedTrack | str:
@@ -355,17 +360,19 @@ def _refine(state: PipelineState, lifted: LiftedTrack, refine, round_index: int)
     """Refine a lifted track into a proposal; None when the selection is empty."""
     vis = lifted.vis
     try:
-        solution = refine(vis)
+        solution = refine(vis)  # over the candidate columns, scattered back to every superpoint below
     except ValueError as exc:  # a view enumerator's cap
         raise DataError(f"track {lifted.track_id}: {exc}") from exc
     recount = objective_from_counts(solution.theta, vis)
     if solution.objective != recount:
         raise InvariantViolation(f"track {lifted.track_id}: refined objective {solution.objective} != recount {recount}")
-    ids = solution.selected()
+    ids = lifted.superpoints[solution.selected()]
     if ids.size == 0:
         return None
+    theta = np.zeros(state.partition.count, dtype=bool)
+    theta[ids] = True
     return Proposal(
-        point_mask=solution.theta[state.partition.assignment],
+        point_mask=theta[state.partition.assignment],
         superpoint_ids=ids,
         score=lifted.score,
         seed_superpoint=lifted.seed_superpoint,

@@ -154,28 +154,33 @@ def partition_superpoints(
     weights = np.concatenate([np.einsum("ij,ij->i", *np.take(normals, pair, axis=0)) for pair in pairs])
     np.subtract(1.0, np.abs(weights, out=weights), out=weights)
     np.clip(weights, 0.0, 1.0, out=weights)
-    # stable on sorted keys: ascending (weight, lo, hi)
+
+    # weight-0 edges come first in (weight, lo, hi) order and always merge, so no loop reads them: their
+    # components seed the union-find, from a CSR built on their keys, which are still in key order
+    zero = weights == 0.0
+    flat = keys[zero]
+    np.logical_not(zero, out=zero)
+    weights = weights[zero]  # one at a time, so that at most one is held twice
+    keys = keys[zero]
+    del zero
+    index = np.int32 if max(n, len(flat)) < 2**31 else np.int64
+    indptr = np.searchsorted(flat, np.arange(n + 1, dtype=np.int64) * n).astype(index)
+    indices = np.remainder(flat, n, out=flat).astype(index)
+    del flat
+    _, comp = connected_components(csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n)), directed=False)
+    del indices, indptr
+    # only the weighted edges are sorted: stable on key order, that is ascending (weight, lo, hi)
     order = np.argsort(weights, kind="stable")
-    weights = weights[order]
+    ws = weights[order]
+    del weights
     keys = keys[order]
     del order
-    lo, hi = np.divmod(keys, n)
+    a = comp[keys // n]
+    b = comp[np.remainder(keys, n, out=keys)]
     del keys
-
-    # the weight-0 prefix always merges: its components seed the union-find (still in key order, it is CSR);
-    # they join the ends of every prefix edge, so only the tail is kept for the loops, and cut before the call
-    flat = np.count_nonzero(weights == 0.0)
-    index = np.int32 if max(n, flat) < 2**31 else np.int64
-    indices, indptr = hi[:flat].astype(index), np.searchsorted(lo[:flat], np.arange(n + 1)).astype(index)
-    weights = weights[flat:].copy()  # one at a time, so that at most one is held twice
-    lo = lo[flat:].copy()
-    hi = hi[flat:].copy()
-    _, comp = connected_components(csr_matrix((np.ones(flat), indices, indptr), shape=(n, n)), directed=False)
-    del indices, indptr
-    a, b = comp[lo], comp[hi]
     cross = a != b
-    a, b, ws = a[cross], b[cross], weights[cross]
-    del lo, hi, weights, cross  # the loops read only the cross-component edges
+    a, b, ws = a[cross], b[cross], ws[cross]
+    del cross  # the loops read only the cross-component edges
     uf = _UnionFind(np.bincount(comp).tolist())
     parent, size, find = uf.parent, uf.size, uf.find
     reach = merge_threshold / min(uf.size)  # the largest Int + k/|C| of any root so far

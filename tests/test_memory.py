@@ -62,7 +62,7 @@ def test_partition_peak_is_a_few_edge_arrays(cloud):
     normals = estimate_normals(cloud.positions, NORMALS_K, neighbors=normal_nbr)
     edge_array = n * GRAPH_K * 8  # int64 or float64 over every directed k-NN edge
     gathers = 2 * superpoints._EDGE_BLOCK * 3 * 8  # the two (block, 3) normal gathers
-    bound = 3 * edge_array + gathers
+    bound = 2 * edge_array + gathers
     peak = traced_peak(partition_superpoints, cloud, normals, knn_k=GRAPH_K, neighbors=nbr)
     assert peak < bound
 

@@ -1,17 +1,23 @@
 """Round loop, dedup, file-tracker mode, and config handling."""
 
+import gc
 import math
+import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seglift import pipeline
+from seglift import cli, pipeline
 from seglift.errors import DataError
 from seglift.evaluation import mask_iou
 from seglift.geometry import PointCloud
+from seglift.optimize import VisibilityMatrix
 from seglift.pipeline import (
+    STRATEGY_NAMES,
     PipelineConfig,
     parse_strategy,
     prepare_state,
@@ -26,7 +32,7 @@ from seglift.pipeline import (
 )
 from seglift.tracks import MaskTrack, NoiseSpec, TrackerQuery, noisy_track, oracle_track, read_tracks, write_tracks
 
-from conftest import make_frame
+from conftest import examples, make_frame
 
 
 class TestSubsampleViews:
@@ -355,6 +361,87 @@ class TestNarrowRenders:
                 assert list(got.masks) == list(want.masks) and got.score == want.score
                 for t in want.masks:
                     np.testing.assert_array_equal(got.masks[t], want.masks[t])
+
+
+@st.composite
+def lifted_matrices(draw):
+    """Full visibility matrices in which columns that no row marks, and
+    rows that mark nothing, are common."""
+    views = draw(st.integers(0, 6))
+    count = draw(st.integers(1, 12))
+    seen = np.array(draw(st.lists(st.booleans(), min_size=count, max_size=count)))
+
+    def grid(elements):
+        return np.array(draw(st.lists(elements, min_size=views * count, max_size=views * count))).reshape(views, count)
+
+    inside = grid(st.integers(0, 3)).astype(np.int64)
+    total = inside + grid(st.integers(0, 3)).astype(np.int64)
+    rows = grid(st.booleans()).astype(bool) & seen
+    return VisibilityMatrix(np.arange(views), rows, inside, total)
+
+
+class TestNarrowMemo:
+    """A lifted track keeps only its candidate columns; refined on them and
+    scattered back, every strategy gives the full matrix's selection."""
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(
+        full=lifted_matrices(),
+        name=st.sampled_from(sorted(set(STRATEGY_NAMES) | set(cli.ABLATION_STRATEGIES))),
+        k=st.integers(1, 8),
+    )
+    @example(  # no candidates, and one view that sees nothing
+        full=VisibilityMatrix(np.arange(1), np.zeros((1, 3), bool), np.ones((1, 3)), np.ones((1, 3))),
+        name="dp",
+        k=1,
+    )
+    @example(  # a track with no views
+        full=VisibilityMatrix(np.arange(0), np.zeros((0, 4), bool), np.zeros((0, 4)), np.zeros((0, 4))),
+        name="top_k:<k>",
+        k=2,
+    )
+    def test_narrow_refine_equals_full(self, full, name, k):
+        refine = parse_strategy(name.replace("<k>", str(k)))
+        count = full.superpoint_count
+        partition = SimpleNamespace(count=count, assignment=np.arange(2 * count) % count)
+        state = SimpleNamespace(config=PipelineConfig(), pixels=None, partition=partition)
+        with mock.patch.object(pipeline, "visibility_matrix", return_value=full):
+            lifted = pipeline._lift(state, SimpleNamespace(track_id=3, score=0.5, pivot_view=0, seed_superpoint=1))
+        np.testing.assert_array_equal(lifted.superpoints, full.candidates())
+        assert lifted.vis.rows.shape == (full.view_count, len(full.candidates()))
+        want = refine(full)
+        got = pipeline._refine(state, lifted, refine, round_index=0)
+        if not want.theta.any():
+            assert got is None
+            return
+        np.testing.assert_array_equal(got.superpoint_ids, want.selected())
+        np.testing.assert_array_equal(got.point_mask, want.theta[state.partition.assignment])
+        assert got.objective == want.objective
+
+    def test_memo_holds_candidate_columns(self, small_scene):
+        """At stride 1 a track spans 40 views; the memo holds 17 B per view
+        and candidate (two int64 counts and a bool), where every superpoint's
+        column would take about ten times as much on this scene."""
+        state = prepare_state(small_scene.cloud, small_scene.frames, small_scene.instances, quick_config(view_stride=1))
+        run_rounds(state, "dp")
+        state.lifted.clear()  # the first run's one-time allocations are not the memo's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_rounds(state, "dp")
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        lifted = [entry for entry in state.lifted.values() if not isinstance(entry, str)]
+        assert lifted
+        # 8 B per view index and candidate id; 1 KB per entry for its key, slot and Python objects
+        shapes = [(e.vis.view_count, len(e.vis.candidates())) for e in lifted]
+        bound = sum(17 * views * candidates + 8 * (views + candidates) for views, candidates in shapes)
+        bound += 1024 * len(state.lifted)
+        assert sum(17 * e.vis.view_count * state.partition.count for e in lifted) > bound  # full columns cannot pass
+        assert held < bound
 
 
 class TestFileTracker:

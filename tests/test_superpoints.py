@@ -228,6 +228,21 @@ class TestReferenceOracle:
         got = partition_superpoints(cloud, normals, **kwargs)
         np.testing.assert_array_equal(got.assignment, expected.assignment)
 
+    @pytest.mark.parametrize("kind", ["grid", "random"])
+    def test_labels_equal_reference_when_all_or_no_edges_weigh_zero(self, kind):
+        """Constant normals make every edge weigh 0, so the union-find loops
+        get no edge; random normals make none weigh 0, so no edge goes to
+        the connected-components seed."""
+        pts, normals = oracle_case(kind, 300, seed=5)
+        _, nbr = cKDTree(pts).query(pts, k=7)
+        lo, hi = np.repeat(np.arange(len(pts)), 6), nbr[:, 1:].ravel()
+        weights = np.clip(1.0 - np.abs(np.einsum("ij,ij->i", normals[lo], normals[hi])), 0.0, 1.0)
+        assert np.all(weights == 0.0) if kind == "grid" else np.all(weights > 0.0)
+        cloud = as_cloud(pts)
+        for kwargs in (dict(knn_k=6, min_size=1), dict(knn_k=6, merge_threshold=0.3, min_size=25)):
+            got = partition_superpoints(cloud, normals, **kwargs)
+            np.testing.assert_array_equal(got.assignment, _reference_partition(cloud, normals, **kwargs).assignment)
+
     @pytest.mark.parametrize("normals_from", ["estimated", "constant", "shuffled"])
     def test_labels_equal_reference_loop_on_scene(self, normals_from, small_scene):
         cloud = small_scene.cloud
