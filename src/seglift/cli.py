@@ -188,7 +188,7 @@ def cmd_segment(args) -> int:
     outputs = {"proposals": str(proposals_path)}
     if not args.no_points:
         points_path = out_dir / "points.txt"
-        write_proposal_points(result.proposals, points_path)
+        write_proposal_points(result.proposals, result.partition, points_path)
         outputs["points"] = str(points_path)
     _write_manifest(out_dir / "manifest.json", "segment", args, config, result, timings, outputs)
     print(
@@ -206,13 +206,13 @@ def cmd_eval(args) -> int:
     points_path = Path(args.proposals).with_name("points.txt")
     if records and not points_path.is_file():
         raise DataError(f"{points_path}: point index companion file is required for eval")
-    point_masks = read_proposal_points(points_path, len(cloud)) if records else {}
+    point_ids = read_proposal_points(points_path, len(cloud)) if records else {}
     records = sorted(records, key=lambda r: (-r["score"], r["id"]))
     for record in records:
-        if record["id"] not in point_masks:
+        if record["id"] not in point_ids:
             raise DataError(f"proposal {record['id']}: missing point indices")
-    masks = [point_masks[r["id"]] for r in records]
-    text = evaluate(masks, [float(r["score"]) for r in records], cloud.gt_instance).text()
+    ids = [point_ids[r["id"]] for r in records]
+    text = evaluate(ids, [float(r["score"]) for r in records], cloud.gt_instance).text()
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="ascii")
@@ -231,7 +231,8 @@ def cmd_ablate(args) -> int:
     rows = []
     for strategy in ABLATION_STRATEGIES:
         proposals = run_rounds(state, strategy, tracker, tracks).proposals
-        report = evaluate([p.point_mask for p in proposals], [p.score for p in proposals], scene.cloud.gt_instance)
+        ids = [state.partition.point_ids(p.superpoint_ids) for p in proposals]
+        report = evaluate(ids, [p.score for p in proposals], scene.cloud.gt_instance)
         mean_obj = float(np.mean([p.objective for p in proposals])) if proposals else 0.0
         rows.append([strategy, *(f"{v:.6f}" for _, v in report.table()), f"{mean_obj:.3f}", str(config.seed)])
     header = ["strategy", *(name for name, _ in report.table()), "mean_objective", "seed"]

@@ -1,9 +1,11 @@
-"""Class-agnostic instance segmentation metrics over point masks.
+"""Class-agnostic instance segmentation metrics over point ids.
 
-Matching is greedy in score order: each proposal takes the unmatched
-ground-truth instance with the highest IoU at or above the threshold (ties
-to the lower id). AP is the area under the interpolated precision-recall
-curve; the headline AP averages thresholds 0.50:0.05:0.95.
+A proposal is scored as the sorted, unique ids of its points; ground truth
+is one instance id per point, background below 0. Matching is greedy in
+score order: each proposal takes the unmatched ground-truth instance with
+the highest IoU at or above the threshold (ties to the lower id). AP is the
+area under the interpolated precision-recall curve; the headline AP
+averages thresholds 0.50:0.05:0.95.
 """
 
 from __future__ import annotations
@@ -18,15 +20,17 @@ AP_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection over union of two boolean point masks; 0 if both empty."""
-    a = np.asarray(a, dtype=bool)
-    b = np.asarray(b, dtype=bool)
+    """Intersection over union of two masks of nonnegative integer weights:
+    the sum of their minima over the sum of their maxima, 0 if that is 0.
+    Over boolean point masks it counts points; over the superpoint sizes of
+    two superpoint sets it gives the same integers, so the same float."""
+    a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"mask length mismatch: {a.shape} vs {b.shape}")
-    union = int(np.count_nonzero(a | b))
+    union = int(np.maximum(a, b).sum())
     if union == 0:
         return 0.0
-    return int(np.count_nonzero(a & b)) / union
+    return int(np.minimum(a, b).sum()) / union
 
 
 @dataclass
@@ -98,18 +102,19 @@ def _match_at_threshold(ious: np.ndarray, gt_ids: list[int], threshold: float) -
 
 
 def evaluate(
-    masks: list[np.ndarray],
+    proposals: list[np.ndarray],
     scores: list[float],
     gt_instance: np.ndarray,
     thresholds: tuple[float, ...] = AP_THRESHOLDS,
 ) -> EvalReport:
-    """Score proposals (already sorted by descending score) against labeled
-    points. gt_instance ids below 0 are background and never evaluated."""
+    """Score proposals (already sorted by descending score), each given as
+    its strictly ascending point ids, against labeled points. gt_instance
+    ids below 0 are background and never evaluated."""
     gt_instance = np.asarray(gt_instance, dtype=np.int64)
     gt_ids = np.unique(gt_instance[gt_instance >= 0])
     if gt_ids.size == 0:
         raise ValueError("nothing to evaluate: no ground-truth instances")
-    if len(masks) != len(scores):
+    if len(proposals) != len(scores):
         raise ValueError("one score per proposal required")
     scores_arr = np.asarray(scores, dtype=np.float64)
     if len(scores_arr) > 1 and np.any(np.diff(scores_arr) > 0):
@@ -120,13 +125,13 @@ def evaluate(
     gt_rank = np.where(gt_instance < 0, len(gt_ids), np.searchsorted(gt_ids, gt_instance))
     gt_sizes = np.bincount(gt_rank, minlength=len(gt_ids) + 1)[:-1].tolist()
     rows = []
-    for mask in masks:
-        if np.shape(mask) != gt_instance.shape:
-            raise ValueError("proposal masks must cover the full cloud")
-        ranks = gt_rank[np.asarray(mask, dtype=bool)]
-        inter = np.bincount(ranks, minlength=len(gt_ids) + 1)[:-1].tolist()
-        rows.append([i / (len(ranks) + g - i) for i, g in zip(inter, gt_sizes)])
-    ious = np.array(rows).reshape(len(masks), len(gt_ids))
+    for ids in proposals:
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids[0] < 0 or ids[-1] >= len(gt_rank) or np.any(ids[1:] <= ids[:-1])):
+            raise ValueError("proposal point ids must be strictly ascending and within the cloud")
+        inter = np.bincount(gt_rank[ids], minlength=len(gt_ids) + 1)[:-1].tolist()
+        rows.append([i / (len(ids) + g - i) for i, g in zip(inter, gt_sizes)])
+    ious = np.array(rows).reshape(len(proposals), len(gt_ids))
     wanted = sorted(set(thresholds) | {0.25, 0.50})
     per_threshold = {t: _match_at_threshold(ious, gt_ids.tolist(), t) for t in wanted}
     ap = float(np.mean([per_threshold[t].ap for t in thresholds]))

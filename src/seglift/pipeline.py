@@ -173,20 +173,17 @@ class PipelineConfig:
 
 @dataclass
 class Proposal:
-    """A 3D instance proposal: the union of its member superpoints."""
+    """A 3D instance proposal: the union of its member superpoints, sorted
+    ids into the partition, which hold ``point_count`` points."""
 
-    point_mask: np.ndarray
     superpoint_ids: np.ndarray
+    point_count: int
     score: float
     seed_superpoint: int
     pivot_view: int
     round_index: int
     objective: int
     proposal_id: int = -1
-
-    @property
-    def point_count(self) -> int:
-        return int(np.count_nonzero(self.point_mask))
 
 
 @dataclass
@@ -369,11 +366,9 @@ def _refine(state: PipelineState, lifted: LiftedTrack, refine, round_index: int)
     ids = lifted.superpoints[solution.selected()]
     if ids.size == 0:
         return None
-    theta = np.zeros(state.partition.count, dtype=bool)
-    theta[ids] = True
     return Proposal(
-        point_mask=theta[state.partition.assignment],
         superpoint_ids=ids,
+        point_count=int(state.partition.sizes[ids].sum()),
         score=lifted.score,
         seed_superpoint=lifted.seed_superpoint,
         pivot_view=lifted.pivot_view,
@@ -382,15 +377,20 @@ def _refine(state: PipelineState, lifted: LiftedTrack, refine, round_index: int)
     )
 
 
-def _dedup(proposals: list[Proposal], dedup_iou: float) -> list[Proposal]:
+def _dedup(proposals: list[Proposal], sizes: np.ndarray, dedup_iou: float) -> list[Proposal]:
+    """The proposals, best first, without any whose IoU with a better one
+    passes ``dedup_iou``. Each proposal is weighed as its superpoints' sizes,
+    0 elsewhere, so ``mask_iou`` divides the point counts of overlap and union."""
     ordered = sorted(
         proposals, key=lambda p: (-p.score, p.round_index, p.seed_superpoint)
     )
-    kept: list[Proposal] = []
+    kept: list[tuple[Proposal, np.ndarray]] = []
     for prop in ordered:
-        if all(mask_iou(prop.point_mask, other.point_mask) <= dedup_iou for other in kept):
-            kept.append(prop)
-    return kept
+        weights = np.zeros_like(sizes)
+        weights[prop.superpoint_ids] = sizes[prop.superpoint_ids]
+        if all(mask_iou(weights, other) <= dedup_iou for _, other in kept):
+            kept.append((prop, weights))
+    return [prop for prop, _ in kept]
 
 
 def run_round(
@@ -508,7 +508,7 @@ def run_rounds(
             round_index += 1
         leftover = int(free.sum())
 
-    kept = _dedup(proposals, config.dedup_iou)
+    kept = _dedup(proposals, state.partition.sizes, config.dedup_iou)
     for prop in proposals:
         rounds[prop.round_index].deduped += 1
     for i, prop in enumerate(kept):
@@ -526,8 +526,8 @@ def run_rounds(
 # --- proposal files --------------------------------------------------------
 #
 # proposals: one JSON object per line with id, score, superpoints,
-# point_count and provenance. An optional companion file carries explicit
-# point indices per proposal for evaluators that lack the partition.
+# point_count and provenance. An optional companion file carries each
+# proposal's sorted point ids, for evaluators that lack the partition.
 
 
 def write_proposals(proposals: list[Proposal], path) -> None:
@@ -572,14 +572,15 @@ def read_proposals(path) -> list[dict]:
     return list(records.values())
 
 
-def write_proposal_points(proposals: list[Proposal], path) -> None:
+def write_proposal_points(proposals: list[Proposal], partition: SuperpointPartition, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for prop in proposals:
-            indices = np.flatnonzero(prop.point_mask)
+            indices = partition.point_ids(prop.superpoint_ids)
             fh.write(f"{prop.proposal_id} " + " ".join(str(int(i)) for i in indices) + "\n")
 
 
 def read_proposal_points(path, point_count: int) -> dict[int, np.ndarray]:
+    """Each line's proposal id and its sorted, unique point ids; repeated ids count once."""
     out: dict[int, np.ndarray] = {}
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         tokens = line.split()
@@ -594,7 +595,5 @@ def read_proposal_points(path, point_count: int) -> dict[int, np.ndarray]:
             raise DataError(f"{path}: line {lineno}: point index out of range")
         if pid in out:
             raise DataError(f"{path}: line {lineno}: repeated id {pid}")
-        mask = np.zeros(point_count, dtype=bool)
-        mask[idx] = True
-        out[pid] = mask
+        out[pid] = np.unique(idx)
     return out

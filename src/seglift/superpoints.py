@@ -73,6 +73,10 @@ class SuperpointPartition:
     def __len__(self) -> int:
         return self.count
 
+    def point_ids(self, ids) -> np.ndarray:
+        """Sorted ids of the points of superpoints ``ids``, read from ``members``."""
+        return np.sort(np.concatenate([np.zeros(0, dtype=np.int64), *(self.members[i] for i in ids)]))
+
 
 class _UnionFind:
     def __init__(self, sizes: list[int]):

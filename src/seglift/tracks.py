@@ -375,12 +375,13 @@ def read_tracks(path) -> list[MaskTrack]:
 
 def _parse_views(rest: list[str], height: int, width: int, path, lineno: int) -> dict[int, np.ndarray]:
     """Checked int64 run lengths of one line's ``t:r0 r1 ...`` entries, all
-    numbers converted at once."""
+    numbers converted at once. A view id beyond int64 is a data error."""
     starts = [i for i, token in enumerate(rest) if ":" in token]
     if rest and starts[:1] != [0]:
         raise DataError(f"{path}: line {lineno}: run length before any view entry")
+    groups = list(zip(starts, starts[1:] + [len(rest)]))
     numbers, bounds = [], []
-    for a, b in zip(starts, starts[1:] + [len(rest)]):
+    for a, b in groups:
         head, _, tail = rest[a].partition(":")
         bounds.append(len(numbers))
         numbers.append(head)
@@ -391,38 +392,25 @@ def _parse_views(rest: list[str], height: int, width: int, path, lineno: int) ->
     try:
         values = np.array(numbers, dtype=np.int64)
     except (ValueError, OverflowError):
-        # a bad or out-of-range number: the token loop names it, or parses it as before
-        return _parse_views_by_token(rest, height, width, path, lineno)
+        # name the first bad token, entry by entry, as a reader meets them: a bad number, or
+        # an entry whose runs fail their check; past every entry only a view id beyond int64 is left
+        for a, b in groups:
+            head, _, tail = rest[a].partition(":")
+            try:
+                int(head)
+                runs = [int(tail)] if tail else []
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: bad view entry {rest[a]!r}") from exc
+            for token in rest[a + 1 : b]:
+                try:
+                    runs.append(int(token))
+                except ValueError as exc:
+                    raise DataError(f"{path}: line {lineno}: bad run length {token!r}") from exc
+            _line_runs(runs, height, width, path, lineno)
+        raise DataError(f"{path}: line {lineno}: a view id beyond int64")
     by_view: dict[int, np.ndarray] = {}
     for a, b in zip(bounds, bounds[1:]):
         by_view[int(values[a])] = _line_runs(values[a + 1 : b], height, width, path, lineno)
-    return by_view
-
-
-def _parse_views_by_token(rest: list[str], height: int, width: int, path, lineno: int) -> dict[int, np.ndarray]:
-    """The same run lengths, one token at a time: the first bad token is the one reported."""
-    by_view: dict[int, np.ndarray] = {}
-    view: int | None = None
-    runs: list[int] = []
-    for token in rest:
-        if ":" in token:
-            if view is not None:
-                by_view[view] = _line_runs(runs, height, width, path, lineno)
-            head, _, tail = token.partition(":")
-            try:
-                view = int(head)
-                runs = [int(tail)] if tail else []
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: bad view entry {token!r}") from exc
-        else:
-            if view is None:
-                raise DataError(f"{path}: line {lineno}: run length before any view entry")
-            try:
-                runs.append(int(token))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: bad run length {token!r}") from exc
-    if view is not None:
-        by_view[view] = _line_runs(runs, height, width, path, lineno)
     return by_view
 
 

@@ -5,7 +5,8 @@ from scipy import ndimage
 
 from seglift.geometry import CameraFrame, project_cloud, project_points
 from seglift.synth import SceneSpec, build_scene
-from seglift.tracks import MaskTrack, _apply_forgetting, oracle_track
+from seglift.errors import DataError
+from seglift.tracks import MaskTrack, _apply_forgetting, _line_runs, oracle_track
 from seglift.view_select import PixelIndex
 
 # `pytest --hypothesis-profile ci` runs property tests at five times their
@@ -88,6 +89,35 @@ def reference_noisy_track(query, instance_renders, noise, rng_seed, track_id=0, 
     kept = _apply_forgetting(noised, query, len(instance_renders), noise.memory_window)
     score = len(kept) / len(base.masks)
     return MaskTrack(track_id, score, kept, query.pivot_view, seed_superpoint)
+
+
+def reference_parse_views(rest, height, width, path, lineno):
+    """A track line's ``t:r0 r1 ...`` entries parsed one token at a time,
+    with Python ints: the oracle for the batched ``tracks._parse_views``.
+    The first bad token is the one reported."""
+    by_view = {}
+    view = None
+    runs = []
+    for token in rest:
+        if ":" in token:
+            if view is not None:
+                by_view[view] = _line_runs(runs, height, width, path, lineno)
+            head, _, tail = token.partition(":")
+            try:
+                view = int(head)
+                runs = [int(tail)] if tail else []
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: bad view entry {token!r}") from exc
+        else:
+            if view is None:
+                raise DataError(f"{path}: line {lineno}: run length before any view entry")
+            try:
+                runs.append(int(token))
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: bad run length {token!r}") from exc
+    if view is not None:
+        by_view[view] = _line_runs(runs, height, width, path, lineno)
+    return by_view
 
 
 def backproject_pixels(frame, rows, cols, depths):

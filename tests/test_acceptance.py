@@ -256,7 +256,7 @@ def test_oracle_end_to_end():
             scene.cloud, scene.frames, config, tracker="oracle", instances=scene.instances
         )
         report = evaluate(
-            [p.point_mask for p in result.proposals],
+            [result.partition.point_ids(p.superpoint_ids) for p in result.proposals],
             [p.score for p in result.proposals],
             scene.cloud.gt_instance,
         )

@@ -261,6 +261,24 @@ class TestEval:
         main(["eval", "--scene", str(scene_dir), "--proposals", str(out / "proposals.jsonl"), "--out", str(r2)])
         assert r1.read_bytes() == r2.read_bytes()
 
+    def test_eval_repeated_and_unsorted_ids_count_once(self, scene_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_segment(scene_dir, out)
+        shuffled = tmp_path / "shuffled"
+        shutil.copytree(out, shuffled)
+        lines = []
+        for line in (out / "points.txt").read_text().splitlines():
+            pid, *ids = line.split()
+            lines.append(" ".join([pid, *ids[::-1], *ids[::3]]))  # descending, then every third id again
+        (shuffled / "points.txt").write_text("\n".join(lines) + "\n")
+        reports = []
+        for run in (out, shuffled):
+            capsys.readouterr()
+            assert main(["eval", "--scene", str(scene_dir), "--proposals", str(run / "proposals.jsonl")]) == 0
+            reports.append(capsys.readouterr().out)
+        assert (shuffled / "points.txt").read_bytes() != (out / "points.txt").read_bytes()
+        assert reports[0] == reports[1]
+
     def test_eval_reads_only_the_cloud(self, scene_dir, tmp_path, capsys):
         out = tmp_path / "run"
         run_segment(scene_dir, out)

@@ -2,15 +2,41 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seglift.evaluation import AP_THRESHOLDS, EvalReport, _match_at_threshold, evaluate, mask_iou
+from seglift.superpoints import SuperpointPartition
+
+from conftest import examples
 
 
 def masks_from_labels(labels, ids):
     labels = np.asarray(labels)
     return [labels == i for i in ids]
+
+
+def point_ids(masks):
+    """Each dense point mask as the sorted point ids that evaluate takes."""
+    return [np.flatnonzero(mask) for mask in masks]
+
+
+@st.composite
+def partitioned_sets(draw):
+    """A dense assignment of up to 40 points to superpoints, one-point ones
+    included, and two superpoint sets, each empty, everything or random."""
+    n = draw(st.integers(1, 40))
+    count = draw(st.integers(1, n))
+    rest = draw(st.lists(st.integers(0, count - 1), min_size=n - count, max_size=n - count))
+    assignment = np.array(list(range(count)) + rest)[np.array(draw(st.permutations(range(n))))]
+
+    def subset():
+        kind = draw(st.sampled_from(["empty", "all", "random"]))
+        if kind == "random":
+            return np.array(draw(st.lists(st.booleans(), min_size=count, max_size=count)))
+        return np.full(count, kind == "all")
+
+    return assignment, subset(), subset()
 
 
 class TestMaskIou:
@@ -37,12 +63,27 @@ class TestMaskIou:
         with pytest.raises(ValueError, match="mismatch"):
             mask_iou(np.zeros(3, dtype=bool), np.zeros(4, dtype=bool))
 
+    @settings(max_examples=examples(200), deadline=None)
+    @given(partitioned_sets())
+    @example((np.arange(5), np.ones(5, bool), np.zeros(5, bool)))  # one-point superpoints; the whole cloud, nothing
+    @example((np.zeros(7, np.int64), np.ones(1, bool), np.ones(1, bool)))  # one superpoint, the whole cloud twice
+    def test_superpoint_weights_equal_point_masks(self, case):
+        """Two superpoint sets, each weighed as its superpoints' sizes, have
+        the IoU of their dense point masks, bit for bit."""
+        assignment, theta_a, theta_b = case
+        partition = SuperpointPartition.from_assignment(assignment, np.zeros((len(assignment), 3)))
+        a, b = theta_a[assignment], theta_b[assignment]
+        got = mask_iou(np.where(theta_a, partition.sizes, 0), np.where(theta_b, partition.sizes, 0))
+        union = np.count_nonzero(a | b)
+        assert got == mask_iou(a, b) == (np.count_nonzero(a & b) / union if union else 0.0)
+        np.testing.assert_array_equal(partition.point_ids(np.flatnonzero(theta_a)), np.flatnonzero(a))
+
 
 class TestEvaluate:
     def test_perfect_predictions(self):
         gt = np.array([0, 0, 1, 1, 2, 2, -1, -1])
         masks = masks_from_labels(gt, [0, 1, 2])
-        report = evaluate(masks, [0.9, 0.8, 0.7], gt)
+        report = evaluate(point_ids(masks), [0.9, 0.8, 0.7], gt)
         assert report.ap == report.ap50 == report.ap25 == 1.0
         assert report.rc == report.rc50 == report.rc25 == 1.0
 
@@ -59,7 +100,7 @@ class TestEvaluate:
         perfect = gt == 0
         junk = np.zeros(12, dtype=bool)
         junk[8:] = True
-        report = evaluate([perfect, junk], [0.9, 0.5], gt)
+        report = evaluate(point_ids([perfect, junk]), [0.9, 0.5], gt)
         curve = report.per_threshold[0.50]
         np.testing.assert_allclose(curve.precisions, [1.0, 0.5])
         np.testing.assert_allclose(curve.recalls, [0.5, 0.5])
@@ -70,12 +111,12 @@ class TestEvaluate:
         gt = np.array([0] * 6 + [1] * 6)
         mostly_one = np.zeros(12, dtype=bool)
         mostly_one[4:12] = True  # IoU with gt1 = 6/8, with gt0 = 2/12
-        report = evaluate([mostly_one], [1.0], gt, thresholds=(0.5,))
+        report = evaluate(point_ids([mostly_one]), [1.0], gt, thresholds=(0.5,))
         assert report.per_threshold[0.50].matches == [(0, 1, pytest.approx(0.75))]
         # exact tie between two ground truths goes to the lower id
         tie = np.zeros(12, dtype=bool)
         tie[3:9] = True  # IoU 3/9 with both
-        rep = evaluate([tie], [1.0], gt, thresholds=(0.25,))
+        rep = evaluate(point_ids([tie]), [1.0], gt, thresholds=(0.25,))
         assert rep.per_threshold[0.25].matches[0][1] == 0
 
     def test_duplicate_lower_score_never_raises_ap(self):
@@ -83,8 +124,8 @@ class TestEvaluate:
         gt = rng.integers(-1, 3, size=40)
         masks = masks_from_labels(gt, [0, 1, 2])
         scores = [0.9, 0.8, 0.7]
-        base = evaluate(masks, scores, gt)
-        dup = evaluate(masks + [masks[0]], scores + [0.1], gt)
+        base = evaluate(point_ids(masks), scores, gt)
+        dup = evaluate(point_ids(masks + [masks[0]]), scores + [0.1], gt)
         assert dup.ap <= base.ap + 1e-12
 
     def test_score_rescaling_invariance(self):
@@ -92,8 +133,8 @@ class TestEvaluate:
         gt = rng.integers(-1, 4, size=60)
         masks = [rng.random(60) < 0.3 for _ in range(5)]
         scores = [0.9, 0.7, 0.5, 0.3, 0.1]
-        a = evaluate(masks, scores, gt)
-        b = evaluate(masks, [s * 7.5 for s in scores], gt)
+        a = evaluate(point_ids(masks), scores, gt)
+        b = evaluate(point_ids(masks), [s * 7.5 for s in scores], gt)
         assert a.ap == b.ap and a.rc == b.rc
 
     def test_threshold_ordering_property(self):
@@ -105,7 +146,7 @@ class TestEvaluate:
             n = rng.integers(1, 7)
             masks = [rng.random(50) < rng.uniform(0.1, 0.5) for _ in range(n)]
             scores = sorted(rng.random(n).tolist(), reverse=True)
-            report = evaluate(masks, scores, gt)
+            report = evaluate(point_ids(masks), scores, gt)
             assert report.ap <= report.ap50 + 1e-12
             assert report.ap50 <= report.ap25 + 1e-12
             assert 0.0 <= report.ap <= 1.0
@@ -118,12 +159,13 @@ class TestEvaluate:
         gt = np.array([0, 1])
         masks = masks_from_labels(gt, [0, 1])
         with pytest.raises(ValueError, match="descending"):
-            evaluate(masks, [0.1, 0.9], gt)
+            evaluate(point_ids(masks), [0.1, 0.9], gt)
 
-    def test_wrong_mask_length_rejected(self):
+    def test_point_ids_out_of_range_or_unsorted_rejected(self):
         gt = np.array([0, 1, -1])
-        with pytest.raises(ValueError, match="full cloud"):
-            evaluate([np.zeros(2, dtype=bool)], [1.0], gt)
+        for ids in ([0, 3], [-1, 1], [1, 0], [1, 1]):
+            with pytest.raises(ValueError, match="strictly ascending and within the cloud"):
+                evaluate([np.array(ids)], [1.0], gt)
 
     def test_default_thresholds(self):
         assert AP_THRESHOLDS == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
@@ -166,7 +208,7 @@ class TestSharedIouTable:
                 mask[rng.integers(0, n, size=2)] ^= True
             masks.append(mask)
         scores = sorted(rng.random(proposals).tolist(), reverse=True)
-        report = evaluate(masks, scores, labels, thresholds=(0.0, 0.3, 0.5, 1.0))
+        report = evaluate(point_ids(masks), scores, labels, thresholds=(0.0, 0.3, 0.5, 1.0))
         gt_masks = {int(g): labels == g for g in np.unique(labels[labels >= 0])}
         for threshold, result in report.per_threshold.items():
             matches, hits = reference_match(masks, gt_masks, threshold)
@@ -225,7 +267,7 @@ class TestIntegerOverlapTable:
     @given(labelled_proposals(), st.sampled_from([AP_THRESHOLDS, (0.0, 0.3, 0.5, 1.0)]))
     def test_equals_mask_iou_report(self, case, thresholds):
         masks, scores, labels = case
-        got = evaluate(masks, scores, labels, thresholds)
+        got = evaluate(point_ids(masks), scores, labels, thresholds)
         want = mask_iou_report(masks, scores, labels, thresholds)
         assert got.table() == want.table()
         assert got.per_threshold.keys() == want.per_threshold.keys()
@@ -238,7 +280,7 @@ class TestIntegerOverlapTable:
     def test_proposal_spanning_instances(self):
         labels = np.array([-1, 0, 0, 7, 7, 7, 42, -1])
         masks = [labels >= 0, np.zeros(8, bool), labels < 0, labels == 7]
-        report = evaluate(masks, [1.0, 0.9, 0.8, 0.7], labels, thresholds=(0.25,))
+        report = evaluate(point_ids(masks), [1.0, 0.9, 0.8, 0.7], labels, thresholds=(0.25,))
         # the union covers 6 points: 2/6 of gt 0, 3/6 of gt 7, 1/6 of gt 42
         assert report.per_threshold[0.25].matches == [(0, 7, 0.5)]
         assert report.table() == mask_iou_report(masks, [1.0, 0.9, 0.8, 0.7], labels, (0.25,)).table()

@@ -15,7 +15,7 @@ import pytest
 
 from seglift import geometry, superpoints
 from seglift.geometry import PointCloud, estimate_normals, shared_knn
-from seglift.pipeline import PipelineConfig, prepare_state
+from seglift.pipeline import PipelineConfig, prepare_state, run_pipeline, subsample_views
 from seglift.superpoints import partition_superpoints
 from seglift.synth import SceneSpec, build_scene, load_cloud, load_scene, save_scene
 from seglift.tracks import MaskTrack, read_tracks, write_tracks
@@ -196,3 +196,22 @@ def test_setup_never_holds_every_working_depth_map(frame_scene_dir):
     depth_bytes = 60 * 160 * 120 * 4
     peak = traced_peak(prepare_state, scene.cloud, scene.frames, None, PipelineConfig(view_stride=1))
     assert peak < depth_bytes
+
+
+def test_proposals_hold_no_point_masks(small_scene):
+    """A proposal is its superpoint set. With the result of a run alive, the
+    run holds its partition (two int64 ids per point) and a few KB per
+    proposal, where a dense mask per proposal would hold P x N bytes. The
+    64 file tracks are copies of the three objects' exact tracks, and
+    ``dedup_iou = 1`` keeps every proposal."""
+    working = subsample_views(small_scene.instances, 10)
+    objects = [{t: inst == oid for t, inst in enumerate(working) if np.any(inst == oid)} for oid in range(3)]
+    tracks = [MaskTrack(i, 0.9, objects[i % 3], min(objects[i % 3]), -1) for i in range(64)]
+    args = (small_scene.cloud, small_scene.frames, PipelineConfig(dedup_iou=1.0), "file", None, tracks)
+    run_pipeline(*args)  # the first run's one-time allocations are not the result's
+    held, result = traced_held(run_pipeline, *args)
+    n, p = len(small_scene.cloud), len(result.proposals)
+    assert p == len(tracks)
+    bound = 2 * 8 * n + 2048 * p + 65536
+    assert p * n > bound  # one dense mask per proposal cannot pass
+    assert held < bound

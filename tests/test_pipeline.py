@@ -16,6 +16,7 @@ from seglift.errors import DataError
 from seglift.evaluation import mask_iou
 from seglift.geometry import PointCloud
 from seglift.optimize import VisibilityMatrix
+from seglift.superpoints import SuperpointPartition
 from seglift.pipeline import (
     STRATEGY_NAMES,
     PipelineConfig,
@@ -99,6 +100,11 @@ class TestConfig:
             PipelineConfig.from_file(unknown)
 
 
+def point_mask(partition, prop):
+    """A proposal's dense point mask: the points of its superpoints."""
+    return np.isin(partition.assignment, prop.superpoint_ids)
+
+
 def quick_config(**kwargs):
     base = dict(samples_per_round=64, view_stride=10)
     base.update(kwargs)
@@ -118,7 +124,7 @@ class TestRunRound:
         # every emitted proposal nails some ground-truth object exactly
         gt = small_scene.cloud.gt_instance
         for prop in proposals:
-            best = max(mask_iou(prop.point_mask, gt == g) for g in np.unique(gt[gt >= 0]))
+            best = max(mask_iou(point_mask(state.partition, prop), gt == g) for g in np.unique(gt[gt >= 0]))
             assert best == 1.0
         # attempted seeds and proposal members are no longer free
         consumed = int((~free).sum())
@@ -160,7 +166,7 @@ class TestRunPipeline:
         object_ids = np.unique(gt[gt >= 0])
         assert len(result.proposals) == len(object_ids)
         for oid in object_ids:
-            best = max(mask_iou(p.point_mask, gt == oid) for p in result.proposals)
+            best = max(mask_iou(point_mask(result.partition, p), gt == oid) for p in result.proposals)
             assert best >= 0.9
 
     def test_proposals_are_superpoint_unions(self, small_scene):
@@ -174,7 +180,8 @@ class TestRunPipeline:
         assignment = result.partition.assignment
         for prop in result.proposals:
             rebuilt = np.isin(assignment, prop.superpoint_ids)
-            np.testing.assert_array_equal(rebuilt, prop.point_mask)
+            np.testing.assert_array_equal(np.flatnonzero(rebuilt), result.partition.point_ids(prop.superpoint_ids))
+            assert prop.point_count == np.count_nonzero(rebuilt)
             assert len(prop.superpoint_ids) > 0
 
     def test_deterministic_across_reruns(self, small_scene):
@@ -191,7 +198,7 @@ class TestRunPipeline:
         a, b = runs
         assert len(a.proposals) == len(b.proposals)
         for pa, pb in zip(a.proposals, b.proposals):
-            np.testing.assert_array_equal(pa.point_mask, pb.point_mask)
+            np.testing.assert_array_equal(point_mask(a.partition, pa), point_mask(b.partition, pb))
             assert pa.score == pb.score and pa.objective == pb.objective
 
     def test_dedup_collapses_same_object(self, small_scene):
@@ -207,7 +214,7 @@ class TestRunPipeline:
         assert len(result.proposals) == len(np.unique(gt[gt >= 0]))
         for i, a in enumerate(result.proposals):
             for b in result.proposals[i + 1 :]:
-                assert mask_iou(a.point_mask, b.point_mask) <= 0.9
+                assert mask_iou(point_mask(result.partition, a), point_mask(result.partition, b)) <= 0.9
 
     def test_max_rounds_cap_reports_leftovers(self, small_scene):
         result = run_pipeline(
@@ -251,7 +258,7 @@ class TestRunPipeline:
         assert sum(r.unliftable_seeds for r in result.rounds) > 0
         assert sum(r.no_pivot for r in result.rounds) > 0
         gt_mask = cloud.gt_instance == 0
-        assert any(mask_iou(p.point_mask, gt_mask) > 0.9 for p in result.proposals)
+        assert any(mask_iou(point_mask(result.partition, p), gt_mask) > 0.9 for p in result.proposals)
 
     def test_deduped_counted_in_the_round_of_each_removed_proposal(self, small_scene, monkeypatch):
         emitted = []
@@ -314,7 +321,7 @@ class TestSharedState:
             assert shared.rounds == fresh.rounds
             assert len(shared.proposals) == len(fresh.proposals)
             for a, b in zip(shared.proposals, fresh.proposals):
-                np.testing.assert_array_equal(a.point_mask, b.point_mask)
+                np.testing.assert_array_equal(point_mask(shared.partition, a), point_mask(fresh.partition, b))
                 np.testing.assert_array_equal(a.superpoint_ids, b.superpoint_ids)
                 assert (a.score, a.objective, a.seed_superpoint, a.pivot_view, a.round_index, a.proposal_id) == (
                     b.score, b.objective, b.seed_superpoint, b.pivot_view, b.round_index, b.proposal_id
@@ -403,7 +410,7 @@ class TestNarrowMemo:
     def test_narrow_refine_equals_full(self, full, name, k):
         refine = parse_strategy(name.replace("<k>", str(k)))
         count = full.superpoint_count
-        partition = SimpleNamespace(count=count, assignment=np.arange(2 * count) % count)
+        partition = SuperpointPartition.from_assignment(np.arange(2 * count) % count, np.zeros((2 * count, 3)))
         state = SimpleNamespace(config=PipelineConfig(), pixels=None, partition=partition)
         with mock.patch.object(pipeline, "visibility_matrix", return_value=full):
             lifted = pipeline._lift(state, SimpleNamespace(track_id=3, score=0.5, pivot_view=0, seed_superpoint=1))
@@ -415,7 +422,7 @@ class TestNarrowMemo:
             assert got is None
             return
         np.testing.assert_array_equal(got.superpoint_ids, want.selected())
-        np.testing.assert_array_equal(got.point_mask, want.theta[state.partition.assignment])
+        np.testing.assert_array_equal(point_mask(partition, got), want.theta[state.partition.assignment])
         assert got.objective == want.objective
 
     def test_memo_holds_candidate_columns(self, small_scene):
@@ -470,7 +477,7 @@ class TestFileTracker:
         prop = result.proposals[0]
         assert prop.score == 0.8
         gt_mask = small_scene.cloud.gt_instance == 0
-        assert mask_iou(prop.point_mask, gt_mask) >= 0.9
+        assert mask_iou(point_mask(result.partition, prop), gt_mask) >= 0.9
 
     def test_empty_track_counts_as_empty_selection(self, small_scene):
         shape = (small_scene.frames[0].height, small_scene.frames[0].width)
@@ -522,10 +529,10 @@ class TestProposalFiles:
             r["point_count"] == p.point_count for r, p in zip(records, result.proposals)
         )
         xpath = tmp_path / "points.txt"
-        write_proposal_points(result.proposals, xpath)
-        masks = read_proposal_points(xpath, len(small_scene.cloud))
+        write_proposal_points(result.proposals, result.partition, xpath)
+        ids = read_proposal_points(xpath, len(small_scene.cloud))
         for prop in result.proposals:
-            np.testing.assert_array_equal(masks[prop.proposal_id], prop.point_mask)
+            np.testing.assert_array_equal(ids[prop.proposal_id], np.flatnonzero(point_mask(result.partition, prop)))
 
     def test_bad_point_indices_rejected(self, tmp_path):
         path = tmp_path / "points.txt"
@@ -578,7 +585,8 @@ class TestProposalFileFuzz:
         path = tmp_path_factory.getbasetemp() / "fuzz.points"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         try:
-            masks = read_proposal_points(path, 10)
+            point_ids = read_proposal_points(path, 10)
         except DataError:
             return
-        assert all(mask.shape == (10,) and mask.dtype == bool for mask in masks.values())
+        for ids in point_ids.values():
+            assert ids.dtype == np.int64 and np.all(np.diff(ids) > 0) and np.all((ids >= 0) & (ids < 10))
