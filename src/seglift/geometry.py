@@ -174,7 +174,9 @@ class PixelSet:
 
 def _round_half_away(values: np.ndarray) -> np.ndarray:
     """Round to nearest integer, halves away from zero."""
-    return np.trunc(values + np.copysign(0.5, values))
+    rounded = np.copysign(0.5, values)
+    rounded += values
+    return np.trunc(rounded, out=rounded)
 
 
 def project_points(positions: np.ndarray, frame: CameraFrame, depth_tolerance: float = 0.1) -> PixelSet:
@@ -188,21 +190,42 @@ def project_points(positions: np.ndarray, frame: CameraFrame, depth_tolerance: f
     if not (np.isfinite(depth_tolerance) and depth_tolerance > 0):
         raise ValueError("depth_tolerance must be finite and positive")
     pts = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    height, width = frame.height, frame.width
     # camera-major (3, N): each coordinate is a contiguous row, so the
     # translation is added in long runs instead of three elements at a time
     cam = frame.rotation @ pts.T
     cam += frame.translation[:, None]
-    x, y, z = cam
-    # points behind or near the camera plane give inf or nan here; the bounds
-    # test below drops them before anything is cast to int
+    u, z = cam[0], cam[2]
+    # the column coordinate u = fx * x / z + cx, in place; points on or behind
+    # the camera plane give inf or nan here and are culled next
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rr = _round_half_away(frame.fy * y / z + frame.cy)
-        cc = _round_half_away(frame.fx * x / z + frame.cx)
-    hit = np.flatnonzero((z > 0) & (rr >= 0) & (rr < frame.height) & (cc >= 0) & (cc < frame.width))
-    r, c, z = rr[hit].astype(np.int64), cc[hit].astype(np.int64), z[hit]
-    measured = frame.depth.reshape(-1)[r * frame.width + c]
-    keep = (measured > 0) & (np.abs(z - measured) <= depth_tolerance)
-    return PixelSet(r[keep], c[keep], hit[keep])
+        u *= frame.fx
+        u /= z
+        u += frame.cx
+    # a superset of the kept points: u <= -1 rounds below column 0 and
+    # u >= W + 1 to W or beyond, so only survivors are rounded
+    near = u > -1
+    near &= u < width + 1
+    near &= z > 0
+    hit = np.flatnonzero(near)
+    u, v, z = cam.take(hit, axis=1)  # the survivors' u, y and z; the whole-cloud arrays are freed
+    del cam
+    col = _round_half_away(u).astype(np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v *= frame.fy
+        v /= z
+        v += frame.cy
+        # clipped to [-1, H] so that the cast cannot overflow; a clipped row stays out of bounds
+        row = np.clip(_round_half_away(v), -1, height, out=v).astype(np.int64)
+    # as unsigned, -1 wraps past every bound: one comparison tests both sides
+    inside = (row.view(np.uint64) < height) & (col.view(np.uint64) < width)
+    pixel = row * width
+    pixel += col
+    measured = frame.depth.reshape(-1).take(pixel, mode="clip")  # read off-image, then dropped
+    z -= measured
+    np.abs(z, out=z)
+    keep = np.flatnonzero(inside & (measured > 0) & (z <= depth_tolerance))
+    return PixelSet(row.take(keep), col.take(keep), hit.take(keep))
 
 
 def project_cloud(

@@ -343,6 +343,8 @@ def read_tracks(path) -> list[MaskTrack]:
         height, width = int(header[2]), int(header[3])
     except ValueError as exc:
         raise DataError(f"{path}: line 1: bad header dimensions") from exc
+    if min(height, width) < 0 or max(height, width, height * width) >= 2**63:  # run sums must fit in int64
+        raise DataError(f"{path}: line 1: bad header dimensions")
 
     tracks = []
     for lineno, line in enumerate(lines[1:], start=2):

@@ -62,14 +62,14 @@ class PixelIndex:
         before the next is read, so a generator that projects one view at a
         time never holds every view's projected points at once."""
         # the narrowest key lets numpy radix-sort; a stable order is the same in any dtype
-        key = np.min_scalar_type(partition.count - 1)
+        labels = partition.assignment.astype(np.min_scalar_type(partition.count - 1))
         count_rows, parts = [], []
         for ps in projections:
             # as Python ints: numpy holds on to freed buffers under 1 KB for reuse,
             # and one live row per view, spread over the heap, kept it from shrinking
             count_rows.append(superpoint_view_counts(partition, [ps])[0].tolist())
-            order = np.argsort(partition.assignment[ps.indices].astype(key), kind="stable")
-            parts.append((ps.rows * shape[1] + ps.cols).astype(np.int32)[order])
+            order = np.argsort(labels.take(ps.indices), kind="stable")
+            parts.append((ps.rows * shape[1] + ps.cols).astype(np.int32).take(order))
         counts = np.array(count_rows, dtype=np.int64).reshape(-1, partition.count)
         offsets = np.concatenate([[0], np.cumsum(counts)])
         flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)

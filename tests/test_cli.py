@@ -481,6 +481,9 @@ INPUT_ERRORS = [
     ("eval-points-repeated-id",
      {"run/proposals.jsonl": _write('{"id": 0, "score": 0.5}\n'), "run/points.txt": _write("0 1 2\n0 3 4\n")},
      ["eval", "--scene", "{scene}", "--proposals", "{scene}/run/proposals.jsonl"]),
+    ("tracker-file-huge-image",
+     {"huge.tracks": _write("tracks 1 4294967296 4294967296\n0 0.5 0 0:18446744073709551616\n")},
+     ["segment", "--scene", "{scene}", "--tracker", "file:{scene}/huge.tracks", "--out", "{tmp}/out"]),
     ("tracker-file-missing", {},
      ["segment", "--scene", "{scene}", "--tracker", "file:{tmp}/missing.txt", "--out", "{tmp}/out"]),
     ("config-missing", {}, ["segment", "--scene", "{scene}", "--config", "{tmp}/missing.cfg", "--out", "{tmp}/out"]),

@@ -145,6 +145,40 @@ def random_projection_case(rng, posed):
     return world, CameraFrame(fx, fy, cx, cy, extrinsics, depth, w, h)
 
 
+def doubles_from(value, steps):
+    """The double ``steps`` representable values above ``value`` (below if negative)."""
+    for _ in range(abs(steps)):
+        value = np.nextafter(value, np.copysign(np.inf, steps))
+    return float(value)
+
+
+def boundary_projection_case(rng):
+    """An identity-posed frame and points whose column u = fx * x / z + cx or
+    row v lies on a rounding edge (-0.5, W - 0.5, H - 0.5) or a few doubles
+    off it, at depths that include +0, -0, subnormal and negative values.
+
+    Focal lengths and depths are powers of two, so u equals its target
+    exactly whenever ``target - cx`` is exact: for cx = 0, or cx within a
+    factor of two of the target.
+    """
+    h, w = (int(size) for size in rng.integers(1, 12, size=2))
+    fx, fy = 2.0 ** rng.integers(-2, 5, size=2)
+    cx = float(rng.choice([0.0, w / 2, (w - 1) / 2, rng.integers(-4, 2 * w + 4) / 2]))
+    cy = float(rng.choice([0.0, h / 2, (h - 1) / 2, rng.integers(-4, 2 * h + 4) / 2]))
+    n = int(rng.integers(1, 40))
+    z = rng.choice([0.25, 1.0, 2.0, 8.0, 0.0, -0.0, 5e-324, 1e-300, 1e-12, -1.0], size=n)
+    targets = []
+    for size in (w, h):
+        edges = rng.choice([-0.5, size - 0.5], size=n)
+        target = np.array([doubles_from(e, int(k)) for e, k in zip(edges, rng.integers(-3, 4, size=n))])
+        inside = rng.random(n) < 0.3
+        target[inside] = rng.uniform(-0.5, size - 0.5, size=int(inside.sum()))
+        targets.append(target)
+    x, y = (targets[0] - cx) * z / fx, (targets[1] - cy) * z / fy
+    depth = rng.uniform(0.5, 9.0, size=(h, w)) * (rng.random((h, w)) < 0.9)
+    return np.column_stack([x, y, z]), CameraFrame(fx, fy, cx, cy, np.eye(4), depth, w, h)
+
+
 class TestProjectPoints:
     def test_optical_axis_point(self):
         # point (0,0,1), fx=fy=100, cx=cy=32 -> pixel (32, 32), depth matches
@@ -265,6 +299,54 @@ class TestProjectPoints:
         # the random cases above are not all empty: most keep some points
         cases = [random_projection_case(np.random.default_rng(seed), False) for seed in range(40)]
         assert sum(len(project_points(world, frame, 3.0)) > 0 for world, frame in cases) > 20
+
+    @settings(max_examples=examples(200), deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_rounding_edges_match_reference(self, seed):
+        """Points on and beside the edges where a coordinate rounds into or
+        out of the image, and on or near the camera plane: the projection
+        culls before it rounds, and must keep exactly the reference's points."""
+        rng = np.random.default_rng(seed)
+        world, frame = boundary_projection_case(rng)
+        tolerance = float(rng.choice([0.5, 1e9]))
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = reference_project_points(world, frame, tolerance)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ps = project_points(world, frame, tolerance)
+        for name in ("rows", "cols", "indices"):
+            got, want = getattr(ps, name), getattr(expected, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_rounding_edge_cases_land_on_and_beside_the_edges(self):
+        """The cases above place u and v exactly on each edge and on the
+        doubles next to it, and the reference keeps points at the innermost
+        of those doubles, which a cull tighter than the rounding would drop."""
+        on_edge, kept_inside = set(), set()
+        for seed in range(200):
+            world, frame = boundary_projection_case(np.random.default_rng(seed))
+            x, y, z = world.T
+            front = np.flatnonzero(z > 0)  # identity pose: camera coordinates are the world's
+            u = frame.fx * x[front] / z[front] + frame.cx
+            v = frame.fy * y[front] / z[front] + frame.cy
+            kept = np.isin(front, reference_project_points(world, frame, 1e9).indices)
+            for name, coord, size in (("u", u, frame.width), ("v", v, frame.height)):
+                for edge, inward in ((-0.5, 1), (size - 0.5, -1)):
+                    for steps in (-1, 0, 1, 2):
+                        at = coord == doubles_from(edge, inward * steps)
+                        if at.any():
+                            on_edge.add((name, edge == -0.5, steps))
+                        if (at & kept).any():
+                            kept_inside.add((name, edge == -0.5, steps))
+        assert on_edge == {(name, low, steps) for name in "uv" for low in (True, False) for steps in (-1, 0, 1, 2)}
+        # nothing on or outside an edge is kept; the first kept double is two
+        # steps inside -0.5, where one step gives u - 0.5 == -1 by a tie to even,
+        # and one step inside W - 0.5 or H - 0.5 (for sizes from 2)
+        assert {(name, low, steps) for name, low, steps in kept_inside if steps <= 0} == set()
+        assert {("u", True, 2), ("v", True, 2), ("u", False, 1), ("v", False, 1)} <= kept_inside
+        assert ("u", True, 1) not in kept_inside and ("v", True, 1) not in kept_inside
 
     @pytest.mark.parametrize("layout", ["contiguous", "column slice"])
     def test_matches_reference_at_benchmark_size(self, layout):

@@ -120,6 +120,22 @@ def test_projection_and_index_peak_is_the_index_and_one_view():
     assert peak < bound
 
 
+def test_one_view_projection_peak_per_cloud_point():
+    """One view of the 40k-point room, where 37% of the points pass the cull
+    (z > 0 and -1 < u < W + 1). Projection holds the camera coordinates
+    (24 B per point) and the cull mask (1 B) until the cull, then about a
+    dozen 8-byte arrays over the survivors. Rounding and bounds-testing
+    every point, as a whole-cloud pass would, held 56 B per point."""
+    scene = build_scene(SceneSpec(object_count=8, frame_count=1, seed=3, density=270.0, image_size=(160, 120)))
+    n, frame = len(scene.cloud), scene.frames[0]
+    assert n == 40_075
+    cam = scene.cloud.positions @ frame.rotation.T + frame.translation
+    u = frame.fx * cam[:, 0] / cam[:, 2] + frame.cx
+    assert np.mean((cam[:, 2] > 0) & (u > -1) & (u < frame.width + 1)) < 0.4
+    peak = traced_peak(geometry.project_points, scene.cloud.positions, frame, 0.1)
+    assert peak < 40 * n
+
+
 def test_pixel_index_holds_four_bytes_per_entry():
     """One int32 pixel id per projected point, besides the (T, L) counts and
     their offsets; parallel row, column and label arrays would take 12 B."""
