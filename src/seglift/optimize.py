@@ -131,10 +131,7 @@ def visibility_matrix(track: MaskTrack, pixels: PixelIndex, tau: float = 0.5) ->
             raise ValueError(
                 f"track {track.track_id} view {t}: mask shape {mask.shape} does not match frame {pixels.shape}"
             )
-        span = pixels.view(t)
-        inside = np.flatnonzero(np.take(mask.reshape(-1), pixels.flat[span]))
-        # inside entries per cell: how many fall before each cell bound, differenced
-        in_counts[v] = np.diff(np.searchsorted(inside, pixels.offsets[t * L : (t + 1) * L + 1] - span.start))
+        in_counts[v] = pixels.count_inside(t, mask)
     with np.errstate(invalid="ignore"):
         ratio = in_counts / total_counts
     rows = (total_counts > 0) & (np.nan_to_num(ratio) >= tau)

@@ -19,7 +19,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DataError, TrackingError, read_text
 from .geometry import fps_sample
@@ -38,7 +37,8 @@ __all__ = [
     "read_tracks",
 ]
 
-_CROSS = ndimage.generate_binary_structure(2, 1)  # the morphology's default structure, built once
+# the morphology's default structure, scipy.ndimage.generate_binary_structure(2, 1)
+_CROSS = np.array([[False, True, False], [True, True, True], [False, True, False]])
 
 
 @dataclass
@@ -115,9 +115,10 @@ def build_tracker_query(
 
     Prompts are picked by 2D farthest-point sampling over the superpoint's
     distinct pivot-view pixels (fewer than ``prompt_count`` when the
-    projection is smaller). A reprompt pixel is placed at every view where
-    the superpoint reappears after more than ``memory_window`` consecutive
-    invisible views. ``pixels`` is the scene's pixel index.
+    projection is smaller). A reprompt pixel, that of the superpoint's
+    lowest visible point id, is placed at every view where the superpoint
+    reappears after more than ``memory_window`` consecutive invisible views.
+    ``pixels`` is the scene's pixel index.
     """
     if not 0 <= superpoint < pixels.counts.shape[1]:
         raise ValueError("superpoint id out of range")
@@ -125,7 +126,7 @@ def build_tracker_query(
         raise TrackingError("superpoint invisible in pivot")
 
     # ascending pixel ids are the (row, col) pairs in lexicographic order
-    uniq = np.stack(np.divmod(np.unique(pixels.flat[pixels.cell(pivot, superpoint)]), pixels.shape[1]), axis=1)
+    uniq = np.stack(np.divmod(np.unique(pixels.pixels_of(pivot, superpoint)), pixels.shape[1]), axis=1)
     embedded = np.column_stack([uniq.astype(np.float64), np.zeros(len(uniq))])
     picks = fps_sample(embedded, min(prompt_count, len(uniq)))
     prompts = [(int(uniq[i, 0]), int(uniq[i, 1])) for i in picks]
@@ -133,7 +134,7 @@ def build_tracker_query(
     visible = np.flatnonzero(pixels.counts[:, superpoint] > 0)
     reprompts: dict[int, tuple[int, int]] = {}
     for t in visible[1:][np.diff(visible) - 1 > memory_window]:
-        reprompts[int(t)] = divmod(int(pixels.flat[pixels.cell(t, superpoint).start]), pixels.shape[1])
+        reprompts[int(t)] = divmod(int(pixels.first_pixel[t, superpoint]), pixels.shape[1])
     return TrackerQuery(pivot, prompts, reprompts)
 
 
@@ -180,9 +181,13 @@ def noisy_track(
     pivot always survives and resets the gap. Masks noised down to empty
     count as dropped. Score is the surviving fraction of oracle views.
     Morphology and flips run on the mask's bounding box grown by ``r_morph +
-    flip_band``, which gives the whole-image result; the flip draw still
-    covers the whole image.
+    flip_band``, which gives the whole-image result. The flip draw takes
+    only the box's rows and skips the generator past the rows before and
+    after them, so its values and every later draw are those of a
+    whole-image draw.
     """
+    from scipy import ndimage  # imported here, its only user, so importing the CLI does not load it
+
     base = oracle_track(query, instance_renders, track_id, seed_superpoint)
     rng = np.random.default_rng(rng_seed)
     margin = noise.r_morph + noise.flip_band
@@ -202,7 +207,7 @@ def noisy_track(
         if noise.p_flip > 0 and noise.flip_band > 0:
             band = ndimage.binary_dilation(mask, _CROSS, iterations=noise.flip_band)
             band &= ~ndimage.binary_erosion(mask, _CROSS, iterations=noise.flip_band)
-            flips = band & (rng.random(full.shape)[box] < noise.p_flip)
+            flips = band & (_box_uniforms(rng, full.shape, box) < noise.p_flip)
             mask = mask ^ flips
         if t == query.pivot_view or mask.any():
             noised[t] = np.zeros_like(full)
@@ -211,6 +216,20 @@ def noisy_track(
     kept = _apply_forgetting(noised, query, len(instance_renders), noise.memory_window)
     score = len(kept) / len(base.masks)
     return MaskTrack(track_id, score, kept, query.pivot_view, seed_superpoint)
+
+
+def _box_uniforms(rng: np.random.Generator, shape: tuple[int, int], box: tuple[slice, slice]) -> np.ndarray:
+    """``rng.random(shape)[box]``, drawing only the box's rows. Each double
+    takes one 64-bit step of the bit generator, so advancing it by the
+    values of the rows before and after the box leaves it where the
+    whole-image draw would."""
+    rows, cols = box
+    height, width = shape
+    r0, r1 = rows.indices(height)[:2]
+    rng.bit_generator.advance(r0 * width)
+    values = rng.random((r1 - r0, width))[:, cols]
+    rng.bit_generator.advance((height - r1) * width)
+    return values
 
 
 def _apply_forgetting(
@@ -377,7 +396,16 @@ def read_tracks(path) -> list[MaskTrack]:
 
 def _parse_views(rest: list[str], height: int, width: int, path, lineno: int) -> dict[int, np.ndarray]:
     """Checked int64 run lengths of one line's ``t:r0 r1 ...`` entries, all
-    numbers converted at once. A view id beyond int64 is a data error."""
+    numbers converted at once. A view id beyond int64, or one listed twice,
+    is a data error."""
+    seen: set[int] = set()
+
+    def new_view(view: int) -> int:
+        if view in seen:
+            raise DataError(f"{path}: line {lineno}: view {view} listed twice")
+        seen.add(view)
+        return view
+
     starts = [i for i, token in enumerate(rest) if ":" in token]
     if rest and starts[:1] != [0]:
         raise DataError(f"{path}: line {lineno}: run length before any view entry")
@@ -399,10 +427,11 @@ def _parse_views(rest: list[str], height: int, width: int, path, lineno: int) ->
         for a, b in groups:
             head, _, tail = rest[a].partition(":")
             try:
-                int(head)
+                view = int(head)
                 runs = [int(tail)] if tail else []
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: bad view entry {rest[a]!r}") from exc
+            new_view(view)
             for token in rest[a + 1 : b]:
                 try:
                     runs.append(int(token))
@@ -412,7 +441,7 @@ def _parse_views(rest: list[str], height: int, width: int, path, lineno: int) ->
         raise DataError(f"{path}: line {lineno}: a view id beyond int64")
     by_view: dict[int, np.ndarray] = {}
     for a, b in zip(bounds, bounds[1:]):
-        by_view[int(values[a])] = _line_runs(values[a + 1 : b], height, width, path, lineno)
+        by_view[new_view(int(values[a]))] = _line_runs(values[a + 1 : b], height, width, path, lineno)
     return by_view
 
 

@@ -7,6 +7,7 @@ the view with the highest score, ties to the lowest view index.
 
 from __future__ import annotations
 
+import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -40,17 +41,21 @@ def superpoint_view_counts(
 
 @dataclass
 class PixelIndex:
-    """Every working view's projected points, grouped by view, then superpoint.
+    """Every working view's projected points as sorted keys, view by view.
 
-    ``counts`` is (T, L). The points of view t and superpoint s are entries
-    ``offsets[t*L + s]`` up to ``offsets[t*L + s + 1]`` of ``flat``, each the
-    int32 pixel id ``row * W + col``, in ascending point id.
-    ``shape`` is the (H, W) of every view's image.
+    The entries of view t are ``keys[starts[t]:starts[t + 1]]``, one key
+    ``pixel * L + superpoint`` per projected point, with ``pixel = row * W +
+    col``, in ascending order: by row, then column, then superpoint. Keys
+    are int32 when ``H * W * L <= 2**31``, int64 otherwise. ``counts`` is (T, L):
+    each superpoint's projected points per view. ``first_pixel`` is (T, L):
+    the pixel of each superpoint's lowest visible point id in each view, -1
+    where it has none. ``shape`` is the (H, W) of every view's image.
     """
 
     counts: np.ndarray
-    offsets: np.ndarray
-    flat: np.ndarray
+    starts: np.ndarray
+    keys: np.ndarray
+    first_pixel: np.ndarray
     shape: tuple[int, int]
 
     @classmethod
@@ -58,32 +63,63 @@ class PixelIndex:
         cls, partition: SuperpointPartition, projections: Iterable[PixelSet], shape: tuple[int, int]
     ) -> "PixelIndex":
         """Index an iterable of views in one pass: each view is reduced to its
-        counts row and its int32 pixel ids, sorted stably by superpoint,
-        before the next is read, so a generator that projects one view at a
-        time never holds every view's projected points at once."""
-        # the narrowest key lets numpy radix-sort; a stable order is the same in any dtype
-        labels = partition.assignment.astype(np.min_scalar_type(partition.count - 1))
+        counts row, its first-pixel row and its sorted keys before the next
+        is read, so a generator that projects one view at a time never holds
+        every view's projected points at once."""
+        L = partition.count
+        dtype = np.int32 if shape[0] * shape[1] * L <= 2**31 else np.int64
         count_rows, parts = [], []
+        first_rows = array.array("q")  # 8 B per entry: a Python int per entry took 36 B
         for ps in projections:
             # as Python ints: numpy holds on to freed buffers under 1 KB for reuse,
             # and one live row per view, spread over the heap, kept it from shrinking
             count_rows.append(superpoint_view_counts(partition, [ps])[0].tolist())
-            order = np.argsort(labels.take(ps.indices), kind="stable")
-            parts.append((ps.rows * shape[1] + ps.cols).astype(np.int32).take(order))
-        counts = np.array(count_rows, dtype=np.int64).reshape(-1, partition.count)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
-        return cls(counts, offsets, flat, tuple(shape))
+            labels = partition.assignment.take(ps.indices)
+            keys = ps.rows * shape[1] + ps.cols
+            keys *= L
+            keys += labels
+            # the projection lists its points by ascending id: the first of each superpoint is its lowest
+            first = np.full(L, len(keys))
+            np.minimum.at(first, labels, np.arange(len(keys)))
+            seen = first < len(keys)
+            first[seen] = keys.take(first[seen]) // L
+            first[~seen] = -1
+            first_rows.extend(first.tolist())
+            part = keys.astype(dtype)
+            part.sort()
+            parts.append(part)
+        counts = np.array(count_rows, dtype=np.int64).reshape(-1, L)
+        first_pixel = np.frombuffer(first_rows, dtype=np.int64).astype(dtype).reshape(-1, L)
+        starts = np.concatenate([[0], np.cumsum([len(part) for part in parts], dtype=np.int64)])
+        keys = np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+        return cls(counts, starts, keys, first_pixel, tuple(shape))
 
     def view(self, t: int) -> slice:
-        """Entries of every superpoint in view ``t``."""
-        L = self.counts.shape[1]
-        return slice(self.offsets[t * L], self.offsets[(t + 1) * L])
+        """The entries of view ``t``."""
+        return slice(self.starts[t], self.starts[t + 1])
 
-    def cell(self, t: int, superpoint: int) -> slice:
-        """Entries of one superpoint in view ``t``."""
-        start = t * self.counts.shape[1] + superpoint
-        return slice(self.offsets[start], self.offsets[start + 1])
+    def pixels_of(self, t: int, superpoint: int) -> np.ndarray:
+        """Ascending pixel ids of the superpoint's entries in view ``t``, one per point."""
+        keys = self.keys[self.view(t)]
+        L = self.counts.shape[1]
+        return keys[keys % L == superpoint] // L
+
+    def count_inside(self, t: int, mask: np.ndarray) -> np.ndarray:
+        """(L,) entries of view ``t`` per superpoint whose pixel is True in
+        the (H, W) ``mask``. Only the entries in the rows from the mask's
+        first True pixel to its last are read."""
+        width, L = self.shape[1], self.counts.shape[1]
+        flat = mask.reshape(-1).astype(bool, copy=False)
+        on = flat.nonzero()[0]
+        if len(on) == 0:
+            return np.zeros(L, dtype=np.int64)
+        keys = self.keys[self.view(t)]
+        # rows r0 up to r1 hold the keys from r0 * W * L up to r1 * W * L; searching for the key below
+        # each bound, in the keys' own dtype, keeps both in range and spares numpy a widened copy
+        r0, r1 = int(on[0]) // width, int(on[-1]) // width + 1
+        bounds = np.array([r0 * width * L - 1, r1 * width * L - 1], dtype=keys.dtype)
+        band = keys[slice(*keys.searchsorted(bounds, side="right"))]
+        return np.bincount(band[flat.take(band // L)] % L, minlength=L)
 
 
 def scale_factors(

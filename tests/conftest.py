@@ -94,7 +94,8 @@ def reference_noisy_track(query, instance_renders, noise, rng_seed, track_id=0, 
 def reference_parse_views(rest, height, width, path, lineno):
     """A track line's ``t:r0 r1 ...`` entries parsed one token at a time,
     with Python ints: the oracle for the batched ``tracks._parse_views``.
-    The first bad token is the one reported."""
+    The first bad token is the one reported; a view listed a second time is
+    bad as its id is read."""
     by_view = {}
     view = None
     runs = []
@@ -108,6 +109,8 @@ def reference_parse_views(rest, height, width, path, lineno):
                 runs = [int(tail)] if tail else []
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: bad view entry {token!r}") from exc
+            if view in by_view:
+                raise DataError(f"{path}: line {lineno}: view {view} listed twice")
         else:
             if view is None:
                 raise DataError(f"{path}: line {lineno}: run length before any view entry")

@@ -352,6 +352,15 @@ class TestClosedStdout:
         assert proc.returncode == 1
 
 
+def test_importing_the_cli_loads_no_scipy_ndimage():
+    # only the noisy tracker uses scipy.ndimage, and it imports it when called
+    env = {**os.environ, "PYTHONPATH": str(Path(seglift.__file__).parents[1])}
+    code = "import sys, seglift.cli; print('scipy.ndimage' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestManifest:
     def test_timings_split_by_stage_and_kept_out_of_proposals(self, scene_dir, tmp_path):
         out = tmp_path / "run"
@@ -484,6 +493,10 @@ INPUT_ERRORS = [
     ("tracker-file-huge-image",
      {"huge.tracks": _write("tracks 1 4294967296 4294967296\n0 0.5 0 0:18446744073709551616\n")},
      ["segment", "--scene", "{scene}", "--tracker", "file:{scene}/huge.tracks", "--out", "{tmp}/out"]),
+    # view 2 of the 64 x 64 scene given twice, half of its pixels and then all of them
+    ("tracker-file-repeated-view",
+     {"twice.tracks": _write("tracks 1 64 64\n0 0.5 2 -1 2:0 2048 2048 3:0 2048 2048 2:0 4096\n")},
+     ["segment", "--scene", "{scene}", "--tracker", "file:{scene}/twice.tracks", "--out", "{tmp}/out"]),
     ("tracker-file-missing", {},
      ["segment", "--scene", "{scene}", "--tracker", "file:{tmp}/missing.txt", "--out", "{tmp}/out"]),
     ("config-missing", {}, ["segment", "--scene", "{scene}", "--config", "{tmp}/missing.cfg", "--out", "{tmp}/out"]),

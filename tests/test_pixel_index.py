@@ -18,7 +18,7 @@ from seglift.superpoints import SuperpointPartition, partition_superpoints
 from seglift.tracks import MaskTrack, TrackerQuery, build_tracker_query
 from seglift.view_select import PixelIndex, superpoint_view_counts
 
-from conftest import make_frame, pixel_index, pose_from, rotation_z
+from conftest import examples, make_frame, pixel_index, pose_from, rotation_z
 
 
 # --- references: the per-view implementations -------------------------------
@@ -223,7 +223,7 @@ class TestStreamedBuild:
     @staticmethod
     def assert_same_index(got, want):
         assert got.shape == want.shape
-        for name in ("counts", "offsets", "flat"):
+        for name in ("counts", "starts", "keys", "first_pixel"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
             np.testing.assert_array_equal(a, b, err_msg=name)
@@ -240,36 +240,51 @@ class TestStreamedBuild:
         want = PixelIndex.build(partition, projections, shape)
         self.assert_same_index(PixelIndex.build(partition, iter(projections), shape), want)
         self.assert_same_index(PixelIndex.build(partition, (ps for ps in projections), shape), want)
-        assert want.counts.shape == (views, partition.count) and want.flat.dtype == np.int32
+        assert want.counts.shape == want.first_pixel.shape == (views, partition.count)
+        assert want.starts.shape == (views + 1,) and want.keys.dtype == np.int32
 
     def test_prepare_state_indexes_the_working_views(self, small_scene):
         config = PipelineConfig(view_stride=3)
         state = prepare_state(small_scene.cloud, small_scene.frames, small_scene.instances, config)
         working = subsample_views(small_scene.frames, config.view_stride)
         want = pixel_index(state.partition, small_scene.cloud.positions, working, config.depth_tolerance)
-        assert len(working) > 1 and want.offsets[-1] > 0
+        assert len(working) > 1 and want.starts[-1] > 0
         self.assert_same_index(state.pixels, want)
 
 
+def assert_layout(pixels, partition, projections, dtype):
+    """Each view's entries are the sorted keys ``pixel * L + superpoint`` of
+    its projected points, and ``first_pixel`` holds the pixel of each
+    superpoint's lowest point id, -1 where the view has none of its points."""
+    L, width = partition.count, pixels.shape[1]
+    assert pixels.keys.dtype == pixels.first_pixel.dtype == dtype
+    assert pixels.starts[0] == 0 and pixels.starts[-1] == len(pixels.keys) == sum(len(ps) for ps in projections)
+    for t, ps in enumerate(projections):
+        labels = partition.assignment[ps.indices]
+        pixel = ps.rows.astype(np.int64) * width + ps.cols
+        np.testing.assert_array_equal(pixels.keys[pixels.view(t)], np.sort(pixel * L + labels))
+        assert pixels.starts[t + 1] - pixels.starts[t] == len(ps)
+        for sp in range(L):
+            own = np.flatnonzero(labels == sp)
+            want = pixel[own[np.argmin(ps.indices[own])]] if len(own) else -1
+            assert pixels.first_pixel[t, sp] == want
+            np.testing.assert_array_equal(pixels.pixels_of(t, sp), np.sort(pixel[own]))
+
+
 class TestLayout:
-    def test_cells_hold_each_view_by_superpoint_then_point_id(self):
+    def test_views_hold_keys_by_pixel_then_superpoint(self):
         rng = np.random.default_rng(3)
         pts, partition, frames = random_scene(rng, 150, 5, 6)
         projections = project_cloud(pts, frames, 0.15)
         pixels = PixelIndex.build(partition, projections, (frames[0].height, frames[0].width))
-        assert pixels.offsets[-1] == sum(len(ps) for ps in projections)
-        assert pixels.flat.dtype == np.int32
-        width = frames[0].width
-        for t, ps in enumerate(projections):
-            for sp in range(partition.count):
-                keep = partition.assignment[ps.indices] == sp
-                cell = pixels.cell(t, sp)
-                np.testing.assert_array_equal(pixels.flat[cell], ps.rows[keep] * width + ps.cols[keep])
-            assert pixels.view(t) == slice(pixels.cell(t, 0).start, pixels.cell(t, partition.count - 1).stop)
+        assert_layout(pixels, partition, projections, np.int32)
+        assert pixels.starts.dtype == np.int64
 
     @pytest.mark.parametrize("labels", [255, 256, 257])
     def test_matches_int64_sort_where_the_key_widens(self, labels):
-        # the sort key is uint8 up to 256 superpoints and uint16 from 257
+        # at 2048 x 4096 pixels, H * W * L is 2**31 at 256 superpoints: the largest key, 2**31 - 1,
+        # still fits int32, and from 257 superpoints the keys are int64
+        height, width = 2048, 4096
         rng = np.random.default_rng(labels)
         n = 40 * labels
         pts = rng.uniform(-1.0, 1.0, size=(n, 3))
@@ -277,10 +292,64 @@ class TestLayout:
         projections = []
         for _ in range(4):
             ids = np.flatnonzero(rng.random(n) < 0.6)
-            projections.append(PixelSet(rng.integers(0, 90, ids.size), rng.integers(0, 120, ids.size), ids))
-        pixels = PixelIndex.build(partition, projections, (90, 120))
-        expected = []
-        for ps in projections:
-            order = np.argsort(partition.assignment[ps.indices].astype(np.int64), kind="stable")
-            expected.append((ps.rows * 120 + ps.cols)[order])
-        np.testing.assert_array_equal(pixels.flat, np.concatenate(expected))
+            rows, cols = rng.integers(0, height, ids.size), rng.integers(0, width, ids.size)
+            # the last pixel, taken by the last superpoint: the largest key
+            last = np.flatnonzero(partition.assignment[ids] == labels - 1)[-1]
+            rows[last], cols[last] = height - 1, width - 1
+            projections.append(PixelSet(rows, cols, ids))
+        pixels = PixelIndex.build(partition, projections, (height, width))
+        assert_layout(pixels, partition, projections, np.int32 if labels <= 256 else np.int64)
+        assert pixels.keys.max() == height * width * labels - 1
+        mask = np.zeros((height, width), dtype=bool)
+        for t, ps in enumerate(projections):
+            own = partition.assignment[ps.indices]
+            # the first row, the last row, the last pixel alone, and a band reaching the last row
+            for rows, cols in ((0, slice(None)), (height - 1, slice(None)), (height - 1, width - 1), (slice(5, None), 7)):
+                mask[rows, cols] = True
+                want = np.bincount(own[mask[ps.rows, ps.cols]], minlength=labels)
+                np.testing.assert_array_equal(pixels.count_inside(t, mask), want)
+                mask[rows, cols] = False
+
+
+@st.composite
+def band_cases(draw):
+    """Random views of a small image, some with no entries, and a track whose
+    masks sit on the first row, the last row, one pixel, anywhere, or nowhere."""
+    height, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    views = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    assignment = rng.permutation(np.arange(n) % draw(st.integers(1, min(n, 5))))
+    projections = []
+    for _ in range(views):
+        ids = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0])))
+        # rows drawn from both image edges more often than a uniform draw would
+        rows = np.where(rng.random(ids.size) < 0.5, rng.choice([0, height - 1], ids.size),
+                        rng.integers(0, height, ids.size))
+        projections.append(PixelSet(rows, rng.integers(0, width, ids.size), ids))
+    masks = {}
+    for t in range(views):
+        mask = np.zeros((height, width), dtype=bool)
+        kind = draw(st.sampled_from(["first-row", "last-row", "one-pixel", "random", "empty"]))
+        if kind == "first-row":
+            mask[0] = rng.random(width) < 0.5
+        elif kind == "last-row":
+            mask[height - 1] = rng.random(width) < 0.5
+        elif kind == "one-pixel":
+            mask[rng.integers(height), rng.integers(width)] = True
+        elif kind == "random":
+            mask = rng.random((height, width)) < 0.4
+        masks[t] = mask
+    partition = SuperpointPartition.from_assignment(assignment, np.zeros((n, 3)))
+    return partition, projections, MaskTrack(0, 1.0, masks, 0, 0), (height, width)
+
+
+class TestBandEdges:
+    """Each view's band of mask rows gives the dense per-point counts."""
+
+    @settings(max_examples=examples(200), deadline=None)
+    @given(band_cases(), st.sampled_from([0.05, 0.5, 1.0]))
+    def test_band_counts_equal_dense_reference(self, case, tau):
+        partition, projections, track, shape = case
+        pixels = PixelIndex.build(partition, projections, shape)
+        assert_same_vis(track, partition, None, pixels, projections, tau)

@@ -24,7 +24,7 @@ from seglift.tracks import (
 )
 from seglift.tracks import _parse_views
 
-from conftest import make_frame, pixel_index, reference_noisy_track, reference_parse_views
+from conftest import examples, make_frame, pixel_index, reference_noisy_track, reference_parse_views
 
 
 def tight_cluster(n, z=1.0):
@@ -262,6 +262,31 @@ class TestNoisyTrackBoundingBox:
             assert got.masks[t].dtype == want.masks[t].dtype and got.masks[t].shape == want.masks[t].shape
             assert got.masks[t].tobytes() == want.masks[t].tobytes()
 
+    @settings(max_examples=examples(200), deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.data(),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_box_draw_equals_whole_image_draw(self, height, width, data, seed):
+        # boxes as noisy_track cuts them: starts clipped at 0, stops possibly past the image
+        r0 = data.draw(st.integers(0, height - 1))
+        c0 = data.draw(st.integers(0, width - 1))
+        box = np.s_[r0 : data.draw(st.integers(r0 + 1, height + 3)), c0 : data.draw(st.integers(c0 + 1, width + 3))]
+        whole, part = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = whole.random((height, width))[box]
+        got = tracks_module._box_uniforms(part, (height, width), box)
+        assert got.tobytes() == want.tobytes()
+        assert part.random(3).tobytes() == whole.random(3).tobytes()  # the draws after it are the same
+
+    def test_cross_is_the_default_structure(self):
+        from scipy import ndimage
+
+        cross = tracks_module._CROSS
+        assert cross.dtype == bool
+        np.testing.assert_array_equal(cross, ndimage.generate_binary_structure(2, 1))
+
     def test_pivot_eroded_to_empty_is_kept(self):
         renders, query, noise, seed = corner_case(8, 8, 1, NoiseSpec(r_morph=1), 0, size=1)
         track = noisy_track(query, renders, noise, seed)
@@ -354,6 +379,8 @@ class TestTrackLineFuzz:
     @example(["0:5", "1:16", "x"])  # the first entry's bad sum comes before the bad run
     @example(["0:" + "9" * 25])  # beyond int64: the token loop's message
     @example(["9" * 25 + ":16"])  # a view id beyond int64 is a data error as the file is read
+    @example(["1:16", "1:5", "x"])  # a view listed twice is named before the later entry's bad run
+    @example(["9" * 25 + ":16", "9" * 25 + ":16"])  # twice, and beyond int64
     def test_batched_numbers_match_token_loop(self, tokens):
         def outcome(parse):
             try:
@@ -374,6 +401,7 @@ class TestTrackLineFuzz:
             ("0 1.0 0 -1 0:5 3 8 y:16", "bad view entry 'y:16'"),
             ("0 1.0 0 -1 0:5 3 8 1:16 2:4", "line 2: run lengths sum to 4"),
             ("0 1.0 0 -1 0:5 -3 14", "nonnegative"),
+            ("0 1.0 2 -1 2:0 8 8 3:0 8 8 2:0 16", "line 2: view 2 listed twice"),
         ],
     )
     def test_errors_name_the_bad_token(self, tmp_path, line, message):
