@@ -108,6 +108,15 @@ def _parse_dims(text: str, n: int, flag: str) -> tuple:
         raise UsageError(f"bad {flag} value {text!r}") from exc
 
 
+def _make_out_dir(path) -> Path:
+    """The ``--out`` directory, made with its parents; a path that cannot be one is a DataError."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot make directory {path}: {exc}") from exc
+    return Path(path)
+
+
 def cmd_generate(args) -> int:
     width, height = _parse_dims(args.size, 2, "--size")
     room = _parse_dims(args.room, 3, "--room")
@@ -122,6 +131,7 @@ def cmd_generate(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    _make_out_dir(args.out)  # before the build, so an unusable path fails at once
     scene = build_scene(spec)
     save_scene(scene, args.out, force=args.force)
     print(f"scene written to {args.out}: {args.objects} objects, {args.frames} frames")
@@ -178,8 +188,7 @@ def _write_manifest(path, command, args, config, result, timings, outputs):
 
 def cmd_segment(args) -> int:
     config = _resolve_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out)
     scene, tracker, instances, tracks, load_s = _load_inputs(args)
     result = run_pipeline(scene.cloud, scene.frames, config, tracker, instances, tracks)
     timings = {"load": load_s, **result.timings_s}
@@ -215,7 +224,12 @@ def cmd_eval(args) -> int:
     text = evaluate(ids, [float(r["score"]) for r in records], cloud.gt_instance).text()
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="ascii")
+        try:
+            Path(args.out).write_text(text + "\n", encoding="ascii")
+        except BrokenPipeError:  # a closed pipe exits 1 without a message, as for stdout
+            raise
+        except OSError as exc:
+            raise DataError(f"cannot write {args.out}: {exc}") from exc
     return 0
 
 
@@ -223,8 +237,7 @@ def cmd_ablate(args) -> int:
     if args.strategy is not None:  # a config file's strategy is ignored: one file serves both commands
         raise UsageError(f"ablate always runs the strategies {', '.join(ABLATION_STRATEGIES)}; drop --strategy")
     config = _resolve_config(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out)
     scene, tracker, instances, tracks, _ = _load_inputs(args, need_gt=True)
     state = prepare_state(scene.cloud, scene.frames, instances, config)
 

@@ -43,17 +43,14 @@ class PointCloud:
     """A point cloud with optional per-point ground-truth instance ids.
 
     positions: (N, 3) float coordinates in meters
-    colors:    (N, 3) floats in [0, 1]
     gt_instance: optional (N,) ints, -1 = unlabeled / background
     """
 
     positions: np.ndarray
-    colors: np.ndarray
     gt_instance: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.positions = np.asarray(self.positions, dtype=np.float64)
-        self.colors = np.asarray(self.colors, dtype=np.float64)
         if self.positions.ndim != 2 or self.positions.shape[1] != 3:
             raise ValueError("positions must be (N, 3)")
         n = len(self.positions)
@@ -61,10 +58,6 @@ class PointCloud:
             raise ValueError("point cloud must contain at least one point")
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("positions must be finite")
-        if self.colors.shape != (n, 3):
-            raise ValueError("colors must be (N, 3)")
-        if not np.all((self.colors >= 0.0) & (self.colors <= 1.0)):
-            raise ValueError("colors must lie in [0, 1]")
         if self.gt_instance is not None:
             self.gt_instance = np.asarray(self.gt_instance, dtype=np.int64)
             if self.gt_instance.shape != (n,):

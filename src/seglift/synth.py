@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,20 +34,22 @@ __all__ = [
 
 _EPS = 1e-9
 _POSE_CHARS = frozenset("0123456789+-.eE \t\n")  # what a pose file may hold
+_SHAPES = ("box", "sphere", "cylinder")  # object i is _SHAPES[i % 3]
+_OBJECT_EXTENT = (0.28, 0.55)  # full-diameter range
+_CLEARANCE = 0.2  # least gap between two objects' bounding spheres
 
-_PALETTE = np.array(
-    [
-        (0.85, 0.30, 0.25),
-        (0.25, 0.60, 0.85),
-        (0.30, 0.75, 0.35),
-        (0.90, 0.70, 0.20),
-        (0.60, 0.35, 0.80),
-        (0.20, 0.70, 0.70),
-        (0.85, 0.45, 0.65),
-        (0.55, 0.55, 0.25),
-    ]
-)
-_ROOM_COLOR = np.array([0.6, 0.6, 0.6])
+# the r g b columns of cloud.txt, chosen by label: no stage reads them
+_PALETTE = [
+    (0.85, 0.30, 0.25),
+    (0.25, 0.60, 0.85),
+    (0.30, 0.75, 0.35),
+    (0.90, 0.70, 0.20),
+    (0.60, 0.35, 0.80),
+    (0.20, 0.70, 0.70),
+    (0.85, 0.45, 0.65),
+    (0.55, 0.55, 0.25),
+]
+_ROOM_COLOR = (0.6, 0.6, 0.6)
 
 
 @dataclass
@@ -56,14 +58,11 @@ class SceneSpec:
 
     room_size: tuple[float, float, float] = (6.0, 6.0, 3.0)
     object_count: int = 5
-    shapes: tuple[str, ...] = ("box", "sphere", "cylinder")
     density: float = 120.0  # surface points per square meter
     frame_count: int = 60
     image_size: tuple[int, int] = (64, 64)  # (W, H)
     camera: object = "orbit"  # "orbit" or list of ((eye), (target)) waypoints
     seed: int = 0
-    object_extent: tuple[float, float] = (0.28, 0.55)  # full-diameter range
-    clearance: float = 0.2
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(s) and s > 0 for s in self.room_size):
@@ -76,11 +75,6 @@ class SceneSpec:
             raise ValueError("density must be finite and positive")
         if min(self.image_size) < 1:
             raise ValueError("image size must be positive")
-        if not self.shapes:
-            raise ValueError("shape palette must not be empty")
-        for shape in self.shapes:
-            if shape not in ("box", "sphere", "cylinder"):
-                raise ValueError(f"unknown shape {shape!r}")
 
 
 # --- primitives -----------------------------------------------------------
@@ -143,15 +137,17 @@ class Box(_Primitive):
         return self._corners_world(pts)
 
     def ray_depths(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        lo, ld = self._to_local(origin, dirs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / ld
-            t1 = (-self.half - lo) * inv
-            t2 = (self.half - lo) * inv
-        near = np.fmax.reduce(np.fmin(t1, t2), axis=1)
-        far = np.fmin.reduce(np.fmax(t1, t2), axis=1)
-        hit = (far >= near) & (near > _EPS)
-        return np.where(hit, near, np.inf)
+        near, far = _slabs(*self._to_local(origin, dirs), self.half)
+        return np.where((far >= near) & (near > _EPS), near, np.inf)
+
+
+def _slabs(lo: np.ndarray, ld: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the rays ``lo + s * ld`` enter and leave the box ``|x| <= half``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / ld
+        t1 = (-half - lo) * inv
+        t2 = (half - lo) * inv
+    return np.fmax.reduce(np.fmin(t1, t2), axis=1), np.fmin.reduce(np.fmax(t1, t2), axis=1)
 
 
 @dataclass
@@ -237,31 +233,17 @@ class Cylinder(_Primitive):
         return best
 
 
-@dataclass
-class _RoomShell:
+class _RoomShell(Box):
     """Interior of an axis-aligned box; rays hit the exit face."""
 
-    half: np.ndarray
-    center: np.ndarray
-
-    def area(self) -> float:
-        hx, hy, hz = self.half
-        return 8.0 * (hx * hy + hy * hz + hx * hz)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        box = Box(center=self.center, rotation=np.eye(3), half=self.half)
-        return box.sample(n, rng)
-
     def ray_depths(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        lo = origin - self.center
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / dirs
-            t1 = (-self.half - lo) * inv
-            t2 = (self.half - lo) * inv
-        near = np.fmax.reduce(np.fmin(t1, t2), axis=1)
-        far = np.fmin.reduce(np.fmax(t1, t2), axis=1)
-        hit = (far >= near) & (far > _EPS)
-        return np.where(hit, far, np.inf)
+        near, far = _slabs(origin - self.center, dirs, self.half)
+        return np.where((far >= near) & (far > _EPS), far, np.inf)
+
+
+def _room(spec: SceneSpec) -> _RoomShell:
+    half = np.asarray(spec.room_size) / 2.0
+    return _RoomShell(center=half, rotation=np.eye(3), half=half)
 
 
 # --- scene assembly -------------------------------------------------------
@@ -291,7 +273,6 @@ class Scene:
 
     cloud: PointCloud
     rendered: Sequence[RenderedFrame]
-    objects: list = field(default_factory=list)
 
     @property
     def frames(self) -> Sequence[CameraFrame]:
@@ -314,11 +295,11 @@ def _place_objects(spec: SceneSpec, rng: np.random.Generator) -> list:
     attempts = 500
     objects = []
     for i in range(spec.object_count):
-        shape = spec.shapes[i % len(spec.shapes)]
+        shape = _SHAPES[i % len(_SHAPES)]
         for attempt in range(attempts):
             # shrink gradually so crowded scenes still place
             shrink = 1.0 - 0.5 * attempt / attempts
-            extent = rng.uniform(*spec.object_extent) * shrink
+            extent = rng.uniform(*_OBJECT_EXTENT) * shrink
             rotation = _random_rotation(rng)
             angle = rng.uniform(0.0, 2.0 * math.pi)
             radial = lateral_radius * math.sqrt(rng.random())
@@ -342,7 +323,7 @@ def _place_objects(spec: SceneSpec, rng: np.random.Generator) -> list:
             candidate.center = np.array([cx, cy, cz])
             good = all(
                 np.linalg.norm(candidate.center - other.center)
-                >= rb + other.bounding_radius() + spec.clearance
+                >= rb + other.bounding_radius() + _CLEARANCE
                 for other in objects
             )
             if good:
@@ -357,22 +338,12 @@ def generate_scene(spec: SceneSpec) -> tuple[PointCloud, list]:
     """Sample the room shell and object surfaces into a labeled point cloud."""
     rng = np.random.default_rng(spec.seed)
     objects = _place_objects(spec, rng)
-    room = _RoomShell(half=np.asarray(spec.room_size) / 2.0, center=np.asarray(spec.room_size) / 2.0)
-
-    chunks, colors, labels = [], [], []
-    n_room = max(1, round(room.area() * spec.density))
-    chunks.append(room.sample(n_room, rng))
-    colors.append(np.tile(_ROOM_COLOR, (n_room, 1)))
-    labels.append(np.full(n_room, -1, dtype=np.int64))
-    for oid, obj in enumerate(objects):
-        n = max(1, round(obj.area() * spec.density))
-        chunks.append(obj.sample(n, rng))
-        colors.append(np.tile(_PALETTE[oid % len(_PALETTE)], (n, 1)))
+    chunks, labels = [], []
+    for oid, surface in enumerate([_room(spec)] + objects, start=-1):
+        n = max(1, round(surface.area() * spec.density))
+        chunks.append(surface.sample(n, rng))
         labels.append(np.full(n, oid, dtype=np.int64))
-    cloud = PointCloud(
-        np.concatenate(chunks), np.concatenate(colors), np.concatenate(labels)
-    )
-    return cloud, objects
+    return PointCloud(np.concatenate(chunks), np.concatenate(labels)), objects
 
 
 def _camera_path(spec: SceneSpec) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -439,7 +410,7 @@ def render_frames(objects: list, spec: SceneSpec) -> list[RenderedFrame]:
     """Ray cast every camera pose against the room and objects."""
     width, height = spec.image_size
     fx, fy, cx, cy = _intrinsics(spec)
-    room = _RoomShell(half=np.asarray(spec.room_size) / 2.0, center=np.asarray(spec.room_size) / 2.0)
+    room = _room(spec)
     rows, cols = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
     dir_cam = np.stack(
         [
@@ -472,12 +443,13 @@ def render_frames(objects: list, spec: SceneSpec) -> list[RenderedFrame]:
 
 def build_scene(spec: SceneSpec) -> Scene:
     cloud, objects = generate_scene(spec)
-    return Scene(cloud, render_frames(objects, spec), objects)
+    return Scene(cloud, render_frames(objects, spec))
 
 
 # --- scene directory I/O ---------------------------------------------------
 #
-# cloud.txt        x y z r g b gt_instance, one point per line
+# cloud.txt        x y z r g b gt_instance, one point per line; r g b come
+#                  from the label when written and are ignored when read
 # intrinsics.txt   fx fy cx cy W H
 # frames/%04d.pose  16 reals, row-major world-to-camera
 # frames/%04d.depth little-endian float32, row-major H*W
@@ -491,13 +463,12 @@ def save_scene(scene: Scene, path, force: bool = False) -> None:
     (root / "frames").mkdir(parents=True, exist_ok=True)
 
     cloud = scene.cloud
-    gt = cloud.gt_instance if cloud.gt_instance is not None else np.full(len(cloud), -1)
+    gt = cloud.gt_instance.tolist() if cloud.gt_instance is not None else [-1] * len(cloud)
+    room, *palette = (" ".join(f"{v:.6g}" for v in c) for c in (_ROOM_COLOR, *_PALETTE))
     with open(root / "cloud.txt", "w", encoding="ascii") as fh:
-        for p, c, g in zip(cloud.positions, cloud.colors, gt):
-            fh.write(
-                f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g} "
-                f"{c[0]:.6g} {c[1]:.6g} {c[2]:.6g} {int(g)}\n"
-            )
+        for p, g in zip(cloud.positions, gt):
+            rgb = room if g < 0 else palette[g % len(palette)]
+            fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g} {rgb} {g}\n")
     first = scene.frames[0]
     with open(root / "intrinsics.txt", "w", encoding="ascii") as fh:
         fh.write(
@@ -532,7 +503,7 @@ def load_cloud(path) -> PointCloud:
     if not np.all((raw[:, 6] == np.round(raw[:, 6])) & (np.abs(raw[:, 6]) < 2.0**63)):
         raise DataError(f"{cloud_file}: instance ids must be int64 integers")
     try:
-        return PointCloud(np.ascontiguousarray(raw[:, :3]), np.clip(raw[:, 3:6], 0.0, 1.0), raw[:, 6].astype(np.int64))
+        return PointCloud(np.ascontiguousarray(raw[:, :3]), raw[:, 6].astype(np.int64))
     except ValueError as exc:
         raise DataError(f"{cloud_file}: {exc}") from exc
 

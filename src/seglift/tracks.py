@@ -395,53 +395,34 @@ def read_tracks(path) -> list[MaskTrack]:
 
 
 def _parse_views(rest: list[str], height: int, width: int, path, lineno: int) -> dict[int, np.ndarray]:
-    """Checked int64 run lengths of one line's ``t:r0 r1 ...`` entries, all
-    numbers converted at once. A view id beyond int64, or one listed twice,
-    is a data error."""
-    seen: set[int] = set()
-
-    def new_view(view: int) -> int:
-        if view in seen:
-            raise DataError(f"{path}: line {lineno}: view {view} listed twice")
-        seen.add(view)
-        return view
-
+    """Checked int64 run lengths of one line's ``t:r0 r1 ...`` entries, each
+    entry's runs converted at once. Errors name the first bad token, entry by
+    entry, as a reader meets them; a view id beyond int64 is reported only
+    once every entry has passed."""
     starts = [i for i, token in enumerate(rest) if ":" in token]
     if rest and starts[:1] != [0]:
         raise DataError(f"{path}: line {lineno}: run length before any view entry")
-    groups = list(zip(starts, starts[1:] + [len(rest)]))
-    numbers, bounds = [], []
-    for a, b in groups:
+    by_view: dict[int, np.ndarray] = {}
+    for a, b in zip(starts, starts[1:] + [len(rest)]):
         head, _, tail = rest[a].partition(":")
-        bounds.append(len(numbers))
-        numbers.append(head)
-        if tail:
-            numbers.append(tail)
-        numbers += rest[a + 1 : b]
-    bounds.append(len(numbers))
-    try:
-        values = np.array(numbers, dtype=np.int64)
-    except (ValueError, OverflowError):
-        # name the first bad token, entry by entry, as a reader meets them: a bad number, or
-        # an entry whose runs fail their check; past every entry only a view id beyond int64 is left
-        for a, b in groups:
-            head, _, tail = rest[a].partition(":")
-            try:
-                view = int(head)
-                runs = [int(tail)] if tail else []
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: bad view entry {rest[a]!r}") from exc
-            new_view(view)
+        try:
+            view = int(head)
+            runs = [int(tail)] if tail else []
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: bad view entry {rest[a]!r}") from exc
+        if view in by_view:
+            raise DataError(f"{path}: line {lineno}: view {view} listed twice")
+        try:
+            runs = np.array(runs + rest[a + 1 : b], dtype=np.int64)
+        except (ValueError, OverflowError):  # name the bad token, or keep a run beyond int64 for its check
             for token in rest[a + 1 : b]:
                 try:
                     runs.append(int(token))
                 except ValueError as exc:
                     raise DataError(f"{path}: line {lineno}: bad run length {token!r}") from exc
-            _line_runs(runs, height, width, path, lineno)
+        by_view[view] = _line_runs(runs, height, width, path, lineno)
+    if any(not -(2**63) <= view < 2**63 for view in by_view):
         raise DataError(f"{path}: line {lineno}: a view id beyond int64")
-    by_view: dict[int, np.ndarray] = {}
-    for a, b in zip(bounds, bounds[1:]):
-        by_view[new_view(int(values[a]))] = _line_runs(values[a + 1 : b], height, width, path, lineno)
     return by_view
 
 

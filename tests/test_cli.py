@@ -500,6 +500,15 @@ INPUT_ERRORS = [
     ("tracker-file-missing", {},
      ["segment", "--scene", "{scene}", "--tracker", "file:{tmp}/missing.txt", "--out", "{tmp}/out"]),
     ("config-missing", {}, ["segment", "--scene", "{scene}", "--config", "{tmp}/missing.cfg", "--out", "{tmp}/out"]),
+    # an output path that cannot be written: {scene}/taken is a file, or for eval's --out a directory
+    ("out-generate-file", {"taken": _write("x")},
+     ["generate", "--out", "{scene}/taken", "--objects", "0", "--frames", "1", "--size", "4x4"]),
+    ("out-generate-under-file", {"taken": _write("x")},
+     ["generate", "--out", "{scene}/taken/scene", "--objects", "0", "--frames", "1", "--size", "4x4"]),
+    ("out-segment-file", {"taken": _write("x")}, ["segment", "--scene", "{scene}", "--out", "{scene}/taken"]),
+    ("out-ablate-file", {"taken": _write("x")}, ["ablate", "--scene", "{scene}", "--out", "{scene}/taken"]),
+    ("out-eval-directory", {"run/proposals.jsonl": _write(""), "taken/x": _write("")},
+     ["eval", "--scene", "{scene}", "--proposals", "{scene}/run/proposals.jsonl", "--out", "{scene}/taken"]),
 ] + [
     (f"config-{line.split()[0]}", {"bad.cfg": _write(line + "\n")}, _CONFIG_SEGMENT)
     for line in ("superpoint_knn = 0", "normals_k = 2", "superpoint_min_size = 0", "superpoint_threshold = 0",
@@ -528,7 +537,9 @@ class TestInputErrors:
                     target.write_text(edit(target.read_text() if target.is_file() else ""))
         argv = [arg.format(scene=scene, tmp=tmp_path) for arg in argv]
         assert main(argv) == 3
-        assert capsys.readouterr().err.startswith("data error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert all(arg in err for arg in argv if arg.startswith(f"{scene}/taken"))  # the unusable path is named
 
 
 class TestLazyViews:

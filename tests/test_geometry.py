@@ -360,7 +360,7 @@ class TestProjectPoints:
         pts = scene.cloud.positions
         assert len(pts) >= 50_000
         if layout == "column slice":
-            raw = np.column_stack([pts, scene.cloud.colors, scene.cloud.gt_instance])
+            raw = np.column_stack([pts, np.zeros((len(pts), 3)), scene.cloud.gt_instance])
             pts = raw[:, :3]
             assert not pts.flags.c_contiguous and pts.strides == (56, 8)
         frames = []
@@ -549,17 +549,11 @@ class TestEstimateNormals:
 class TestDomainTypes:
     def test_point_cloud_validation(self):
         with pytest.raises(ValueError):
-            PointCloud(np.empty((0, 3)), np.empty((0, 3)))
+            PointCloud(np.empty((0, 3)))
         with pytest.raises(ValueError):
-            PointCloud(np.array([[np.inf, 0, 0]]), np.zeros((1, 3)))
+            PointCloud(np.array([[np.inf, 0, 0]]))
         with pytest.raises(ValueError):
-            PointCloud(np.zeros((1, 3)), np.full((1, 3), 2.0))
-        with pytest.raises(ValueError):
-            PointCloud(np.zeros((1, 3)), np.zeros((1, 3)), gt_instance=np.array([-2]))
-
-    def test_point_cloud_rejects_nan_colors(self):
-        with pytest.raises(ValueError, match="colors must lie in"):
-            PointCloud(np.zeros((2, 3)), np.full((2, 3), np.nan))
+            PointCloud(np.zeros((1, 3)), gt_instance=np.array([-2]))
 
     def test_camera_frame_rotation_check(self):
         bad = np.eye(4)

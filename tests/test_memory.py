@@ -158,7 +158,7 @@ def test_union_find_lists_hold_one_block():
     cannot pass the bound of the room test above."""
     n = 40_000
     positions = np.random.default_rng(0).random((n, 3))
-    cloud = PointCloud(positions, np.zeros((n, 3)))
+    cloud = PointCloud(positions)
     normal_nbr, nbr = shared_knn(positions, (NORMALS_K, GRAPH_K))
     normals = estimate_normals(positions, NORMALS_K, neighbors=normal_nbr)
     lo = np.minimum(nbr[:, 1:], np.arange(n)[:, None])

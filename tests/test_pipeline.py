@@ -234,7 +234,7 @@ class TestRunPipeline:
         visible = rng.uniform(-0.05, 0.05, size=(40, 3)) + (0.0, 0.0, 1.0)
         hidden = rng.uniform(-0.05, 0.05, size=(40, 3)) + (5.0, 5.0, 5.0)
         pts = np.concatenate([visible, hidden])
-        cloud = PointCloud(pts, np.full((80, 3), 0.5), np.array([0] * 40 + [-1] * 40))
+        cloud = PointCloud(pts, np.array([0] * 40 + [-1] * 40))
         depth = np.full((32, 32), 1.0)
         frames = [make_frame(depth, cx=15.5, cy=15.5) for _ in range(3)]
         renders = []

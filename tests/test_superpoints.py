@@ -30,7 +30,7 @@ def grid_plane(nx, ny, spacing, origin, axes):
 
 
 def as_cloud(points, labels=None):
-    return PointCloud(points, np.full((len(points), 3), 0.5), labels)
+    return PointCloud(points, labels)
 
 
 def knn_components(points, k):

@@ -1,5 +1,7 @@
 """Generator and renderer self-consistency checks."""
 
+import hashlib
+import itertools
 import warnings
 
 import numpy as np
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 
 from seglift import synth
 from seglift.errors import DataError
-from seglift.geometry import check_extrinsics, project_points
+from seglift.geometry import PointCloud, check_extrinsics, project_points
 from seglift.pipeline import PipelineConfig, prepare_state, subsample_views
 from seglift.synth import (
+    Scene,
     SceneSpec,
     build_scene,
     generate_scene,
@@ -164,6 +167,40 @@ class TestSceneIO:
             assert base.shape == positions.shape
             base = base.base
         np.testing.assert_allclose(positions, small_scene.cloud.positions)
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        """Every file of a saved scene, hashed in path order: the digest was
+        recorded while the cloud still held per-point colours (numpy 2.4.6)."""
+        save_scene(build_scene(SceneSpec(object_count=3, frame_count=3, seed=7, density=40.0, image_size=(16, 12))),
+                   tmp_path)
+        digest = hashlib.sha256()
+        for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+            digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == "128fc4120e42c397536cfafa31242497f3e88efd54a8e5e7c128412b0c6ca984"
+
+    def test_colour_columns_follow_the_label(self, tmp_path, small_scene):
+        labels = np.array([-1, 0, 3, 7, 8, 17])
+        cloud = PointCloud(np.arange(18.0).reshape(6, 3), labels)
+        save_scene(Scene(cloud, small_scene.rendered[:1]), tmp_path)
+        raw = np.loadtxt(tmp_path / "cloud.txt")
+        np.testing.assert_array_equal(raw[:, 6], labels)
+        expected = [synth._ROOM_COLOR if g < 0 else synth._PALETTE[g % 8] for g in labels]
+        np.testing.assert_array_equal(raw[:, 3:6], expected)
+
+    def test_load_cloud_ignores_colour_values(self, tmp_path, small_scene):
+        save_scene(small_scene, tmp_path)
+        cloud_file = tmp_path / "cloud.txt"
+        rows = [line.split() for line in cloud_file.read_text().splitlines()]
+        for row, colour in zip(rows, itertools.cycle(["-5", "2.5", "1e300", "0"])):
+            row[3:6] = [colour] * 3
+        cloud_file.write_text("".join(" ".join(row) + "\n" for row in rows))
+        loaded = synth.load_cloud(tmp_path)
+        np.testing.assert_array_equal(loaded.positions, small_scene.cloud.positions)
+        np.testing.assert_array_equal(loaded.gt_instance, small_scene.cloud.gt_instance)
+        rows[0][4] = "nan"
+        cloud_file.write_text("".join(" ".join(row) + "\n" for row in rows))
+        with pytest.raises(DataError, match="values must be finite"):
+            synth.load_cloud(tmp_path)
 
     def test_refuses_nonempty_dir(self, tmp_path, small_scene):
         path = tmp_path / "scene"

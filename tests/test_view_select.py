@@ -139,7 +139,7 @@ class TestCounts:
     def test_counts_against_direct_projection(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(-0.3, 0.3, size=(60, 3)) + (0.0, 0.0, 2.0)
-        cloud = PointCloud(pts, np.full((60, 3), 0.5))
+        cloud = PointCloud(pts)
         assignment = rng.integers(0, 4, size=60)
         assignment[:4] = np.arange(4)  # keep all ids populated
         partition = SuperpointPartition.from_assignment(assignment, pts)
