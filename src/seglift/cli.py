@@ -31,7 +31,7 @@ from .pipeline import (
     write_proposal_points,
     write_proposals,
 )
-from .synth import SceneSpec, build_scene, load_cloud, load_scene, save_scene
+from .synth import SceneSpec, build_scene, load_instance_ids, load_scene, save_scene
 from .tracks import read_tracks
 
 ABLATION_STRATEGIES = ("all_lifted", "top_k:1", "top_k:5", "top_k:10", "dp")
@@ -188,8 +188,8 @@ def _write_manifest(path, command, args, config, result, timings, outputs):
 
 def cmd_segment(args) -> int:
     config = _resolve_config(args)
-    out_dir = _make_out_dir(args.out)
     scene, tracker, instances, tracks, load_s = _load_inputs(args)
+    out_dir = _make_out_dir(args.out)  # after the inputs load, so a failed load leaves no directory
     result = run_pipeline(scene.cloud, scene.frames, config, tracker, instances, tracks)
     timings = {"load": load_s, **result.timings_s}
     proposals_path = out_dir / "proposals.jsonl"
@@ -208,20 +208,20 @@ def cmd_segment(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cloud = load_cloud(args.scene)
-    if cloud.gt_instance is None or not np.any(cloud.gt_instance >= 0):
+    gt_instance = load_instance_ids(args.scene)
+    if not np.any(gt_instance >= 0):
         raise DataError(f"{args.scene}: scene has no ground-truth instances")
     records = read_proposals(args.proposals)
     points_path = Path(args.proposals).with_name("points.txt")
     if records and not points_path.is_file():
         raise DataError(f"{points_path}: point index companion file is required for eval")
-    point_ids = read_proposal_points(points_path, len(cloud)) if records else {}
+    point_ids = read_proposal_points(points_path, len(gt_instance)) if records else {}
     records = sorted(records, key=lambda r: (-r["score"], r["id"]))
     for record in records:
         if record["id"] not in point_ids:
             raise DataError(f"proposal {record['id']}: missing point indices")
     ids = [point_ids[r["id"]] for r in records]
-    text = evaluate(ids, [float(r["score"]) for r in records], cloud.gt_instance).text()
+    text = evaluate(ids, [float(r["score"]) for r in records], gt_instance).text()
     print(text)
     if args.out:
         try:
@@ -237,8 +237,8 @@ def cmd_ablate(args) -> int:
     if args.strategy is not None:  # a config file's strategy is ignored: one file serves both commands
         raise UsageError(f"ablate always runs the strategies {', '.join(ABLATION_STRATEGIES)}; drop --strategy")
     config = _resolve_config(args)
-    out_dir = _make_out_dir(args.out)
     scene, tracker, instances, tracks, _ = _load_inputs(args, need_gt=True)
+    out_dir = _make_out_dir(args.out)
     state = prepare_state(scene.cloud, scene.frames, instances, config)
 
     rows = []

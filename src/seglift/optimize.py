@@ -2,11 +2,11 @@
 
 A track's masks are lifted to a :class:`VisibilityMatrix` by one rule,
 containment: per view, the superpoints with at least a fraction ``tau`` of
-their projected points inside the mask. The refinement objective counts,
+their projected points inside the mask (an oracle track's inside counts are
+the pixel index's rows for its render id). The refinement objective counts,
 summed over the track's views, how many projected points of the selected
-superpoints fall inside the mask minus how many fall outside. Because
-superpoints partition the points, every projected point belongs to exactly
-one superpoint and the objective is a sum of cached per-view,
+superpoints fall inside the mask minus how many fall outside. Superpoints
+partition the points, so the objective is a sum of cached per-view,
 per-superpoint contributions.
 
 Solvers over the visibility structure:
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvariantViolation
 from .tracks import MaskTrack
 from .view_select import PixelIndex
 
@@ -114,7 +115,7 @@ def visibility_matrix(track: MaskTrack, pixels: PixelIndex, tau: float = 0.5) ->
     A superpoint is visible in a view when at least ``tau`` of its projected
     points there fall inside the mask (containment); one with no projected
     points in a view is never visible there. ``pixels`` is the scene's pixel
-    index.
+    index; a track with an ``instance`` reads its rows for that id, if any, and no mask.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
@@ -124,14 +125,20 @@ def visibility_matrix(track: MaskTrack, pixels: PixelIndex, tau: float = 0.5) ->
         if not 0 <= t < T:
             raise ValueError(f"track {track.track_id} view {t}: outside the {T} views of the pixel index")
     total_counts = pixels.counts[views]
-    in_counts = np.zeros((len(views), L), dtype=np.int64)
-    for v, t in enumerate(views):
-        mask = track.masks[t]  # indexed once: a file track decodes its mask here
-        if mask.shape != pixels.shape:
-            raise ValueError(
-                f"track {track.track_id} view {t}: mask shape {mask.shape} does not match frame {pixels.shape}"
-            )
-        in_counts[v] = pixels.count_inside(t, mask)
+    if track.instance is not None and pixels.instance_ids is not None:
+        at = np.flatnonzero(pixels.instance_ids == track.instance)
+        if pixels.instance_views[at].tolist() != views:
+            raise InvariantViolation(f"track {track.track_id}: the views of id {track.instance} are not its mask views")
+        in_counts = pixels.instance_counts[at]
+    else:
+        in_counts = np.zeros((len(views), L), dtype=np.int64)
+        for v, t in enumerate(views):
+            mask = track.masks[t]  # indexed once: a file track decodes its mask here
+            if mask.shape != pixels.shape:
+                raise ValueError(
+                    f"track {track.track_id} view {t}: mask shape {mask.shape} does not match frame {pixels.shape}"
+                )
+            in_counts[v] = pixels.count_inside(t, mask)
     with np.errstate(invalid="ignore"):
         ratio = in_counts / total_counts
     rows = (total_counts > 0) & (np.nan_to_num(ratio) >= tau)

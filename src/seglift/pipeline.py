@@ -250,7 +250,7 @@ def prepare_state(cloud, frames, instances, config) -> PipelineState:
     Each working view is read once, as it is projected, after the
     partition: no depth map is held while the normals and the graph cut
     run, and only one while views are projected. The working instance
-    renders are read in the same pass and kept in the state.
+    renders are read in the same pass, kept, and counted per id in the index.
     """
     working = subsample_views(frames, config.view_stride)
     winst = subsample_views(instances, config.view_stride) if instances is not None else None
@@ -289,7 +289,7 @@ def prepare_state(cloud, frames, instances, config) -> PipelineState:
                 renders.append(render.astype(np.min_scalar_type(min(int(render.min()), -1 - int(render.max())))))
             yield project_cloud(cloud.positions, [frame], config.depth_tolerance)[0]
 
-    pixels = PixelIndex.build(partition, projections(), shape)
+    pixels = PixelIndex.build(partition, projections(), shape, renders)
     return PipelineState(renders, partition, neighbors, pixels, config)
 
 

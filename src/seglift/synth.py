@@ -29,6 +29,7 @@ __all__ = [
     "build_scene",
     "save_scene",
     "load_cloud",
+    "load_instance_ids",
     "load_scene",
 ]
 
@@ -484,8 +485,8 @@ def save_scene(scene: Scene, path, force: bool = False) -> None:
         rendered.instance.astype("<i4").tofile(root / "frames" / f"{t:04d}.inst")
 
 
-def load_cloud(path) -> PointCloud:
-    """The point cloud of a scene directory, without reading its frames."""
+def _parse_cloud(path, usecols: int | None = None) -> tuple[Path, np.ndarray]:
+    """(cloud.txt of a scene directory, its (N, columns) float parse); ``usecols`` parses one column alone."""
     root = Path(path)
     cloud_file = root / "cloud.txt"
     if not cloud_file.is_file() or not (root / "intrinsics.txt").is_file():
@@ -493,19 +494,34 @@ def load_cloud(path) -> PointCloud:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # loadtxt only warns about a file without data
-            raw = np.loadtxt(cloud_file, dtype=np.float64, ndmin=2)
+            return cloud_file, np.loadtxt(cloud_file, dtype=np.float64, ndmin=2, usecols=usecols)
     except (ValueError, UserWarning) as exc:
         raise DataError(f"{cloud_file}: {exc}") from exc
+
+
+def _instance_ids(column: np.ndarray, cloud_file: Path) -> np.ndarray:
+    """The gt_instance column as int64, once every id is an integer from -1 up, below 2**63."""
+    if not np.all((column == np.round(column)) & (np.abs(column) < 2.0**63)):
+        raise DataError(f"{cloud_file}: instance ids must be int64 integers")
+    if np.any(column < -1):
+        raise DataError(f"{cloud_file}: gt_instance values must be -1 or nonnegative")
+    return column.astype(np.int64)
+
+
+def load_cloud(path) -> PointCloud:
+    """The point cloud of a scene directory, without reading its frames."""
+    cloud_file, raw = _parse_cloud(path)
     if raw.shape[1] != 7:
         raise DataError(f"{cloud_file}: expected 7 columns, found {raw.shape[1]}")
     if not np.all(np.isfinite(raw)):
         raise DataError(f"{cloud_file}: values must be finite")
-    if not np.all((raw[:, 6] == np.round(raw[:, 6])) & (np.abs(raw[:, 6]) < 2.0**63)):
-        raise DataError(f"{cloud_file}: instance ids must be int64 integers")
-    try:
-        return PointCloud(np.ascontiguousarray(raw[:, :3]), raw[:, 6].astype(np.int64))
-    except ValueError as exc:
-        raise DataError(f"{cloud_file}: {exc}") from exc
+    return PointCloud(np.ascontiguousarray(raw[:, :3]), _instance_ids(raw[:, 6], cloud_file))
+
+
+def load_instance_ids(path) -> np.ndarray:
+    """The gt_instance ids of a scene directory's cloud, parsed alone: no position or colour is checked."""
+    cloud_file, column = _parse_cloud(path, usecols=6)
+    return _instance_ids(column[:, 0], cloud_file)
 
 
 def _read_view_file(path: Path, dtype: str, shape: tuple[int, int]) -> np.ndarray:

@@ -86,13 +86,15 @@ class TrackerQuery:
 
 @dataclass
 class MaskTrack:
-    """One object's per-view binary masks plus a confidence score."""
+    """One object's per-view binary masks plus a confidence score; ``instance``
+    is the render id the masks are exactly, or None (a track file has none)."""
 
     track_id: int
     score: float
     masks: Mapping[int, np.ndarray]
     pivot_view: int
     seed_superpoint: int
+    instance: int | None = None
 
     def __post_init__(self) -> None:
         if self.pivot_view not in self.masks:
@@ -153,15 +155,15 @@ def oracle_track(
     track_id: int = 0,
     seed_superpoint: int = -1,
 ) -> MaskTrack:
-    """Exact tracker: emits the ground-truth instance renders of the object
-    the prompts land on (majority vote, ties to the lowest id)."""
+    """Exact tracker: the ground-truth renders of the id the prompts land on
+    (majority vote, ties to the lowest id), which is the track's ``instance``."""
     target = _majority_instance(instance_renders[query.pivot_view], query.point_prompts)
     masks: dict[int, np.ndarray] = {}
     for t, render in enumerate(instance_renders):
         mask = render == target
         if mask.any():
             masks[t] = mask
-    return MaskTrack(track_id, 1.0, masks, query.pivot_view, seed_superpoint)
+    return MaskTrack(track_id, 1.0, masks, query.pivot_view, seed_superpoint, target)
 
 
 def noisy_track(

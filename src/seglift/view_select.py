@@ -8,7 +8,7 @@ the view with the highest score, ties to the lowest view index.
 from __future__ import annotations
 
 import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +49,10 @@ class PixelIndex:
     are int32 when ``H * W * L <= 2**31``, int64 otherwise. ``counts`` is (T, L):
     each superpoint's projected points per view. ``first_pixel`` is (T, L):
     the pixel of each superpoint's lowest visible point id in each view, -1
-    where it has none. ``shape`` is the (H, W) of every view's image.
+    where it has none. ``shape`` is the (H, W) of every view's image. Built
+    with renders, row r of the (R, L) int32 ``instance_counts`` counts, as
+    ``count_inside`` would, view ``instance_views[r]``'s points where its render
+    is ``instance_ids[r]``: a row per id a view holds, ids ascending, else None.
     """
 
     counts: np.ndarray
@@ -57,25 +60,35 @@ class PixelIndex:
     keys: np.ndarray
     first_pixel: np.ndarray
     shape: tuple[int, int]
+    instance_views: np.ndarray | None = None
+    instance_ids: np.ndarray | None = None
+    instance_counts: np.ndarray | None = None
 
     @classmethod
-    def build(
-        cls, partition: SuperpointPartition, projections: Iterable[PixelSet], shape: tuple[int, int]
-    ) -> "PixelIndex":
+    def build(cls, partition: SuperpointPartition, projections: Iterable[PixelSet], shape: tuple[int, int],
+              renders: Sequence[np.ndarray] | None = None) -> "PixelIndex":
         """Index an iterable of views in one pass: each view is reduced to its
         counts row, its first-pixel row and its sorted keys before the next
         is read, so a generator that projects one view at a time never holds
-        every view's projected points at once."""
+        every view's projected points at once. ``renders[t]`` is read once
+        view t is drawn, so a list the generator fills as it projects serves."""
         L = partition.count
         dtype = np.int32 if shape[0] * shape[1] * L <= 2**31 else np.int64
         count_rows, parts = [], []
         first_rows = array.array("q")  # 8 B per entry: a Python int per entry took 36 B
-        for ps in projections:
+        row_views, row_ids, row_counts = [], [], array.array("i")  # the counts at 4 B per entry
+        for t, ps in enumerate(projections):
             # as Python ints: numpy holds on to freed buffers under 1 KB for reuse,
             # and one live row per view, spread over the heap, kept it from shrinking
             count_rows.append(superpoint_view_counts(partition, [ps])[0].tolist())
             labels = partition.assignment.take(ps.indices)
             keys = ps.rows * shape[1] + ps.cols
+            if renders is not None:
+                ids = np.unique(renders[t])  # ranked, not offset: a dense count over the id span could be huge
+                rank = ids.searchsorted(renders[t].reshape(-1).take(keys))
+                row_counts.frombytes(np.bincount(rank * L + labels, minlength=len(ids) * L).astype(np.int32).tobytes())
+                row_ids += ids.tolist()
+                row_views += [t] * len(ids)
             keys *= L
             keys += labels
             # the projection lists its points by ascending id: the first of each superpoint is its lowest
@@ -92,7 +105,9 @@ class PixelIndex:
         first_pixel = np.frombuffer(first_rows, dtype=np.int64).astype(dtype).reshape(-1, L)
         starts = np.concatenate([[0], np.cumsum([len(part) for part in parts], dtype=np.int64)])
         keys = np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-        return cls(counts, starts, keys, first_pixel, tuple(shape))
+        table = () if renders is None else (np.array(row_views, dtype=np.int64), np.array(row_ids, dtype=np.int64),
+                                            np.frombuffer(row_counts, dtype=np.int32).reshape(-1, L))
+        return cls(counts, starts, keys, first_pixel, tuple(shape), *table)
 
     def view(self, t: int) -> slice:
         """The entries of view ``t``."""

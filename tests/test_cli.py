@@ -293,6 +293,41 @@ class TestEval:
             reports.append(report.read_bytes())
         assert reports[0] == reports[1]
 
+    def test_eval_reads_only_the_id_column(self, scene_dir, tmp_path, capsys):
+        # eval parses only the ids: a NaN position or colour gives the same report, and segment still refuses it
+        out = tmp_path / "run"
+        run_segment(scene_dir, out)
+        damaged = tmp_path / "nan-position"
+        shutil.copytree(scene_dir, damaged)
+        first, rest = (damaged / "cloud.txt").read_text().split("\n", 1)
+        (damaged / "cloud.txt").write_text(" ".join(["nan"] * 6 + first.split()[6:]) + "\n" + rest)
+        reports = []
+        for scene in (scene_dir, damaged):
+            report = tmp_path / f"{scene.name}.txt"
+            argv = ["eval", "--scene", str(scene), "--proposals", str(out / "proposals.jsonl"), "--out", str(report)]
+            assert main(argv) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+        capsys.readouterr()
+        assert run_segment(damaged, tmp_path / "segment") == 3
+        assert "values must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("1.5", "instance ids must be int64 integers"), ("nan", "instance ids must be int64 integers"),
+         ("1e300", "instance ids must be int64 integers"), ("-2", "gt_instance values must be -1 or nonnegative")],
+    )
+    def test_eval_bad_instance_id_is_data_error(self, scene_dir, tmp_path, capsys, value, message):
+        scene = tmp_path / "bad-id"
+        shutil.copytree(scene_dir, scene)
+        first, rest = (scene / "cloud.txt").read_text().split("\n", 1)
+        (scene / "cloud.txt").write_text(" ".join(first.split()[:6] + [value]) + "\n" + rest)
+        empty = tmp_path / "none.jsonl"
+        empty.write_text("")
+        assert main(["eval", "--scene", str(scene), "--proposals", str(empty)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {scene / 'cloud.txt'}: ") and message in err
+
     def test_eval_without_cloud_is_data_error(self, scene_dir, tmp_path, capsys):
         out = tmp_path / "run"
         run_segment(scene_dir, out)
@@ -540,6 +575,20 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
         assert all(arg in err for arg in argv if arg.startswith(f"{scene}/taken"))  # the unusable path is named
+
+
+class TestOutDirectory:
+    @pytest.mark.parametrize("command", ["segment", "ablate"])
+    @pytest.mark.parametrize("missing", ["scene", "track-file"])
+    def test_failed_load_makes_no_out_directory(self, scene_dir, tmp_path, capsys, command, missing):
+        out = tmp_path / "out" / "run"
+        if missing == "scene":
+            argv = [command, "--scene", str(tmp_path / "missing"), "--out", str(out)]
+        else:
+            argv = [command, "--scene", str(scene_dir), "--tracker", f"file:{tmp_path / 'missing.txt'}", "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestLazyViews:

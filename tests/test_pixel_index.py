@@ -5,18 +5,29 @@ earlier implementations, which restricted or re-bincounted every view's
 whole-cloud projection; the index-based functions must give equal results.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seglift.errors import TrackingError
+from seglift.errors import InvariantViolation, TrackingError
 from seglift.geometry import PixelSet, estimate_normals, fps_sample, project_cloud
 from seglift.optimize import VisibilityMatrix, visibility_matrix
 from seglift.pipeline import PipelineConfig, prepare_state, subsample_views
 from seglift.superpoints import SuperpointPartition, partition_superpoints
-from seglift.tracks import MaskTrack, TrackerQuery, build_tracker_query
-from seglift.view_select import PixelIndex, superpoint_view_counts
+from seglift.tracks import (
+    MaskTrack,
+    NoiseSpec,
+    TrackerQuery,
+    build_tracker_query,
+    noisy_track,
+    oracle_track,
+    read_tracks,
+    write_tracks,
+)
+from seglift.view_select import NoPivotViewError, PixelIndex, pivot_view, superpoint_view_counts
 
 from conftest import examples, make_frame, pixel_index, pose_from, rotation_z
 
@@ -353,3 +364,108 @@ class TestBandEdges:
         partition, projections, track, shape = case
         pixels = PixelIndex.build(partition, projections, shape)
         assert_same_vis(track, partition, None, pixels, projections, tau)
+
+
+@st.composite
+def table_cases(draw):
+    """Random views of a small image, some with no entries, each with an
+    instance render whose ids come from a few values spread over int32."""
+    height, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    views = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    assignment = rng.permutation(np.arange(n) % draw(st.integers(1, min(n, 5))))
+    palette = draw(st.lists(st.integers(-(2**31), 2**31 - 1), min_size=1, max_size=5)) + [-1]
+    projections, renders = [], []
+    for _ in range(views):
+        ids = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0])))
+        projections.append(PixelSet(rng.integers(0, height, ids.size), rng.integers(0, width, ids.size), ids))
+        renders.append(rng.choice(np.array(palette, dtype=np.int32), size=(height, width)))
+    partition = SuperpointPartition.from_assignment(assignment, np.zeros((n, 3)))
+    return partition, projections, renders, (height, width)
+
+
+@pytest.fixture(scope="module")
+def oracle_state(small_scene):
+    return prepare_state(small_scene.cloud, small_scene.frames, small_scene.instances, PipelineConfig(view_stride=3))
+
+
+def oracle_tracks(state):
+    """The oracle track of every seed that has a pivot view and whose prompts hit an object."""
+    tracks = []
+    for seed in range(state.partition.count):
+        try:
+            pivot = pivot_view(seed, state.pixels.counts, state.partition.sizes, state.neighbors)
+            tracks.append(oracle_track(build_tracker_query(seed, state.pixels, pivot), state.instances, seed, seed))
+        except (NoPivotViewError, TrackingError):
+            continue
+    assert len(tracks) > 3
+    return tracks
+
+
+class TestInstanceTable:
+    """Each view's projected points counted per render id, and oracle tracks lifted from those counts."""
+
+    @settings(max_examples=examples(200), deadline=None)
+    @given(table_cases())
+    def test_rows_equal_count_inside_of_the_id_mask(self, case):
+        partition, projections, renders, shape = case
+        pixels = PixelIndex.build(partition, projections, shape, renders)
+        views, ids = [], []
+        for t, render in enumerate(renders):
+            present = np.unique(render)
+            views += [t] * len(present)
+            ids += present.tolist()
+        np.testing.assert_array_equal(pixels.instance_views, views)
+        np.testing.assert_array_equal(pixels.instance_ids, ids)
+        assert pixels.instance_counts.dtype == np.int32
+        assert pixels.instance_counts.shape == (len(ids), partition.count)
+        for row, (t, g) in enumerate(zip(views, ids)):
+            np.testing.assert_array_equal(pixels.instance_counts[row], pixels.count_inside(t, renders[t] == g))
+        TestStreamedBuild.assert_same_index(pixels, PixelIndex.build(partition, projections, shape))
+
+    def test_a_views_rows_sum_to_its_counts(self, oracle_state):
+        pixels = oracle_state.pixels
+        assert len(pixels.counts) > 1
+        for t in range(len(pixels.counts)):
+            np.testing.assert_array_equal(pixels.instance_counts[pixels.instance_views == t].sum(axis=0), pixels.counts[t])
+
+    def test_a_state_without_renders_has_no_table(self, small_scene):
+        state = prepare_state(small_scene.cloud, small_scene.frames, None, PipelineConfig(view_stride=3))
+        assert state.pixels.instance_views is state.pixels.instance_ids is state.pixels.instance_counts is None
+
+    def test_oracle_lift_equals_the_lift_of_its_masks(self, oracle_state):
+        for track in oracle_tracks(oracle_state):
+            assert track.instance is not None
+            by_table = visibility_matrix(track, oracle_state.pixels)
+            by_masks = visibility_matrix(dataclasses.replace(track, instance=None), oracle_state.pixels)
+            for name in ("views", "rows", "in_counts", "total_counts"):
+                np.testing.assert_array_equal(getattr(by_table, name), getattr(by_masks, name), err_msg=name)
+
+    def test_only_tracks_without_an_instance_count_their_masks(self, oracle_state, monkeypatch, tmp_path):
+        oracle = max(oracle_tracks(oracle_state), key=lambda track: len(track.masks))
+        prompt = divmod(int(np.flatnonzero(oracle.masks[oracle.pivot_view])[0]), oracle_state.pixels.shape[1])
+        noisy = noisy_track(TrackerQuery(oracle.pivot_view, [prompt]), oracle_state.instances, NoiseSpec(p_flip=0.3), 0)
+        write_tracks([oracle], tmp_path / "tracks.txt")
+        (from_file,) = read_tracks(tmp_path / "tracks.txt")
+        assert noisy.instance is None and from_file.instance is None
+        without_table = dataclasses.replace(oracle_state.pixels, instance_views=None, instance_ids=None,
+                                            instance_counts=None)
+        calls = []
+        count_inside = PixelIndex.count_inside
+        monkeypatch.setattr(PixelIndex, "count_inside", lambda self, t, mask: calls.append(t) or count_inside(self, t, mask))
+        for track, pixels, counted in ((oracle, oracle_state.pixels, []), (noisy, oracle_state.pixels, noisy.views()),
+                                       (from_file, oracle_state.pixels, oracle.views()),
+                                       (oracle, without_table, oracle.views())):
+            calls.clear()
+            visibility_matrix(track, pixels)
+            assert calls == counted and len(track.masks) > 1
+
+    def test_instance_rows_over_other_views_are_an_invariant_violation(self, oracle_state):
+        track = max(oracle_tracks(oracle_state), key=lambda track: len(track.masks))
+        dropped = next(t for t in track.views() if t != track.pivot_view)
+        fewer = {t: mask for t, mask in track.masks.items() if t != dropped}
+        for masks, instance in ((fewer, track.instance), (track.masks, 10**6)):
+            broken = MaskTrack(track.track_id, 1.0, masks, track.pivot_view, track.seed_superpoint, instance)
+            with pytest.raises(InvariantViolation, match="are not its mask views"):
+                visibility_matrix(broken, oracle_state.pixels)

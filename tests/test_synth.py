@@ -273,6 +273,35 @@ class TestSceneFileFuzz:
         assert np.all(np.isfinite(scene.cloud.positions))
         assert np.all(np.isfinite((frame.fx, frame.fy, frame.cx, frame.cy)))
 
+    @given(text=_TEXTS)
+    @settings(max_examples=300, deadline=None)
+    @example(text="")
+    @example(text="0 0 0 0 0 0 1e300")
+    @example(text="0 0 0 0 0 0 0.5")
+    @example(text="0 0 0 0 0 0 -2")
+    @example(text="nan 0 0 0 0 0 1")
+    @example(text="0 0 0 0 0 0 1 0")
+    def test_instance_ids_load_or_raise_data_error(self, tiny_scene_dir, text):
+        # any cloud.txt text gives int64 ids from -1 up or a DataError; where
+        # the whole cloud loads, the ids are its ids
+        target = tiny_scene_dir / "cloud.txt"
+        original = target.read_bytes()
+        target.write_text(text, encoding="utf-8")
+        loaded = {}
+        try:
+            for name, load in (("ids", synth.load_instance_ids), ("cloud", synth.load_cloud)):
+                try:
+                    loaded[name] = load(tiny_scene_dir)
+                except DataError:
+                    pass
+        finally:
+            target.write_bytes(original)
+        if "ids" in loaded:
+            ids = loaded["ids"]
+            assert ids.dtype == np.int64 and ids.ndim == 1 and len(ids) > 0 and np.all(ids >= -1)
+        if "cloud" in loaded:
+            np.testing.assert_array_equal(loaded["ids"], loaded["cloud"].gt_instance)
+
 
 # round-trip formats, then ones too coarse for a rigid rotation
 _POSE_FORMATS = ("{!r}", "{:.17g}", "{:.25f}", "{:+.16E}", "{:e}", "{:+.3E}", "{:g}", "{:.0f}")
