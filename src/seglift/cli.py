@@ -77,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     seg = sub.add_parser("segment", help="run the proposal pipeline on a scene")
     add_segment_flags(seg)
-    seg.add_argument("--no-points", action="store_true", help="skip the point index companion file")
 
     ev = sub.add_parser("eval", help="score a proposal file against scene ground truth")
     ev.add_argument("--scene", required=True)
@@ -194,11 +193,9 @@ def cmd_segment(args) -> int:
     timings = {"load": load_s, **result.timings_s}
     proposals_path = out_dir / "proposals.jsonl"
     write_proposals(result.proposals, proposals_path)
-    outputs = {"proposals": str(proposals_path)}
-    if not args.no_points:
-        points_path = out_dir / "points.txt"
-        write_proposal_points(result.proposals, result.partition, points_path)
-        outputs["points"] = str(points_path)
+    points_path = out_dir / "points.txt"
+    write_proposal_points(result.proposals, result.partition, points_path)
+    outputs = {"proposals": str(proposals_path), "points": str(points_path)}
     _write_manifest(out_dir / "manifest.json", "segment", args, config, result, timings, outputs)
     print(
         f"{len(result.proposals)} proposals over {result.superpoint_count} superpoints "

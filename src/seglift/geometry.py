@@ -134,35 +134,16 @@ class CameraFrame:
 
 @dataclass
 class PixelSet:
-    """Pixels hit by an ordered subset of points in one view.
-
-    ``indices[i]`` is the source point id that produced pixel
-    ``(rows[i], cols[i])``; ids are strictly increasing.
-    """
+    """Pixels hit by a subset of points in one view: ``indices[i]`` is the
+    source point id that produced pixel ``(rows[i], cols[i])``. The three
+    are int64 arrays of one length; nothing checks or casts them."""
 
     rows: np.ndarray
     cols: np.ndarray
     indices: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.cols = np.asarray(self.cols, dtype=np.int64)
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        if not (len(self.rows) == len(self.cols) == len(self.indices)):
-            raise ValueError("rows, cols and indices must have equal length")
-        if len(self.indices) > 1 and np.any(np.diff(self.indices) <= 0):
-            raise ValueError("source point indices must be strictly increasing")
-
     def __len__(self) -> int:
         return len(self.indices)
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.indices) == 0
-
-    def pixels(self) -> np.ndarray:
-        """(M, 2) array of (row, col) pairs, possibly with duplicates."""
-        return np.stack([self.rows, self.cols], axis=1)
 
 
 def _round_half_away(values: np.ndarray) -> np.ndarray:

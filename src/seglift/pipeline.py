@@ -94,7 +94,6 @@ class PipelineConfig:
     dedup_iou: float = 0.9
     strategy: str = "dp"
     seed: int = 0
-    prompt_count: int = 3
     memory_window: int = 7
     noise_p_drop: float = 0.0
     noise_r_morph: int = 0
@@ -120,8 +119,6 @@ class PipelineConfig:
             raise ValueError("max_rounds must be at least 1")
         if not 0.0 < self.dedup_iou <= 1.0:
             raise ValueError("dedup_iou must lie in (0, 1]")
-        if self.prompt_count < 1:
-            raise ValueError("prompt_count must be at least 1")
         if self.superpoint_knn < 1:
             raise ValueError("superpoint_knn must be at least 1")
         if not (math.isfinite(self.superpoint_threshold) and self.superpoint_threshold > 0):
@@ -329,9 +326,7 @@ def _track_and_lift(state: PipelineState, seed: int, track_id: int, tracker: str
     cfg = state.config
     try:
         pivot = pivot_view(seed, state.pixels.counts, state.partition.sizes, state.neighbors)
-        query = build_tracker_query(
-            seed, state.pixels, pivot, memory_window=cfg.memory_window, prompt_count=cfg.prompt_count
-        )
+        query = build_tracker_query(seed, state.pixels, pivot, memory_window=cfg.memory_window)
         if tracker == "oracle":
             track = oracle_track(query, state.instances, track_id, seed)
         else:

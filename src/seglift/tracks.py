@@ -16,7 +16,7 @@ when it is indexed, so a dense mask lives only while its view is lifted.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,13 +75,14 @@ class TrackerQuery:
     """Prompts handed to a tracker for one superpoint.
 
     point_prompts are (row, col) pixels inside the pivot-view projection;
-    reprompt_points re-anchor the tracker at views where the superpoint
-    reappears after an invisibility gap longer than the memory window.
+    reprompt_views are the views where the superpoint reappears after an
+    invisibility gap longer than the memory window, and where the tracker
+    is re-anchored on it.
     """
 
     pivot_view: int
     point_prompts: list[tuple[int, int]]
-    reprompt_points: dict[int, tuple[int, int]] = field(default_factory=dict)
+    reprompt_views: frozenset[int] = frozenset()
 
 
 @dataclass
@@ -113,14 +114,13 @@ def build_tracker_query(
     memory_window: int = 7,
     prompt_count: int = 3,
 ) -> TrackerQuery:
-    """Choose point prompts in the pivot view and reprompt points after gaps.
+    """Choose point prompts in the pivot view and the views to re-prompt at.
 
     Prompts are picked by 2D farthest-point sampling over the superpoint's
     distinct pivot-view pixels (fewer than ``prompt_count`` when the
-    projection is smaller). A reprompt pixel, that of the superpoint's
-    lowest visible point id, is placed at every view where the superpoint
-    reappears after more than ``memory_window`` consecutive invisible views.
-    ``pixels`` is the scene's pixel index.
+    projection is smaller). A re-prompt view is every view where the
+    superpoint reappears after more than ``memory_window`` consecutive
+    invisible views. ``pixels`` is the scene's pixel index.
     """
     if not 0 <= superpoint < pixels.counts.shape[1]:
         raise ValueError("superpoint id out of range")
@@ -134,9 +134,7 @@ def build_tracker_query(
     prompts = [(int(uniq[i, 0]), int(uniq[i, 1])) for i in picks]
 
     visible = np.flatnonzero(pixels.counts[:, superpoint] > 0)
-    reprompts: dict[int, tuple[int, int]] = {}
-    for t in visible[1:][np.diff(visible) - 1 > memory_window]:
-        reprompts[int(t)] = divmod(int(pixels.first_pixel[t, superpoint]), pixels.shape[1])
+    reprompts = frozenset(visible[1:][np.diff(visible) - 1 > memory_window].tolist())
     return TrackerQuery(pivot, prompts, reprompts)
 
 
@@ -250,7 +248,7 @@ def _apply_forgetting(
             lost = False
             continue
         if t in masks:
-            if lost and t not in query.reprompt_points:
+            if lost and t not in query.reprompt_views:
                 gap += 1  # forgotten views extend the gap
                 continue
             kept[t] = masks[t]

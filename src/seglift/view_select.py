@@ -46,19 +46,17 @@ class PixelIndex:
     The entries of view t are ``keys[starts[t]:starts[t + 1]]``, one key
     ``pixel * L + superpoint`` per projected point, with ``pixel = row * W +
     col``, in ascending order: by row, then column, then superpoint. Keys
-    are int32 when ``H * W * L <= 2**31``, int64 otherwise. ``counts`` is (T, L):
-    each superpoint's projected points per view. ``first_pixel`` is (T, L):
-    the pixel of each superpoint's lowest visible point id in each view, -1
-    where it has none. ``shape`` is the (H, W) of every view's image. Built
-    with renders, row r of the (R, L) int32 ``instance_counts`` counts, as
-    ``count_inside`` would, view ``instance_views[r]``'s points where its render
-    is ``instance_ids[r]``: a row per id a view holds, ids ascending, else None.
+    are int32 when ``H * W * L <= 2**31``, int64 otherwise. ``counts`` is
+    (T, L): each superpoint's projected points per view. ``shape`` is the
+    (H, W) of every view's image. Built with renders, row r of the (R, L)
+    int32 ``instance_counts`` counts, as ``count_inside`` would, view
+    ``instance_views[r]``'s points where its render is ``instance_ids[r]``:
+    a row per id a view holds, ids ascending, else None.
     """
 
     counts: np.ndarray
     starts: np.ndarray
     keys: np.ndarray
-    first_pixel: np.ndarray
     shape: tuple[int, int]
     instance_views: np.ndarray | None = None
     instance_ids: np.ndarray | None = None
@@ -68,14 +66,13 @@ class PixelIndex:
     def build(cls, partition: SuperpointPartition, projections: Iterable[PixelSet], shape: tuple[int, int],
               renders: Sequence[np.ndarray] | None = None) -> "PixelIndex":
         """Index an iterable of views in one pass: each view is reduced to its
-        counts row, its first-pixel row and its sorted keys before the next
-        is read, so a generator that projects one view at a time never holds
-        every view's projected points at once. ``renders[t]`` is read once
-        view t is drawn, so a list the generator fills as it projects serves."""
+        counts row and its sorted keys before the next is read, so a
+        generator that projects one view at a time never holds every view's
+        projected points at once. ``renders[t]`` is read once view t is
+        drawn, so a list the generator fills as it projects serves."""
         L = partition.count
         dtype = np.int32 if shape[0] * shape[1] * L <= 2**31 else np.int64
         count_rows, parts = [], []
-        first_rows = array.array("q")  # 8 B per entry: a Python int per entry took 36 B
         row_views, row_ids, row_counts = [], [], array.array("i")  # the counts at 4 B per entry
         for t, ps in enumerate(projections):
             # as Python ints: numpy holds on to freed buffers under 1 KB for reuse,
@@ -91,23 +88,15 @@ class PixelIndex:
                 row_views += [t] * len(ids)
             keys *= L
             keys += labels
-            # the projection lists its points by ascending id: the first of each superpoint is its lowest
-            first = np.full(L, len(keys))
-            np.minimum.at(first, labels, np.arange(len(keys)))
-            seen = first < len(keys)
-            first[seen] = keys.take(first[seen]) // L
-            first[~seen] = -1
-            first_rows.extend(first.tolist())
             part = keys.astype(dtype)
             part.sort()
             parts.append(part)
         counts = np.array(count_rows, dtype=np.int64).reshape(-1, L)
-        first_pixel = np.frombuffer(first_rows, dtype=np.int64).astype(dtype).reshape(-1, L)
         starts = np.concatenate([[0], np.cumsum([len(part) for part in parts], dtype=np.int64)])
         keys = np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
         table = () if renders is None else (np.array(row_views, dtype=np.int64), np.array(row_ids, dtype=np.int64),
                                             np.frombuffer(row_counts, dtype=np.int32).reshape(-1, L))
-        return cls(counts, starts, keys, first_pixel, tuple(shape), *table)
+        return cls(counts, starts, keys, tuple(shape), *table)
 
     def view(self, t: int) -> slice:
         """The entries of view ``t``."""

@@ -1,5 +1,7 @@
 """Command-line behavior: subcommands, flag precedence, exit codes."""
 
+import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -16,8 +18,10 @@ import seglift
 from seglift import cli, pipeline, synth, tracks
 from seglift.cli import main
 from seglift.optimize import Solution, all_lifted
-from seglift.pipeline import PipelineConfig, read_proposals, run_pipeline
-from seglift.tracks import MaskTrack, write_tracks
+from seglift.errors import TrackingError
+from seglift.pipeline import PipelineConfig, prepare_state, read_proposals, run_pipeline
+from seglift.tracks import MaskTrack, build_tracker_query, noisy_track, write_tracks
+from seglift.view_select import NoPivotViewError, pivot_view
 from seglift.synth import load_scene
 from seglift.pipeline import subsample_views
 
@@ -423,6 +427,49 @@ class TestManifest:
         assert all(0 <= entry["deduped"] <= entry["proposals_emitted"] for entry in rounds)
 
 
+class TestReprompts:
+    """A noisy run whose tracks are re-prompted: with a memory window of one
+    view, a superpoint hidden for two working views is re-prompted where it
+    reappears, and without that re-prompt both output files would differ."""
+
+    ARGV = ["--tracker", "noisy", "--noise-p-flip", "0.3", "--memory-window", "1", "--stride", "2"]
+
+    @pytest.fixture(scope="class")
+    def reprompt_scene(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("reprompt") / "scene"
+        assert main(["generate", "--out", str(path), "--objects", "4", "--frames", "40", "--seed", "3"]) == 0
+        return path
+
+    def test_outputs_are_pinned(self, reprompt_scene, tmp_path):
+        """The digests were recorded while each re-prompt still carried a pixel (numpy 2.4.6)."""
+        argv = ["segment", "--scene", str(reprompt_scene), "--out", str(tmp_path / "run"), *self.ARGV]
+        assert main(argv) == 0
+        digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+                   for name in ("proposals.jsonl", "points.txt")}
+        assert digests == {
+            "proposals.jsonl": "b832b122369604384de2bb235e9248b598afb4384d136b5b8205df3e68f079fe",
+            "points.txt": "e76ffd54d40b5b560165b8ed3031df51c9667d887934eae1de8a36dd3e477a07",
+        }
+
+    def test_reprompt_views_keep_masks(self, reprompt_scene):
+        scene = load_scene(reprompt_scene)
+        config = PipelineConfig(view_stride=2, memory_window=1, noise_p_flip=0.3)
+        state = prepare_state(scene.cloud, scene.frames, scene.instances, config)
+        reprompted = kept = 0
+        for seed in range(state.partition.count):
+            try:
+                pivot = pivot_view(seed, state.pixels.counts, state.partition.sizes, state.neighbors)
+                query = build_tracker_query(seed, state.pixels, pivot, memory_window=1)
+                track = noisy_track(query, state.instances, config.noise_spec(), seed)
+            except (NoPivotViewError, TrackingError):
+                continue
+            reprompted += len(query.reprompt_views)
+            forgetful = noisy_track(dataclasses.replace(query, reprompt_views=frozenset()), state.instances,
+                                    config.noise_spec(), seed)
+            kept += len(track.masks) - len(forgetful.masks)
+        assert reprompted > 0 and kept > 0
+
+
 # (case, command, generate or segment flags or one proposals.jsonl line, exit code)
 EXIT_CODES = [
     ("generate-ok", "generate", ["--objects", "0", "--frames", "2"], 0),
@@ -546,8 +593,10 @@ INPUT_ERRORS = [
      ["eval", "--scene", "{scene}", "--proposals", "{scene}/run/proposals.jsonl", "--out", "{scene}/taken"]),
 ] + [
     (f"config-{line.split()[0]}", {"bad.cfg": _write(line + "\n")}, _CONFIG_SEGMENT)
-    for line in ("superpoint_knn = 0", "normals_k = 2", "superpoint_min_size = 0", "superpoint_threshold = 0",
-                 "prompt_count = 0")
+    for line in ("superpoint_knn = 0", "normals_k = 2", "superpoint_min_size = 0", "superpoint_threshold = 0")
+] + [
+    # prompt_count was a config key; a file that still sets it, even to its old default, names the key
+    ("config-prompt_count", {"bad.cfg": _write("prompt_count = 3\n")}, _CONFIG_SEGMENT),
 ] + [
     # an unknown key, and non-finite values, which a "<= 0" check lets through
     (f"config-{line.replace(' = ', '-')}", {"bad.cfg": _write(line + "\n")}, _CONFIG_SEGMENT)
@@ -555,10 +604,16 @@ INPUT_ERRORS = [
                  "superpoint_threshold = nan")
 ]
 
+# the message a case's error must hold, besides the "data error: " prefix
+INPUT_ERROR_MESSAGES = {
+    "config-prompt_count": "bad.cfg: unknown config key 'prompt_count'",
+    "config-overlap_mode-containment": "bad.cfg: unknown config key 'overlap_mode'",
+}
+
 
 class TestInputErrors:
-    @pytest.mark.parametrize("edits, argv", [case[1:] for case in INPUT_ERRORS], ids=[case[0] for case in INPUT_ERRORS])
-    def test_data_error_exit_code(self, scene_dir, tmp_path, capsys, edits, argv):
+    @pytest.mark.parametrize("case, edits, argv", INPUT_ERRORS, ids=[case[0] for case in INPUT_ERRORS])
+    def test_data_error_exit_code(self, scene_dir, tmp_path, capsys, case, edits, argv):
         scene = scene_dir
         if edits:
             scene = tmp_path / "scene"
@@ -573,7 +628,7 @@ class TestInputErrors:
         argv = [arg.format(scene=scene, tmp=tmp_path) for arg in argv]
         assert main(argv) == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error: ")
+        assert err.startswith("data error: ") and INPUT_ERROR_MESSAGES.get(case, "") in err
         assert all(arg in err for arg in argv if arg.startswith(f"{scene}/taken"))  # the unusable path is named
 
 
@@ -728,12 +783,15 @@ class TestAblate:
         mean_obj = {r[0]: float(r[header.index("mean_objective")]) for r in rows}
         assert mean_obj["dp"] >= mean_obj["all_lifted"]
 
-    def test_no_points_is_a_segment_flag(self, scene_dir, tmp_path, capsys):
-        argv = ["ablate", "--scene", str(scene_dir), "--out", str(tmp_path / "out"), "--no-points"]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "--no-points" in capsys.readouterr().err
+    def test_no_points_is_not_a_flag(self, scene_dir, tmp_path, capsys):
+        # segment always writes points.txt, which eval needs
+        for command in ("segment", "ablate"):
+            argv = [command, "--scene", str(scene_dir), "--out", str(tmp_path / command), "--no-points"]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "--no-points" in capsys.readouterr().err
+            assert not (tmp_path / command).exists()
 
     def test_strategy_flag_is_a_usage_error(self, scene_dir, tmp_path, capsys):
         argv = ["ablate", "--scene", str(scene_dir), "--out", str(tmp_path / "out"), "--strategy", "dp"]

@@ -137,17 +137,17 @@ def test_one_view_projection_peak_per_cloud_point():
 
 
 def test_pixel_index_holds_four_bytes_per_entry():
-    """One int32 key per projected point, besides the (T, L) counts, the
-    (T, L) int32 first-pixel table and the (T + 1,) view starts; parallel
-    row, column and label arrays would take 12 B."""
+    """One int32 key per projected point, besides the (T, L) counts and the
+    (T + 1,) view starts; parallel row, column and label arrays would take
+    12 B."""
     scene = build_scene(SceneSpec(object_count=3, frame_count=8, seed=1))
     partition = partition_superpoints(scene.cloud, estimate_normals(scene.cloud.positions, NORMALS_K))
     pixels = pixel_index(partition, scene.cloud.positions, scene.frames)
     entries = int(pixels.starts[-1])
     T, L = len(scene.frames), partition.count
-    assert entries > 0 and pixels.counts.shape == pixels.first_pixel.shape == (T, L)
+    assert entries > 0 and pixels.counts.shape == (T, L)
     held = sum(value.nbytes for value in vars(pixels).values() if isinstance(value, np.ndarray))
-    assert held <= 4 * entries + 8 * T * L + 4 * T * L + 8 * (T + 1)
+    assert held <= 4 * entries + 8 * T * L + 8 * (T + 1)
 
 
 def test_union_find_lists_hold_one_block():

@@ -40,25 +40,23 @@ def reference_build_tracker_query(
 ):
     per_view = [_restrict(projections[t], partition.assignment, superpoint) for t in range(len(frames))]
     pivot_proj = per_view[pivot]
-    if pivot_proj.is_empty:
+    if len(pivot_proj) == 0:
         raise TrackingError("superpoint invisible in pivot")
 
-    uniq = np.unique(pivot_proj.pixels(), axis=0)
+    uniq = np.unique(np.stack([pivot_proj.rows, pivot_proj.cols], axis=1), axis=0)
     embedded = np.column_stack([uniq.astype(np.float64), np.zeros(len(uniq))])
     picks = fps_sample(embedded, min(prompt_count, len(uniq)))
     prompts = [(int(uniq[i, 0]), int(uniq[i, 1])) for i in picks]
 
-    visible = [not ps.is_empty for ps in per_view]
-    reprompts = {}
+    reprompts = set()
     prev = None
-    for t, vis in enumerate(visible):
-        if not vis:
+    for t, ps in enumerate(per_view):
+        if len(ps) == 0:
             continue
         if prev is not None and (t - prev - 1) > memory_window:
-            ps = per_view[t]
-            reprompts[t] = (int(ps.rows[0]), int(ps.cols[0]))
+            reprompts.add(t)
         prev = t
-    return TrackerQuery(pivot, prompts, reprompts)
+    return TrackerQuery(pivot, prompts, frozenset(reprompts))
 
 
 def _restrict(ps, assignment, superpoint):
@@ -76,7 +74,7 @@ def reference_visibility_matrix(track, partition, tau, projections):
     total_counts = np.zeros((V, L), dtype=np.int64)
     for v, t in enumerate(views):
         ps = per_view[t]
-        if ps.is_empty:
+        if len(ps) == 0:
             continue
         mask = track.masks[t]
         labels = partition.assignment[ps.indices]
@@ -144,7 +142,7 @@ def assert_same_query(seed, partition, frames, pixels, projections, memory_windo
             seed, pixels, pivot, memory_window=memory_window, prompt_count=prompt_count
         )
         assert query.point_prompts == expected.point_prompts
-        assert query.reprompt_points == expected.reprompt_points
+        assert query.reprompt_views == expected.reprompt_views
 
 
 def assert_same_vis(track, partition, frames, pixels, projections, tau):
@@ -214,8 +212,8 @@ class TestMatchesPerViewReference:
         partition = SuperpointPartition.from_assignment(assignment, np.zeros((7, 3)))
         frames = [make_frame(np.full((4, 5), 2.0)) for _ in range(2)]
         projections = [
-            PixelSet([0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 3]),
-            PixelSet([0, 0, 1, 1, 2, 2, 3], [0, 1, 0, 1, 0, 1, 0], np.arange(7)),
+            PixelSet(np.array([0, 1, 2, 3]), np.array([0, 1, 2, 4]), np.array([0, 1, 2, 3])),
+            PixelSet(np.array([0, 0, 1, 1, 2, 2, 3]), np.array([0, 1, 0, 1, 0, 1, 0]), np.arange(7)),
         ]
         pixels = PixelIndex.build(partition, projections, (4, 5))
         mask = np.zeros((4, 5), dtype=bool)
@@ -234,7 +232,7 @@ class TestStreamedBuild:
     @staticmethod
     def assert_same_index(got, want):
         assert got.shape == want.shape
-        for name in ("counts", "starts", "keys", "first_pixel"):
+        for name in ("counts", "starts", "keys"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a.dtype, a.shape) == (b.dtype, b.shape), name
             np.testing.assert_array_equal(a, b, err_msg=name)
@@ -247,11 +245,11 @@ class TestStreamedBuild:
         shape = (24, 24)  # random_scene's image size
         projections = project_cloud(pts, frames, 0.15)
         if views:
-            projections[0] = PixelSet([], [], [])  # a view that sees nothing
+            projections[0] = PixelSet(*np.empty((3, 0), dtype=np.int64))  # a view that sees nothing
         want = PixelIndex.build(partition, projections, shape)
         self.assert_same_index(PixelIndex.build(partition, iter(projections), shape), want)
         self.assert_same_index(PixelIndex.build(partition, (ps for ps in projections), shape), want)
-        assert want.counts.shape == want.first_pixel.shape == (views, partition.count)
+        assert want.counts.shape == (views, partition.count)
         assert want.starts.shape == (views + 1,) and want.keys.dtype == np.int32
 
     def test_prepare_state_indexes_the_working_views(self, small_scene):
@@ -265,10 +263,9 @@ class TestStreamedBuild:
 
 def assert_layout(pixels, partition, projections, dtype):
     """Each view's entries are the sorted keys ``pixel * L + superpoint`` of
-    its projected points, and ``first_pixel`` holds the pixel of each
-    superpoint's lowest point id, -1 where the view has none of its points."""
+    its projected points, and each superpoint's pixels are those of its points."""
     L, width = partition.count, pixels.shape[1]
-    assert pixels.keys.dtype == pixels.first_pixel.dtype == dtype
+    assert pixels.keys.dtype == dtype
     assert pixels.starts[0] == 0 and pixels.starts[-1] == len(pixels.keys) == sum(len(ps) for ps in projections)
     for t, ps in enumerate(projections):
         labels = partition.assignment[ps.indices]
@@ -276,10 +273,7 @@ def assert_layout(pixels, partition, projections, dtype):
         np.testing.assert_array_equal(pixels.keys[pixels.view(t)], np.sort(pixel * L + labels))
         assert pixels.starts[t + 1] - pixels.starts[t] == len(ps)
         for sp in range(L):
-            own = np.flatnonzero(labels == sp)
-            want = pixel[own[np.argmin(ps.indices[own])]] if len(own) else -1
-            assert pixels.first_pixel[t, sp] == want
-            np.testing.assert_array_equal(pixels.pixels_of(t, sp), np.sort(pixel[own]))
+            np.testing.assert_array_equal(pixels.pixels_of(t, sp), np.sort(pixel[labels == sp]))
 
 
 class TestLayout:

@@ -59,7 +59,8 @@ class TestBuildTrackerQuery:
         assert len(set(query.point_prompts)) == 3
         from seglift.geometry import project_points
 
-        projected = set(map(tuple, project_points(pts, frames[0], 0.1).pixels().tolist()))
+        ps = project_points(pts, frames[0], 0.1)
+        projected = set(zip(ps.rows.tolist(), ps.cols.tolist()))
         assert set(query.point_prompts) <= projected
 
     def test_two_pixel_projection_clamps_prompts(self):
@@ -76,7 +77,7 @@ class TestBuildTrackerQuery:
         partition = single_superpoint_partition(pts)
         frames = visible_pattern_frames(pattern)
         query = build_tracker_query(0, pixel_index(partition, pts, frames), pivot=1, memory_window=7)
-        assert list(query.reprompt_points) == [13]
+        assert query.reprompt_views == {13}
 
     def test_short_gap_needs_no_reprompt(self):
         # gap of exactly memory_window views is still remembered
@@ -85,7 +86,7 @@ class TestBuildTrackerQuery:
         partition = single_superpoint_partition(pts)
         frames = visible_pattern_frames(pattern)
         query = build_tracker_query(0, pixel_index(partition, pts, frames), pivot=1, memory_window=7)
-        assert query.reprompt_points == {}
+        assert query.reprompt_views == frozenset()
 
     def test_invisible_pivot_errors(self):
         pts = tight_cluster(4)
@@ -107,7 +108,7 @@ def block_renders(pattern, instance_id=2, size=32):
 
 
 def center_query(pivot, reprompts=()):
-    return TrackerQuery(pivot, [(15, 15), (16, 16), (15, 16)], dict(reprompts))
+    return TrackerQuery(pivot, [(15, 15), (16, 16), (15, 16)], frozenset(reprompts))
 
 
 class TestOracleTrack:
@@ -169,7 +170,7 @@ class TestNoisyTrack:
     def test_reprompt_restores_after_gap(self):
         pattern = [t <= 2 or t >= 13 for t in range(20)]
         renders = block_renders(pattern)
-        query = center_query(0, reprompts={13: (15, 15)})
+        query = center_query(0, reprompts={13})
         track = noisy_track(query, renders, NoiseSpec(), rng_seed=0)
         assert track.views() == list(range(3)) + list(range(13, 20))
 
