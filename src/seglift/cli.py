@@ -67,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kappa", type=int)
         p.add_argument("--strategy")
         p.add_argument("--samples-per-round", type=int)
-        p.add_argument("--max-rounds", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--dedup-iou", type=float)
         p.add_argument("--noise-p-drop", type=float)
@@ -97,12 +96,13 @@ def _resolve_config(args) -> PipelineConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _parse_dims(text: str, n: int, flag: str) -> tuple:
+def _parse_dims(text: str, n: int, flag: str, kind: type) -> tuple:
+    """``n`` values of ``kind`` separated by 'x'; ``int`` takes whole numbers only."""
     parts = text.lower().split("x")
     if len(parts) != n:
         raise UsageError(f"{flag} expects {n} values separated by 'x'")
     try:
-        return tuple(float(p) if "." in p else int(p) for p in parts)
+        return tuple(kind(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"bad {flag} value {text!r}") from exc
 
@@ -117,14 +117,14 @@ def _make_out_dir(path) -> Path:
 
 
 def cmd_generate(args) -> int:
-    width, height = _parse_dims(args.size, 2, "--size")
-    room = _parse_dims(args.room, 3, "--room")
+    image_size = _parse_dims(args.size, 2, "--size", int)
+    room_size = _parse_dims(args.room, 3, "--room", float)
     try:
         spec = SceneSpec(
-            room_size=tuple(float(v) for v in room),
+            room_size=room_size,
             object_count=args.objects,
             frame_count=args.frames,
-            image_size=(int(width), int(height)),
+            image_size=image_size,
             density=args.density,
             seed=args.seed,
         )
@@ -172,12 +172,6 @@ def _write_manifest(path, command, args, config, result, timings, outputs):
             for r in result.rounds
         ],
         "superpoint_count": result.superpoint_count,
-        "leftover_free_superpoints": result.leftover_free_superpoints,
-        "warnings": (
-            [f"{result.leftover_free_superpoints} superpoints left free at max_rounds"]
-            if result.leftover_free_superpoints
-            else []
-        ),
         "timings_s": {k: round(v, 4) for k, v in timings.items()},
     }
     with open(path, "w", encoding="ascii") as fh:
@@ -197,10 +191,7 @@ def cmd_segment(args) -> int:
     write_proposal_points(result.proposals, result.partition, points_path)
     outputs = {"proposals": str(proposals_path), "points": str(points_path)}
     _write_manifest(out_dir / "manifest.json", "segment", args, config, result, timings, outputs)
-    print(
-        f"{len(result.proposals)} proposals over {result.superpoint_count} superpoints "
-        f"({len(result.rounds)} rounds, {result.leftover_free_superpoints} superpoints left free)"
-    )
+    print(f"{len(result.proposals)} proposals over {result.superpoint_count} superpoints ({len(result.rounds)} rounds)")
     return 0
 
 

@@ -305,8 +305,11 @@ def shared_knn(positions: np.ndarray, ks: tuple[int, ...]) -> list[np.ndarray]:
     return out
 
 
+NORMALS_K = 12  # neighbours of the PCA normal fit that prepare_state runs
+
+
 def estimate_normals(
-    positions: np.ndarray, k: int = 12, neighbors: np.ndarray | None = None
+    positions: np.ndarray, k: int = NORMALS_K, neighbors: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-point unit normals from local PCA over k nearest neighbors.
 

@@ -4,9 +4,10 @@ Each round farthest-point-samples seed superpoints from the free set, picks
 their pivot views, queries the tracker, lifts each track to a visibility
 matrix, and refines it into a proposal with the configured strategy. Every
 superpoint contained in an accepted proposal (and every attempted seed) is
-consumed; rounds repeat until the free set is empty or ``max_rounds`` is
-hit. Near-duplicate proposals collapse to the highest-scoring one. The
-state keeps each seed's lifted track, so further strategies run on the same
+consumed; rounds repeat until the free set is empty, which takes at most
+one round per superpoint, since each round consumes its first seed.
+Near-duplicate proposals collapse to the highest-scoring one. The state
+keeps each seed's lifted track, so further strategies run on the same
 state only refine.
 """
 
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DataError, InvariantViolation, TrackingError, read_text
-from .geometry import CameraFrame, PointCloud, fps_sample, knn_centroids, estimate_normals, project_cloud, shared_knn
-from .superpoints import SuperpointPartition, partition_superpoints
+from .geometry import NORMALS_K, CameraFrame, PointCloud, fps_sample, knn_centroids, estimate_normals, project_cloud, shared_knn
+from .superpoints import SUPERPOINT_KNN, SuperpointPartition, partition_superpoints
 from .tracks import MaskTrack, NoiseSpec, build_tracker_query, noisy_track, oracle_track
 from .optimize import (
     VisibilityMatrix,
@@ -83,14 +84,14 @@ def parse_strategy(name: str):
 
 @dataclass
 class PipelineConfig:
-    """All pipeline knobs; mirrors the flat ``key = value`` config format."""
+    """The pipeline's knobs, each with a ``segment``/``ablate`` flag; mirrors
+    the flat ``key = value`` config format."""
 
     tau: float = 0.5
     depth_tolerance: float = 0.1
     view_stride: int = 10
     kappa: int = 8
     samples_per_round: int = 30
-    max_rounds: int = 50
     dedup_iou: float = 0.9
     strategy: str = "dp"
     seed: int = 0
@@ -98,11 +99,6 @@ class PipelineConfig:
     noise_p_drop: float = 0.0
     noise_r_morph: int = 0
     noise_p_flip: float = 0.0
-    noise_flip_band: int = 2
-    superpoint_knn: int = 10
-    superpoint_threshold: float = 0.05
-    superpoint_min_size: int = 20
-    normals_k: int = 12
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau <= 1.0:
@@ -115,18 +111,8 @@ class PipelineConfig:
             raise ValueError("kappa must be at least 1")
         if self.samples_per_round < 1:
             raise ValueError("samples_per_round must be at least 1")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
         if not 0.0 < self.dedup_iou <= 1.0:
             raise ValueError("dedup_iou must lie in (0, 1]")
-        if self.superpoint_knn < 1:
-            raise ValueError("superpoint_knn must be at least 1")
-        if not (math.isfinite(self.superpoint_threshold) and self.superpoint_threshold > 0):
-            raise ValueError("superpoint_threshold must be finite and positive")
-        if self.superpoint_min_size < 1:
-            raise ValueError("superpoint_min_size must be at least 1")
-        if self.normals_k < 3:
-            raise ValueError("normals_k must be at least 3")
         parse_strategy(self.strategy)
         self.noise_spec()  # validates the noise fields
 
@@ -135,7 +121,6 @@ class PipelineConfig:
             p_drop=self.noise_p_drop,
             r_morph=self.noise_r_morph,
             p_flip=self.noise_p_flip,
-            flip_band=self.noise_flip_band,
             memory_window=self.memory_window,
         )
 
@@ -204,7 +189,6 @@ class RoundStats:
 class PipelineResult:
     proposals: list[Proposal]
     rounds: list[RoundStats]
-    leftover_free_superpoints: int
     superpoint_count: int
     partition: SuperpointPartition = field(repr=False)
     timings_s: dict[str, float] = field(default_factory=dict, repr=False)
@@ -257,17 +241,10 @@ def prepare_state(cloud, frames, instances, config) -> PipelineState:
         raise DataError("one instance render per frame required")
     if len(cloud) < 4:  # estimate_normals fits planes to at least 3 neighbours
         raise DataError(f"the cloud has {len(cloud)} points; at least 4 are needed")
-    normals_k = min(config.normals_k, len(cloud) - 1)
-    normal_nbr, graph_nbr = shared_knn(cloud.positions, (normals_k, config.superpoint_knn))
+    normals_k = min(NORMALS_K, len(cloud) - 1)
+    normal_nbr, graph_nbr = shared_knn(cloud.positions, (normals_k, SUPERPOINT_KNN))
     normals = estimate_normals(cloud.positions, k=normals_k, neighbors=normal_nbr)
-    partition = partition_superpoints(
-        cloud,
-        normals,
-        knn_k=config.superpoint_knn,
-        merge_threshold=config.superpoint_threshold,
-        min_size=config.superpoint_min_size,
-        neighbors=graph_nbr,
-    )
+    partition = partition_superpoints(cloud, normals, knn_k=SUPERPOINT_KNN, neighbors=graph_nbr)
     del normal_nbr, graph_nbr, normals  # the k-NN and normals are not needed past the partition
     neighbors = knn_centroids(partition.centroids, config.kappa)
     shape = (working[0].height, working[0].width)
@@ -488,20 +465,14 @@ def run_rounds(
                 proposals.append(prop)
         empty = len(tracks) - len(proposals)
         rounds.append(RoundStats(0, len(tracks), len(proposals), empty_selection=empty))
-        leftover = 0
     else:
         free = np.ones(state.partition.count, dtype=bool)
         track_id = 0
-        round_index = 0
-        while free.any() and round_index < config.max_rounds:
-            new_proposals, stats = run_round(
-                state, free, tracker, refine, round_index, track_id
-            )
+        while free.any():  # each round consumes at least one free superpoint
+            new_proposals, stats = run_round(state, free, tracker, refine, len(rounds), track_id)
             proposals.extend(new_proposals)
             rounds.append(stats)
             track_id += stats.seeds_used
-            round_index += 1
-        leftover = int(free.sum())
 
     kept = _dedup(proposals, state.partition.sizes, config.dedup_iou)
     for prop in proposals:
@@ -512,7 +483,6 @@ def run_rounds(
     return PipelineResult(
         proposals=kept,
         rounds=rounds,
-        leftover_free_superpoints=leftover,
         superpoint_count=state.partition.count,
         partition=state.partition,
     )

@@ -109,10 +109,13 @@ class _UnionFind:
         return parent
 
 
+SUPERPOINT_KNN = 10  # neighbours per point in the k-NN graph that prepare_state cuts
+
+
 def partition_superpoints(
     cloud: PointCloud,
     normals: np.ndarray,
-    knn_k: int = 10,
+    knn_k: int = SUPERPOINT_KNN,
     merge_threshold: float = 0.05,
     min_size: int = 20,
     neighbors: np.ndarray | None = None,

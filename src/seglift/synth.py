@@ -76,6 +76,8 @@ class SceneSpec:
             raise ValueError("density must be finite and positive")
         if min(self.image_size) < 1:
             raise ValueError("image size must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 # --- primitives -----------------------------------------------------------

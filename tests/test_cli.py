@@ -175,7 +175,6 @@ CONFIG_FLAGS = [
     ("--kappa", "kappa", "4", "6"),
     ("--strategy", "strategy", "all_lifted", "top_k:2"),
     ("--samples-per-round", "samples_per_round", "10", "12"),
-    ("--max-rounds", "max_rounds", "2", "3"),
     ("--seed", "seed", "1", "2"),
     ("--dedup-iou", "dedup_iou", "0.8", "0.7"),
     ("--noise-p-drop", "noise_p_drop", "0.1", "0.2"),
@@ -188,7 +187,7 @@ CONFIG_FLAGS = [
 class TestFlagPrecedence:
     def test_flag_beats_config_beats_default(self, scene_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("tau = 0.4\nmax_rounds = 2\n")
+        cfg.write_text("tau = 0.4\nkappa = 4\n")
         # default only
         out_a = tmp_path / "a"
         run_segment(scene_dir, out_a)
@@ -199,18 +198,20 @@ class TestFlagPrecedence:
         run_segment(scene_dir, out_b, "--config", str(cfg))
         man_b = json.loads((out_b / "manifest.json").read_text())
         assert man_b["config"]["tau"] == 0.4
-        assert man_b["config"]["max_rounds"] == 2
+        assert man_b["config"]["kappa"] == 4
         # flag overrides config file
         out_c = tmp_path / "c"
         run_segment(scene_dir, out_c, "--config", str(cfg), "--tau", "0.3")
         man_c = json.loads((out_c / "manifest.json").read_text())
         assert man_c["config"]["tau"] == 0.3
-        assert man_c["config"]["max_rounds"] == 2
+        assert man_c["config"]["kappa"] == 4
 
     @pytest.mark.parametrize("command", ["segment", "ablate"])
     def test_config_flags_are_the_config_fields(self, command):
         args = cli._build_parser().parse_args([command, "--scene", "s", "--out", "o"])
-        assert {f.name for f in fields(PipelineConfig)} & set(vars(args)) == {row[1] for row in CONFIG_FLAGS}
+        names = {f.name for f in fields(PipelineConfig)}
+        assert names <= set(vars(args))  # every config field has a flag
+        assert names == {row[1] for row in CONFIG_FLAGS}
 
     @pytest.mark.parametrize("flag, name, in_file, on_line", CONFIG_FLAGS, ids=[row[0] for row in CONFIG_FLAGS])
     def test_flag_beats_config_file(self, tmp_path, flag, name, in_file, on_line):
@@ -411,6 +412,24 @@ class TestManifest:
             assert set(record) == {"id", "score", "superpoints", "point_count", "provenance"}
 
     @pytest.mark.parametrize("tracker", ["oracle", "noisy"])
+    def test_config_reproduces_the_run(self, scene_dir, tmp_path, tracker):
+        # the manifest's config, written back as a --config file, gives the same bytes
+        flags = ["--tau", "0.4", "--samples-per-round", "4", "--noise-p-flip", "0.3", "--noise-r-morph", "1"]
+        first = tmp_path / "first"
+        assert main(["segment", "--scene", str(scene_dir), "--tracker", tracker, "--out", str(first), *flags]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert set(manifest) == {"command", "inputs", "outputs", "config", "seed", "rounds", "superpoint_count",
+                                 "timings_s"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in manifest["config"].items()))
+        again = tmp_path / "again"
+        argv = ["segment", "--scene", str(scene_dir), "--tracker", manifest["inputs"]["tracker"], "--config", str(cfg)]
+        assert main(argv + ["--out", str(again)]) == 0
+        for name in ("proposals.jsonl", "points.txt"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+        assert json.loads((again / "manifest.json").read_text())["config"] == manifest["config"]
+
+    @pytest.mark.parametrize("tracker", ["oracle", "noisy"])
     def test_every_seed_is_accounted_for(self, scene_dir, tmp_path, tracker):
         out = tmp_path / "run"
         argv = ["segment", "--scene", str(scene_dir), "--tracker", tracker, "--noise-p-flip", "0.3", "--out", str(out)]
@@ -483,6 +502,8 @@ EXIT_CODES = [
     ("generate-inf-density", "generate", ["--density", "inf"], 2),
     ("generate-overflowing-room", "generate", ["--room", "1.e400x6x3"], 2),
     ("generate-size-one-value", "generate", ["--size", "64"], 2),
+    ("generate-size-not-whole", "generate", ["--size", "8.9x4"], 2),
+    ("generate-negative-seed", "generate", ["--seed", "-1"], 2),
     ("eval-ok", "eval", '{"id": 0, "score": 0.5}', 0),
     ("eval-no-score", "eval", '{"id": 0}', 3),
     ("eval-no-id", "eval", '{"score": 0.5}', 3),
@@ -497,6 +518,7 @@ EXIT_CODES = [
     ("segment-brute-views-over-cap", "segment", ["--stride", "1", "--strategy", "brute_views"], 3),
     ("segment-top-k-over-cap", "segment", ["--stride", "1", "--strategy", "top_k:25"], 3),
     ("segment-overlap-mode-flag", "segment", ["--overlap-mode", "iou"], 2),
+    ("segment-max-rounds-flag", "segment", ["--max-rounds", "50"], 2),
     ("segment-depth-tol-nan", "segment", ["--depth-tol", "nan"], 2),
     ("segment-top-k-parenthesised", "segment", ["--strategy", "top_k(5)"], 2),
 ]
@@ -524,6 +546,8 @@ class TestExitCodes:
             prefix = "usage: seglift"
         err = capsys.readouterr().err
         assert err.startswith(prefix)
+        if command == "generate" and code:
+            assert not (tmp_path / "scene").exists()  # refused before the out directory is made
         if command == "segment" and code == 3:
             assert err.startswith("data error: track ") and "enumeration cap of 20" in err
 
@@ -543,6 +567,9 @@ def _first_pixel(value):
 
 _SEGMENT = ["segment", "--scene", "{scene}", "--out", "{tmp}/out"]
 _CONFIG_SEGMENT = ["segment", "--scene", "{scene}", "--config", "{scene}/bad.cfg", "--out", "{tmp}/out"]
+# keys that were config fields, each with its old default: a file that still sets one names the key
+_RETIRED_KEYS = {"superpoint_knn": "10", "normals_k": "12", "superpoint_min_size": "20", "superpoint_threshold": "0.05",
+                 "prompt_count": "3", "max_rounds": "50", "noise_flip_band": "2"}
 
 # (case, edits of files in a copy of the test scene, argv with {scene} and {tmp} placeholders)
 INPUT_ERRORS = [
@@ -592,11 +619,7 @@ INPUT_ERRORS = [
     ("out-eval-directory", {"run/proposals.jsonl": _write(""), "taken/x": _write("")},
      ["eval", "--scene", "{scene}", "--proposals", "{scene}/run/proposals.jsonl", "--out", "{scene}/taken"]),
 ] + [
-    (f"config-{line.split()[0]}", {"bad.cfg": _write(line + "\n")}, _CONFIG_SEGMENT)
-    for line in ("superpoint_knn = 0", "normals_k = 2", "superpoint_min_size = 0", "superpoint_threshold = 0")
-] + [
-    # prompt_count was a config key; a file that still sets it, even to its old default, names the key
-    ("config-prompt_count", {"bad.cfg": _write("prompt_count = 3\n")}, _CONFIG_SEGMENT),
+    (f"config-{key}", {"bad.cfg": _write(f"{key} = {value}\n")}, _CONFIG_SEGMENT) for key, value in _RETIRED_KEYS.items()
 ] + [
     # an unknown key, and non-finite values, which a "<= 0" check lets through
     (f"config-{line.replace(' = ', '-')}", {"bad.cfg": _write(line + "\n")}, _CONFIG_SEGMENT)
@@ -606,8 +629,9 @@ INPUT_ERRORS = [
 
 # the message a case's error must hold, besides the "data error: " prefix
 INPUT_ERROR_MESSAGES = {
-    "config-prompt_count": "bad.cfg: unknown config key 'prompt_count'",
+    **{f"config-{key}": f"bad.cfg: unknown config key '{key}'" for key in _RETIRED_KEYS},
     "config-overlap_mode-containment": "bad.cfg: unknown config key 'overlap_mode'",
+    "config-superpoint_threshold-nan": "bad.cfg: unknown config key 'superpoint_threshold'",
 }
 
 

@@ -206,7 +206,7 @@ class TestRunPipeline:
         result = run_pipeline(
             small_scene.cloud,
             small_scene.frames,
-            quick_config(samples_per_round=2, max_rounds=50),
+            quick_config(samples_per_round=2),
             tracker="oracle",
             instances=small_scene.instances,
         )
@@ -216,25 +216,35 @@ class TestRunPipeline:
             for b in result.proposals[i + 1 :]:
                 assert mask_iou(point_mask(result.partition, a), point_mask(result.partition, b)) <= 0.9
 
-    def test_max_rounds_cap_reports_leftovers(self, small_scene):
+    def test_one_seed_per_round_leaves_nothing_free(self, small_scene, monkeypatch):
+        # rounds run until every superpoint is consumed, each round taking at least its one seed
+        frees = []
+
+        def spy(state, free, *args):
+            frees.append(free)
+            return run_round(state, free, *args)
+
+        monkeypatch.setattr(pipeline, "run_round", spy)
         result = run_pipeline(
             small_scene.cloud,
             small_scene.frames,
-            quick_config(samples_per_round=1, max_rounds=1),
+            quick_config(samples_per_round=1),
             tracker="oracle",
             instances=small_scene.instances,
         )
-        assert len(result.rounds) == 1
-        assert result.leftover_free_superpoints > 0
+        assert 1 < len(result.rounds) <= result.superpoint_count
+        assert all(stats.seeds_used == 1 for stats in result.rounds)
+        assert not frees[-1].any()
 
     def test_rounds_consume_failed_seeds(self):
         # a scene whose second cluster is invisible in every frame: its seeds
-        # must be consumed without proposals and the loop must terminate
+        # must be consumed without proposals and the loop must terminate; at
+        # 80 points the graph cut splits each cluster into two superpoints
         rng = np.random.default_rng(0)
-        visible = rng.uniform(-0.05, 0.05, size=(40, 3)) + (0.0, 0.0, 1.0)
-        hidden = rng.uniform(-0.05, 0.05, size=(40, 3)) + (5.0, 5.0, 5.0)
+        visible = rng.uniform(-0.05, 0.05, size=(80, 3)) + (0.0, 0.0, 1.0)
+        hidden = rng.uniform(-0.05, 0.05, size=(80, 3)) + (5.0, 5.0, 5.0)
         pts = np.concatenate([visible, hidden])
-        cloud = PointCloud(pts, np.array([0] * 40 + [-1] * 40))
+        cloud = PointCloud(pts, np.array([0] * 80 + [-1] * 80))
         depth = np.full((32, 32), 1.0)
         frames = [make_frame(depth, cx=15.5, cy=15.5) for _ in range(3)]
         renders = []
@@ -245,16 +255,8 @@ class TestRunPipeline:
             render = np.full((32, 32), -1, dtype=np.int32)
             render[ps.rows, ps.cols] = 0
             renders.append(render)
-        config = PipelineConfig(
-            view_stride=1,
-            samples_per_round=8,
-            superpoint_knn=5,
-            superpoint_min_size=5,
-            normals_k=5,
-            kappa=1,
-        )
+        config = PipelineConfig(view_stride=1, samples_per_round=8, kappa=1)
         result = run_pipeline(cloud, frames, config, tracker="oracle", instances=renders)
-        assert result.leftover_free_superpoints == 0
         assert sum(r.unliftable_seeds for r in result.rounds) > 0
         assert sum(r.no_pivot for r in result.rounds) > 0
         gt_mask = cloud.gt_instance == 0
@@ -299,7 +301,7 @@ class TestRunPipeline:
         result = run_pipeline(
             small_scene.cloud,
             small_scene.frames,
-            quick_config(noise_p_drop=0.4, samples_per_round=8, max_rounds=20),
+            quick_config(noise_p_drop=0.4, samples_per_round=8),
             tracker="noisy",
             instances=small_scene.instances,
         )

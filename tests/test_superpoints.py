@@ -10,7 +10,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from seglift import geometry, superpoints
+from seglift import geometry, pipeline, superpoints
 from seglift.geometry import PointCloud, estimate_normals, shared_knn
 from seglift.pipeline import PipelineConfig, prepare_state
 from seglift.superpoints import SuperpointPartition, _UnionFind, partition_superpoints
@@ -489,18 +489,13 @@ class TestSharedKnn:
         expected = _reference_partition(cloud, normals, knn_k=knn_k, min_size=min_size)
         np.testing.assert_array_equal(got.assignment, expected.assignment)
 
-    @pytest.mark.parametrize("ks", [dict(), dict(normals_k=5, superpoint_knn=12)])
-    def test_prepare_state_matches_two_queries(self, ks, small_scene):
-        config = PipelineConfig(**ks)
-        state = prepare_state(small_scene.cloud, small_scene.frames, small_scene.instances, config)
-        normals = estimate_normals(small_scene.cloud.positions, config.normals_k)
-        expected = partition_superpoints(
-            small_scene.cloud,
-            normals,
-            knn_k=config.superpoint_knn,
-            merge_threshold=config.superpoint_threshold,
-            min_size=config.superpoint_min_size,
-        )
+    @pytest.mark.parametrize("ks", [dict(), dict(NORMALS_K=5, SUPERPOINT_KNN=12)])
+    def test_prepare_state_matches_two_queries(self, ks, small_scene, monkeypatch):
+        for name, k in ks.items():  # a graph wider than the normals' neighbourhood, the reverse of the defaults
+            monkeypatch.setattr(pipeline, name, k)
+        state = prepare_state(small_scene.cloud, small_scene.frames, small_scene.instances, PipelineConfig())
+        normals = estimate_normals(small_scene.cloud.positions, pipeline.NORMALS_K)
+        expected = partition_superpoints(small_scene.cloud, normals, knn_k=pipeline.SUPERPOINT_KNN)
         np.testing.assert_array_equal(state.partition.assignment, expected.assignment)
 
     @settings(max_examples=examples(60), deadline=None)
