@@ -2,8 +2,10 @@
 
 A track's masks are lifted to a :class:`VisibilityMatrix` by one rule,
 containment: per view, the superpoints with at least a fraction ``tau`` of
-their projected points inside the mask (an oracle track's inside counts are
-the pixel index's rows for its render id). The refinement objective counts,
+their projected points inside the mask. An oracle track's inside counts are
+the pixel index's rows for its render id; any other track's are counted
+from its masks' run lengths, which a track read from a file holds as they
+are, so that no mask is decoded. The refinement objective counts,
 summed over the track's views, how many projected points of the selected
 superpoints fall inside the mask minus how many fall outside. Superpoints
 partition the points, so the objective is a sum of cached per-view,
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .tracks import MaskTrack
+from .tracks import MaskTrack, track_intervals
 from .view_select import PixelIndex
 
 __all__ = [
@@ -115,12 +117,14 @@ def visibility_matrix(track: MaskTrack, pixels: PixelIndex, tau: float = 0.5) ->
     A superpoint is visible in a view when at least ``tau`` of its projected
     points there fall inside the mask (containment); one with no projected
     points in a view is never visible there. ``pixels`` is the scene's pixel
-    index; a track with an ``instance`` reads its rows for that id, if any, and no mask.
+    index; a track with an ``instance`` reads its rows for that id, if any,
+    and no mask. Any other track is counted from its masks' run lengths in
+    one :meth:`PixelIndex.count_intervals` call.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
     views = track.views()
-    T, L = pixels.counts.shape
+    T = len(pixels.counts)
     for t in views:
         if not 0 <= t < T:
             raise ValueError(f"track {track.track_id} view {t}: outside the {T} views of the pixel index")
@@ -131,14 +135,7 @@ def visibility_matrix(track: MaskTrack, pixels: PixelIndex, tau: float = 0.5) ->
             raise InvariantViolation(f"track {track.track_id}: the views of id {track.instance} are not its mask views")
         in_counts = pixels.instance_counts[at]
     else:
-        in_counts = np.zeros((len(views), L), dtype=np.int64)
-        for v, t in enumerate(views):
-            mask = track.masks[t]  # indexed once: a file track decodes its mask here
-            if mask.shape != pixels.shape:
-                raise ValueError(
-                    f"track {track.track_id} view {t}: mask shape {mask.shape} does not match frame {pixels.shape}"
-                )
-            in_counts[v] = pixels.count_inside(t, mask)
+        in_counts = pixels.count_intervals(views, *track_intervals(track, views, pixels.shape))
     with np.errstate(invalid="ignore"):
         ratio = in_counts / total_counts
     rows = (total_counts > 0) & (np.nan_to_num(ratio) >= tau)

@@ -9,8 +9,10 @@ Three sources of tracks exist:
 * :func:`read_tracks` ingests externally produced track files.
 
 Masks are (H, W) boolean arrays keyed by working-view index. A track read
-from a file keeps each view's run lengths and decodes that view's mask only
-when it is indexed, so a dense mask lives only while its view is lifted.
+from a file keeps its views' run lengths packed in one array, as each line's
+numbers were converted in one call, and decodes a view's mask only when it
+is indexed. Lifting reads the runs themselves (:func:`track_intervals`), so it
+decodes no mask.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import DataError, TrackingError, read_text
 from .geometry import fps_sample
-from .view_select import PixelIndex
+from .view_select import PixelIndex, mask_intervals
 
 __all__ = [
     "NoiseSpec",
@@ -35,6 +37,7 @@ __all__ = [
     "decode_rle",
     "write_tracks",
     "read_tracks",
+    "track_intervals",
 ]
 
 # the morphology's default structure, scipy.ndimage.generate_binary_structure(2, 1)
@@ -275,15 +278,11 @@ _HEADER = "tracks 1"
 
 
 def encode_rle(mask: np.ndarray) -> list[int]:
+    """The gaps between the mask's interval bounds, less the empty run after
+    an interval that ends at the last pixel."""
     flat = np.asarray(mask, dtype=bool).reshape(-1)
-    if flat.size == 0:
-        return [0]
-    changes = np.flatnonzero(np.diff(flat)) + 1
-    bounds = np.concatenate([[0], changes, [flat.size]])
-    runs = np.diff(bounds).tolist()
-    if flat[0]:
-        runs = [0] + runs
-    return [int(r) for r in runs]
+    runs = np.diff(np.concatenate([[0], mask_intervals([flat])[0], [flat.size]])).tolist()
+    return runs[:-1] if len(runs) > 1 and runs[-1] == 0 else runs
 
 
 def _check_runs(runs: list[int] | np.ndarray, height: int, width: int) -> np.ndarray:
@@ -307,26 +306,61 @@ def _repeat_runs(runs: np.ndarray, height: int, width: int) -> np.ndarray:
 
 
 class _RunLengthMasks(Mapping):
-    """The masks of a track read from a file: each view's run lengths are
-    held, and its mask is decoded each time the view is indexed. ``in``,
-    ``len`` and iteration decode nothing. The runs were checked as the file
+    """The masks of a track read from a file, packed: view ``views[i]``'s
+    run lengths are ``runs[offsets[i]:offsets[i + 1]]``, in file order. A
+    view's mask is decoded each time it is indexed; ``in``, ``len``,
+    iteration and lifting decode nothing. The runs were checked as the file
     was read, so a decode does not check them again."""
 
-    def __init__(self, runs: dict[int, np.ndarray], height: int, width: int) -> None:
-        self._runs = runs
-        self._shape = (height, width)
+    def __init__(self, views: np.ndarray, runs: np.ndarray, offsets: np.ndarray, height: int, width: int) -> None:
+        self._at = {view: i for i, view in enumerate(views.tolist())}
+        self._runs, self._offsets = runs, offsets
+        self.shape = (height, width)
 
     def __getitem__(self, view: int) -> np.ndarray:
-        return _repeat_runs(self._runs[view], *self._shape)
+        return _repeat_runs(self._view_runs(view), *self.shape)
 
     def __contains__(self, view) -> bool:
-        return view in self._runs
+        return view in self._at
 
     def __iter__(self):
-        return iter(self._runs)
+        return iter(self._at)
 
     def __len__(self) -> int:
-        return len(self._runs)
+        return len(self._at)
+
+    def _view_runs(self, view: int) -> np.ndarray:
+        i = self._at[view]
+        return self._runs[self._offsets[i] : self._offsets[i + 1]]
+
+    def intervals(self, views: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`~seglift.view_select.mask_intervals` of the masks of
+        ``views``, each of them held, read from their runs: the bounds of a
+        view's k-th ones-run are the sums of its first 2k + 1 and 2k + 2 runs."""
+        if views == list(self._at):
+            runs, offsets = self._runs, self._offsets
+        else:
+            runs, offsets = _pack([self._view_runs(t) for t in views])
+        lengths = np.diff(offsets)
+        bounded = 2 * (lengths // 2)  # a view's runs up to its last ones-run
+        # view v's runs follow v views of H * W pixels each, so its sums less v * H * W are pixel ids
+        sums = np.cumsum(runs) - np.repeat(np.arange(len(views)) * (self.shape[0] * self.shape[1]), lengths)
+        keep = np.arange(len(runs)) - np.repeat(offsets[:-1], lengths) < np.repeat(bounded, lengths)
+        return sums[keep], np.concatenate([[0], np.cumsum(bounded)])
+
+
+def track_intervals(track: MaskTrack, views: list[int], shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`~seglift.view_select.mask_intervals` of the track's masks in
+    ``views``. A track read from a file gives them from its runs, decoding
+    no mask. A mask not of the (H, W) ``shape`` is a ValueError naming its
+    view."""
+    masks = track.masks
+    held = isinstance(masks, _RunLengthMasks)
+    for t in views:
+        got = masks.shape if held else masks[t].shape
+        if got != shape:
+            raise ValueError(f"track {track.track_id} view {t}: mask shape {got} does not match frame {shape}")
+    return masks.intervals(views) if held else mask_intervals([masks[t] for t in views])
 
 
 def write_tracks(
@@ -386,7 +420,7 @@ def read_tracks(path) -> list[MaskTrack]:
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: bad seed field") from exc
             rest = rest[1:]
-        masks = _RunLengthMasks(_parse_views(rest, height, width, path, lineno), height, width)
+        masks = _RunLengthMasks(*_parse_views(rest, height, width, path, lineno), height, width)
         try:
             tracks.append(MaskTrack(track_id, score, masks, pivot, seed))
         except ValueError as exc:
@@ -394,11 +428,66 @@ def read_tracks(path) -> list[MaskTrack]:
     return tracks
 
 
-def _parse_views(rest: list[str], height: int, width: int, path, lineno: int) -> dict[int, np.ndarray]:
-    """Checked int64 run lengths of one line's ``t:r0 r1 ...`` entries, each
-    entry's runs converted at once. Errors name the first bad token, entry by
-    entry, as a reader meets them; a view id beyond int64 is reported only
-    once every entry has passed."""
+def _parse_views(rest: list[str], height: int, width: int, path, lineno: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One line's ``t:r0 r1 ...`` entries: their view ids in line order, their
+    checked int64 run lengths packed in one array, and each view's offsets
+    into it. The line's numbers are converted in one call and checked at
+    once; a line that fails, or that such a conversion could misread, is
+    parsed again by :func:`_parse_entries`, whose errors name the first bad
+    token."""
+    packed = _packed_line(" ".join(rest), height * width)
+    if packed is None:
+        by_view = _parse_entries(rest, height, width, path, lineno)
+        packed = (np.array(list(by_view), dtype=np.int64), *_pack(list(by_view.values())))
+    return packed
+
+
+def _pack(spans: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """int64 arrays joined into one, and each one's offsets into it."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *spans]), np.cumsum([0] + [len(span) for span in spans])
+
+
+def _packed_line(text: str, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """What :func:`_parse_views` gives for a line whose entry tokens, joined
+    by single spaces, are ``text``, from one conversion of all its numbers;
+    or None, which leaves the line to the token loop. That is so for a bad
+    line, and for one where numpy could read a number other than ``int``
+    does: it reads a lone sign as 0 and a number beyond int64 as int64's
+    limit, so a line with a sign or a number at that limit is left too."""
+    if "-" in text or "+" in text:
+        return None
+    # the first piece is the first view id; every later one holds an entry's runs and then the next view id
+    pieces = text.split(":")
+    spaces = [piece.count(" ") for piece in pieces]
+    if len(pieces) < 2 or spaces[0] or 0 in spaces[1:-1]:
+        return None
+    try:
+        numbers = np.fromstring(text.replace(":", " "), dtype=np.int64, sep=" ")
+    except ValueError:  # a token that is not a decimal number
+        return None
+    # a number for every piece's every space-separated part: none is empty, as one by a colon at a token's end
+    if len(numbers) != len(pieces) + sum(spaces) or numbers.max() == 2**63 - 1:
+        return None
+    lengths = np.array(spaces[1:])  # each entry's runs: a piece's parts but the last piece's next view id
+    lengths[-1] += 1
+    heads = np.cumsum(lengths + 1) - lengths - 1  # each view id's place among the numbers
+    is_run = np.ones(len(numbers), dtype=bool)
+    is_run[heads] = False
+    views, runs = numbers[heads], numbers[is_run]
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    # runs of at most size each, and few enough that no sum wraps
+    if len(np.unique(views)) < len(views) or runs.max() > size or len(runs) * size >= 2**63:
+        return None
+    if np.any(np.add.reduceat(runs, offsets[:-1]) != size):
+        return None
+    return views, runs, offsets
+
+
+def _parse_entries(rest: list[str], height: int, width: int, path, lineno: int) -> dict[int, np.ndarray]:
+    """Checked int64 run lengths of one line's ``t:r0 r1 ...`` entries, read
+    token by token with Python ints. Errors name the first bad token, entry
+    by entry, as a reader meets them; a view id beyond int64 is reported
+    only once every entry has passed."""
     starts = [i for i, token in enumerate(rest) if ":" in token]
     if rest and starts[:1] != [0]:
         raise DataError(f"{path}: line {lineno}: run length before any view entry")
@@ -412,14 +501,11 @@ def _parse_views(rest: list[str], height: int, width: int, path, lineno: int) ->
             raise DataError(f"{path}: line {lineno}: bad view entry {rest[a]!r}") from exc
         if view in by_view:
             raise DataError(f"{path}: line {lineno}: view {view} listed twice")
-        try:
-            runs = np.array(runs + rest[a + 1 : b], dtype=np.int64)
-        except (ValueError, OverflowError):  # name the bad token, or keep a run beyond int64 for its check
-            for token in rest[a + 1 : b]:
-                try:
-                    runs.append(int(token))
-                except ValueError as exc:
-                    raise DataError(f"{path}: line {lineno}: bad run length {token!r}") from exc
+        for token in rest[a + 1 : b]:
+            try:
+                runs.append(int(token))
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: bad run length {token!r}") from exc
         by_view[view] = _line_runs(runs, height, width, path, lineno)
     if any(not -(2**63) <= view < 2**63 for view in by_view):
         raise DataError(f"{path}: line {lineno}: a view id beyond int64")

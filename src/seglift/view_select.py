@@ -19,6 +19,7 @@ from .superpoints import SuperpointPartition
 __all__ = [
     "NoPivotViewError",
     "PixelIndex",
+    "mask_intervals",
     "superpoint_view_counts",
     "scale_factors",
     "pivot_view",
@@ -110,20 +111,45 @@ class PixelIndex:
 
     def count_inside(self, t: int, mask: np.ndarray) -> np.ndarray:
         """(L,) entries of view ``t`` per superpoint whose pixel is True in
-        the (H, W) ``mask``. Only the entries in the rows from the mask's
-        first True pixel to its last are read."""
-        width, L = self.shape[1], self.counts.shape[1]
-        flat = mask.reshape(-1).astype(bool, copy=False)
-        on = flat.nonzero()[0]
-        if len(on) == 0:
-            return np.zeros(L, dtype=np.int64)
-        keys = self.keys[self.view(t)]
-        # rows r0 up to r1 hold the keys from r0 * W * L up to r1 * W * L; searching for the key below
-        # each bound, in the keys' own dtype, keeps both in range and spares numpy a widened copy
-        r0, r1 = int(on[0]) // width, int(on[-1]) // width + 1
-        bounds = np.array([r0 * width * L - 1, r1 * width * L - 1], dtype=keys.dtype)
-        band = keys[slice(*keys.searchsorted(bounds, side="right"))]
-        return np.bincount(band[flat.take(band // L)] % L, minlength=L)
+        the (H, W) ``mask``: :meth:`count_intervals` over the mask's runs."""
+        return self.count_intervals([t], *mask_intervals([mask]))[0]
+
+    def count_intervals(self, views: Sequence[int], bounds: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """(V, L) entries of view ``views[v]`` per superpoint whose pixel lies
+        in one of its intervals: ``bounds[offsets[v]:offsets[v + 1]]`` holds
+        ascending pixel ids s0, e0, s1, e1, ... of the intervals [s0, e0),
+        [s1, e1), ..., as :func:`mask_intervals` gives them.
+
+        The interval [s, e) holds the view's keys from s * L up to e * L.
+        Each bound is searched as the key below it, in the keys' own dtype,
+        which keeps it in range: one search per view finds the entries of all
+        its intervals, and one bincount counts every view's.
+        """
+        L = self.counts.shape[1]
+        below = (bounds * L - 1).astype(self.keys.dtype)  # the key below each bound
+        first, starts = offsets.tolist(), self.starts.tolist()
+        found = np.concatenate([np.empty(0, dtype=np.int64)] + [
+            self.keys[starts[t] : starts[t + 1]].searchsorted(below[first[v] : first[v + 1]], side="right")
+            for v, t in enumerate(views)
+        ])
+        found += np.repeat(self.starts[views], np.diff(offsets))
+        lo, sizes = found[0::2], found[1::2] - found[0::2]
+        inside = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())  # every entry in an interval
+        rows = np.repeat(np.repeat(np.arange(len(views)), np.diff(offsets) // 2), sizes)  # and its view's row
+        return np.bincount(rows * L + self.keys[inside] % L, minlength=len(views) * L).reshape(-1, L)
+
+
+def mask_intervals(masks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of True pixels of masks of one shape, as intervals of
+    row-major pixel ids: ``bounds[offsets[v]:offsets[v + 1]]`` holds s0, e0,
+    s1, e1, ..., mask v's runs being [s0, e0), [s1, e1), ... Each mask is
+    framed by a False pixel on either side, so every run starts and ends
+    where its neighbors differ; all masks are read in one pass."""
+    width = (masks[0].size if masks else 0) + 1  # a mask's pixels and the frame after them
+    framed = np.zeros((len(masks), 1 + width), dtype=bool)
+    framed[:, 1:-1] = np.reshape(masks, (len(masks), width - 1))
+    changes = np.flatnonzero(framed[:, 1:] != framed[:, :-1])
+    return changes % width, changes.searchsorted(np.arange(len(masks) + 1) * width)
 
 
 def scale_factors(

@@ -21,7 +21,7 @@ from seglift.optimize import Solution, all_lifted
 from seglift.errors import TrackingError
 from seglift.pipeline import PipelineConfig, prepare_state, read_proposals, run_pipeline
 from seglift.tracks import MaskTrack, build_tracker_query, noisy_track, write_tracks
-from seglift.view_select import NoPivotViewError, pivot_view
+from seglift.view_select import NoPivotViewError, PixelIndex, pivot_view
 from seglift.synth import load_scene
 from seglift.pipeline import subsample_views
 
@@ -758,15 +758,16 @@ class TestAblate:
         distinct = len(set(pairs))
         assert 0 < len(pairs) == distinct < 5 * distinct
 
-    def test_file_tracks_are_decoded_once(self, scene_dir, tmp_path, monkeypatch):
+    def test_file_tracks_are_lifted_once(self, scene_dir, tmp_path, monkeypatch):
         track_path = tmp_path / "objects.tracks"
         mask_count = write_object_tracks(scene_dir, track_path)
-        decoded = []
-        repeat = tracks._repeat_runs
-        monkeypatch.setattr(tracks, "_repeat_runs", lambda *a: decoded.append(a) or repeat(*a))
+        lifted = []  # the views of each counting call: a call lifts one track
+        count_intervals = PixelIndex.count_intervals
+        monkeypatch.setattr(PixelIndex, "count_intervals",
+                            lambda self, views, *packed: lifted.append(list(views)) or count_intervals(self, views, *packed))
         argv = ["ablate", "--scene", str(scene_dir), "--tracker", f"file:{track_path}", "--out"]
         assert main(argv + [str(tmp_path / "shared")]) == 0
-        assert len(decoded) == mask_count
+        assert len(lifted) == 3 and sum(map(len, lifted)) == mask_count
         scene = load_scene(scene_dir)
 
         def separate(state, strategy, tracker, tracks):
@@ -775,7 +776,7 @@ class TestAblate:
 
         monkeypatch.setattr(cli, "run_rounds", separate)
         assert main(argv + [str(tmp_path / "separate")]) == 0
-        assert len(decoded) == 6 * mask_count  # five separate runs lift every track again
+        assert len(lifted) == 6 * 3 and sum(map(len, lifted)) == 6 * mask_count  # five separate runs lift every track again
         shared = (tmp_path / "shared" / "ablation.tsv").read_bytes()
         assert shared == (tmp_path / "separate" / "ablation.tsv").read_bytes()
 

@@ -25,6 +25,7 @@ from seglift.tracks import (
     noisy_track,
     oracle_track,
     read_tracks,
+    track_intervals,
     write_tracks,
 )
 from seglift.view_select import NoPivotViewError, PixelIndex, pivot_view, superpoint_view_counts
@@ -350,7 +351,7 @@ def band_cases(draw):
 
 
 class TestBandEdges:
-    """Each view's band of mask rows gives the dense per-point counts."""
+    """Masks on the image's first and last rows give the dense per-point counts."""
 
     @settings(max_examples=examples(200), deadline=None)
     @given(band_cases(), st.sampled_from([0.05, 0.5, 1.0]))
@@ -358,6 +359,72 @@ class TestBandEdges:
         partition, projections, track, shape = case
         pixels = PixelIndex.build(partition, projections, shape)
         assert_same_vis(track, partition, None, pixels, projections, tau)
+
+
+@st.composite
+def run_cases(draw):
+    """Random views and a track over them whose masks are empty, full, one
+    pixel, a run from or to a row's end, or a few random runs; on a small
+    image, or on a wide one where H * W * L > 2**31 and the keys are int64."""
+    if draw(st.booleans()):
+        height, width, labels = 2, 2**20, 1025
+    else:
+        height, width, labels = draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(1, 5))
+    size = height * width
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = labels + draw(st.integers(0, 40))
+    assignment = rng.permutation(np.arange(n) % labels)
+    views = draw(st.integers(1, 4))
+    projections = []
+    for _ in range(views):
+        ids = np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0])))
+        # columns drawn from both row ends more often than a uniform draw would
+        cols = np.where(rng.random(ids.size) < 0.5, rng.choice([0, width - 1], ids.size), rng.integers(0, width, ids.size))
+        projections.append(PixelSet(rng.integers(0, height, ids.size), cols, ids))
+    masks = {}
+    for t in range(views):
+        flat = np.zeros(size, dtype=bool)
+        kind = draw(st.sampled_from(["empty", "full", "one-pixel", "row-ends", "random"]))
+        if kind == "full":
+            flat[:] = True
+        elif kind == "one-pixel":
+            flat[rng.integers(size)] = True
+        elif kind == "row-ends":  # each end a row's first or last pixel, or one past it
+            ends = np.clip(rng.integers(0, height + 1, 2) * width + rng.integers(-1, 2, 2), 0, size)
+            flat[ends.min() : ends.max()] = True
+        elif kind == "random":
+            cuts = np.sort(rng.integers(0, size + 1, 2 * rng.integers(1, 5)))
+            for start, end in cuts.reshape(-1, 2):
+                flat[start:end] = True
+        masks[t] = flat.reshape(height, width)
+    partition = SuperpointPartition.from_assignment(assignment, np.zeros((n, 3)))
+    return partition, projections, MaskTrack(0, 1.0, masks, 0, 0), (height, width), rng.permutation(views).tolist()
+
+
+class TestCountIntervals:
+    """A track's intervals, from its file's runs or from its dense masks, counted at once."""
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(run_cases())
+    def test_runs_count_as_count_inside_of_each_decoded_view(self, tmp_path_factory, case):
+        partition, projections, track, shape, order = case
+        pixels = PixelIndex.build(partition, projections, shape)
+        assert pixels.keys.dtype == (np.int64 if shape[0] * shape[1] * partition.count > 2**31 else np.int32)
+        path = tmp_path_factory.getbasetemp() / "runs.tracks"
+        write_tracks([track], path)
+        (read,) = read_tracks(path)
+        # the file's views in order, and in any order
+        for views in (read.views(), order):
+            from_runs = pixels.count_intervals(views, *track_intervals(read, views, shape))
+            from_masks = pixels.count_intervals(views, *track_intervals(track, views, shape))
+            assert from_runs.shape == (len(views), partition.count)
+            for v, t in enumerate(views):
+                ps = projections[t]
+                dense = np.bincount(partition.assignment[ps.indices][track.masks[t][ps.rows, ps.cols]],
+                                    minlength=partition.count)
+                np.testing.assert_array_equal(from_runs[v], pixels.count_inside(t, read.masks[t]))
+                np.testing.assert_array_equal(from_runs[v], dense)
+                np.testing.assert_array_equal(from_masks[v], dense)
 
 
 @st.composite
@@ -446,8 +513,9 @@ class TestInstanceTable:
         without_table = dataclasses.replace(oracle_state.pixels, instance_views=None, instance_ids=None,
                                             instance_counts=None)
         calls = []
-        count_inside = PixelIndex.count_inside
-        monkeypatch.setattr(PixelIndex, "count_inside", lambda self, t, mask: calls.append(t) or count_inside(self, t, mask))
+        count_intervals = PixelIndex.count_intervals
+        monkeypatch.setattr(PixelIndex, "count_intervals",
+                            lambda self, views, *packed: calls.extend(views) or count_intervals(self, views, *packed))
         for track, pixels, counted in ((oracle, oracle_state.pixels, []), (noisy, oracle_state.pixels, noisy.views()),
                                        (from_file, oracle_state.pixels, oracle.views()),
                                        (oracle, without_table, oracle.views())):

@@ -349,10 +349,26 @@ class TestRle:
 _LINE_TOKENS = st.one_of(
     st.integers(-3, 20).map(str),
     st.sampled_from(
-        ["0:16", "1:0", "2:", ":3", "0:5", "1:2:3", "x", "1.5", "-0", "+4", "1_0", "9" * 25, "0:" + "9" * 25, "9" * 25 + ":16"]
+        ["0:16", "1:0", "2:", ":3", "0:5", "1:2:3", "x", "1.5", "-0", "+4", "1_0", "9" * 25, "0:" + "9" * 25, "9" * 25 + ":16",
+         "3:4:5", "3:", "+", "-", str(2**63 - 1), str(2**63), "0:" + str(2**63), str(2**63 - 1) + ":16", str(2**63) + ":16"]
     ),
     st.text(alphabet="0123456789:-+x.", min_size=1, max_size=6),
 )
+
+
+@st.composite
+def _entry_tokens(draw):
+    """Whole view entries of a 4 x 4 image, whose runs sum to 16, over views
+    that may repeat or come out of order; one token may be swapped for any
+    other."""
+    tokens = []
+    for view in draw(st.lists(st.integers(0, 5), max_size=5)):
+        cuts = sorted(draw(st.lists(st.integers(0, 16), max_size=5)))
+        runs = np.diff([0, *cuts, 16]).tolist()
+        tokens += [f"{view}:{runs[0]}", *map(str, runs[1:])]
+    if tokens and draw(st.booleans()):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_LINE_TOKENS)
+    return tokens
 
 
 class TestTrackLineFuzz:
@@ -374,26 +390,70 @@ class TestTrackLineFuzz:
         assert len(tracks) == 1
         assert all(mask.shape == (4, 4) and mask.dtype == bool for mask in tracks[0].masks.values())
 
-    @given(st.lists(_LINE_TOKENS, max_size=12))
-    @settings(max_examples=300, deadline=None)
-    @example(["0:5", "3", "x8", "1:9"])  # the bad run, not the later entry, is named
-    @example(["0:5", "1:16", "x"])  # the first entry's bad sum comes before the bad run
-    @example(["0:" + "9" * 25])  # beyond int64: the token loop's message
-    @example(["9" * 25 + ":16"])  # a view id beyond int64 is a data error as the file is read
-    @example(["1:16", "1:5", "x"])  # a view listed twice is named before the later entry's bad run
-    @example(["9" * 25 + ":16", "9" * 25 + ":16"])  # twice, and beyond int64
-    def test_batched_numbers_match_token_loop(self, tokens):
+    @given(st.one_of(st.lists(_LINE_TOKENS, max_size=12), _entry_tokens()), st.sampled_from([" ", "  ", "\t", " \t "]),
+           st.booleans())
+    @settings(max_examples=examples(300), deadline=None)
+    @example(["0:5", "3", "x8", "1:9"], " ", True)  # the bad run, not the later entry, is named
+    @example(["0:5", "1:16", "x"], " ", True)  # the first entry's bad sum comes before the bad run
+    @example(["0:" + "9" * 25], " ", True)  # beyond int64: the token loop's message
+    @example(["9" * 25 + ":16"], " ", True)  # a view id beyond int64 is a data error as the file is read
+    @example(["1:16", "1:5", "x"], " ", True)  # a view listed twice is named before the later entry's bad run
+    @example(["9" * 25 + ":16", "9" * 25 + ":16"], " ", True)  # twice, and beyond int64
+    @example(["0:" + str(2**63)], " ", True)  # a run numpy would read as int64's limit
+    @example(["0:16", str(2**63) + ":16"], " ", True)  # a view id numpy would read as int64's limit
+    @example([str(2**63 - 1) + ":16", "2:16"], " ", True)  # the limit itself is a view id
+    @example(["0:0", str(2**63 - 1), "9223372036854775793"], " ", True)  # runs at the limit whose int64 sum wraps to 16
+    @example(["3:4:5"], " ", True)  # two colons in one token
+    @example(["3:4:16"], " ", True)  # and numbers that would make a full mask of view 4
+    @example(["0", "0:16"], " ", True)  # a run before any view entry, which would make a full mask of view 0
+    @example(["0:16", "3:4:5"], " ", True)
+    @example(["3:", "4:16"], " ", True)  # an entry without runs before the next entry
+    @example(["0:16", "3:"], " ", True)  # and at the line's end
+    @example(["0:16", "1:16", "+"], " ", True)  # numpy reads a lone sign as 0
+    @example(["0:5", "3", "8", "2:0", "16"], "\t", True)  # tabs
+    @example(["0:5", "3", "8", "2:0", "16"], "  ", False)  # repeated spaces, no seed field
+    @example(["2:16", "0:4", "12"], " \t ", False)  # views out of order
+    def test_batched_numbers_match_token_loop(self, tmp_path_factory, tokens, blank, seed_field):
         def outcome(parse):
             try:
-                return {t: m.tobytes() for t, m in parse(tokens, 4, 4, "p", 2).items()}
+                parsed = parse(tokens, 4, 4, "p", 2)
             except DataError as exc:
                 return str(exc)
+            if isinstance(parsed, dict):  # the token loop's runs by view
+                return {t: runs.tobytes() for t, runs in parsed.items()}
+            views, runs, offsets = parsed
+            return {t: runs[offsets[i] : offsets[i + 1]].tobytes() for i, t in enumerate(views.tolist())}
 
         got, want = outcome(_parse_views), outcome(reference_parse_views)
         if isinstance(want, dict) and any(not -(2**63) <= t < 2**63 for t in want):
             assert got == "p: line 2: a view id beyond int64"  # the one case the token loop accepts
         else:
             assert got == want
+
+        # the same entries on a whole line between other blanks, with the seed field or, where the
+        # first entry could not be read as one, without it
+        if seed_field or tokens and ":" in tokens[0]:
+            path = tmp_path_factory.getbasetemp() / "line.tracks"
+            pivot = next(iter(got), 0) if isinstance(got, dict) else 0
+            path.write_text("tracks 1 4 4\n" + blank.join(["0", "1.0", str(pivot), *["-1"] * seed_field, *tokens]) + "\n")
+            try:
+                (track,) = read_tracks(path)
+                line = {t: track.masks[t].tobytes() for t in track.masks}
+            except DataError as exc:
+                line = str(exc).replace(str(path), "p", 1)
+            if isinstance(got, str):
+                assert line == got
+            elif not got:
+                assert line == "p: line 2: pivot view must be present in the track"
+            else:
+                assert line == {t: decode_rle(np.frombuffer(runs, np.int64), 4, 4).tobytes() for t, runs in got.items()}
+
+    def test_runs_whose_int64_sum_wraps_are_rejected(self, tmp_path):
+        # five runs of 2**62, none beyond the image's 2**62 pixels, sum to 2**62 + 2**64: 2**62 in int64
+        path = tmp_path / "wrap.tracks"
+        path.write_text(f"tracks 1 {2**31} {2**31}\n0 1.0 0 -1 0:" + " ".join([str(2**62)] * 5) + "\n")
+        with pytest.raises(DataError, match=f"line 2: run lengths sum to {5 * 2**62}, expected {2**62}"):
+            read_tracks(path)
 
     @pytest.mark.parametrize(
         "line, message",
@@ -500,7 +560,7 @@ class TestLazyMasks:
             assert (got.shape, got.dtype) == (mask.shape, mask.dtype)
             assert got.tobytes() == mask.tobytes()
 
-    def test_keys_decode_nothing_and_lifting_decodes_each_view_once(self, tmp_path, monkeypatch):
+    def test_keys_and_lifting_decode_nothing(self, tmp_path, monkeypatch):
         renders = block_renders([True] * 4)
         dense = oracle_track(center_query(1), renders, track_id=0, seed_superpoint=0)
         path = tmp_path / "spy.tracks"
@@ -513,16 +573,17 @@ class TestLazyMasks:
         (track,) = read_tracks(path)  # MaskTrack.__post_init__ checks the pivot with `in`
         assert 1 in track.masks and 7 not in track.masks
         assert len(track.masks) == 4 and track.views() == [0, 1, 2, 3] and list(track.masks) == [0, 1, 2, 3]
-        assert decoded == [] and len(checked) == 4
+        assert decoded == [] and checked == []  # the line's runs are checked at once, not view by view
 
         pts = tight_cluster(4)
         pixels = pixel_index(single_superpoint_partition(pts), pts, visible_pattern_frames([True] * 4))
         lazy = visibility_matrix(track, pixels)
-        assert len(decoded) == 4
-        assert len(checked) == 4  # read_tracks checked the runs; decoding does not check them again
+        assert decoded == []  # lifting counts each view's runs as they are
         eager = visibility_matrix(dense, pixels)
         for name in ("views", "rows", "in_counts", "total_counts"):
             np.testing.assert_array_equal(getattr(lazy, name), getattr(eager, name))
+        np.testing.assert_array_equal(track.masks[2], dense.masks[2])
+        assert len(decoded) == 1 and checked == []  # indexing decodes the view, and does not check its runs again
 
     @pytest.mark.parametrize("runs, message", [("5 3 7", "run lengths sum to 15, expected 16"),
                                                ("5 -3 14", "run lengths must be nonnegative")])
