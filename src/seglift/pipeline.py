@@ -137,7 +137,7 @@ class PipelineConfig:
         return cls(**values)
 
     @classmethod
-    def from_file(cls, path, base: "PipelineConfig | None" = None) -> "PipelineConfig":
+    def from_file(cls, path) -> "PipelineConfig":
         mapping = {}
         for lineno, line in enumerate(read_text(path).splitlines(), start=1):
             stripped = line.strip()
@@ -148,7 +148,7 @@ class PipelineConfig:
             key, _, value = stripped.partition("=")
             mapping[key.strip()] = value.strip()
         try:
-            return cls.from_mapping(mapping, base=base)
+            return cls.from_mapping(mapping)
         except ValueError as exc:
             raise DataError(f"{path}: {exc}") from exc
 

@@ -55,14 +55,19 @@ _ROOM_COLOR = (0.6, 0.6, 0.6)
 
 @dataclass
 class SceneSpec:
-    """Knobs for one synthetic scene; every random choice flows from seed."""
+    """Knobs for one synthetic scene; every random choice flows from seed.
+
+    ``camera`` is "orbit" or a list of ((eye), (target)) waypoints: one
+    pose, which every frame takes, or one pose per frame. A list of any
+    other length is a ValueError when the frames are rendered.
+    """
 
     room_size: tuple[float, float, float] = (6.0, 6.0, 3.0)
     object_count: int = 5
     density: float = 120.0  # surface points per square meter
     frame_count: int = 60
     image_size: tuple[int, int] = (64, 64)  # (W, H)
-    camera: object = "orbit"  # "orbit" or list of ((eye), (target)) waypoints
+    camera: object = "orbit"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -366,22 +371,11 @@ def _camera_path(spec: SceneSpec) -> list[tuple[np.ndarray, np.ndarray]]:
         return path
 
     waypoints = [(np.asarray(e, dtype=np.float64), np.asarray(g, dtype=np.float64)) for e, g in spec.camera]
-    if not waypoints:
-        raise ValueError("waypoint list must not be empty")
-    if len(waypoints) == spec.frame_count:
-        return waypoints
     if len(waypoints) == 1:
         return waypoints * spec.frame_count
-    # resample the waypoint polyline uniformly to frame_count poses
-    path = []
-    for t in range(spec.frame_count):
-        s = t / max(spec.frame_count - 1, 1) * (len(waypoints) - 1)
-        i = min(int(s), len(waypoints) - 2)
-        frac = s - i
-        eye = (1 - frac) * waypoints[i][0] + frac * waypoints[i + 1][0]
-        target = (1 - frac) * waypoints[i][1] + frac * waypoints[i + 1][1]
-        path.append((eye, target))
-    return path
+    if len(waypoints) != spec.frame_count:
+        raise ValueError(f"camera needs one waypoint or one per frame ({spec.frame_count}), got {len(waypoints)}")
+    return waypoints
 
 
 def _look_at_extrinsics(eye: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -464,6 +458,9 @@ def save_scene(scene: Scene, path, force: bool = False) -> None:
     if root.exists() and any(root.iterdir()) and not force:
         raise DataError(f"{root}: directory exists and is not empty (use force)")
     (root / "frames").mkdir(parents=True, exist_ok=True)
+    for old in (root / "frames").iterdir():  # an old scene's views past this one's would load with it
+        if old.suffix in (".pose", ".depth", ".inst"):
+            old.unlink()
 
     cloud = scene.cloud
     gt = cloud.gt_instance.tolist() if cloud.gt_instance is not None else [-1] * len(cloud)

@@ -363,14 +363,9 @@ def track_intervals(track: MaskTrack, views: list[int], shape: tuple[int, int]) 
     return masks.intervals(views) if held else mask_intervals([masks[t] for t in views])
 
 
-def write_tracks(
-    tracks: list[MaskTrack],
-    path,
-    height: int | None = None,
-    width: int | None = None,
-) -> None:
-    if height is None or width is None:
-        height, width = next((mask.shape for track in tracks for mask in track.masks.values()), (0, 0))
+def write_tracks(tracks: list[MaskTrack], path) -> None:
+    """The tracks as a track file, whose header takes its (H, W) from the first mask, or 0 0 without one."""
+    height, width = next((mask.shape for track in tracks for mask in track.masks.values()), (0, 0))
     lines = [f"{_HEADER} {height} {width}"]
     for track in tracks:
         parts = [str(track.track_id), repr(float(track.score)), str(track.pivot_view), str(track.seed_superpoint)]
@@ -403,24 +398,27 @@ def read_tracks(path) -> list[MaskTrack]:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        tokens = line.split()
-        if len(tokens) < 4:
+        fields = line.split(None, 3)  # the three fixed fields and the rest of the line, unsplit
+        if len(fields) < 4:
             raise DataError(f"{path}: line {lineno}: truncated track record")
         try:
-            track_id = int(tokens[0])
-            score = float(tokens[1])
-            pivot = int(tokens[2])
+            track_id = int(fields[0])
+            score = float(fields[1])
+            pivot = int(fields[2])
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: bad track fields") from exc
-        rest = tokens[3:]
+        text = fields[3]
         seed = -1
-        if rest and ":" not in rest[0]:
+        head, *tail = text.split(None, 1)
+        if ":" not in head:
             try:
-                seed = int(rest[0])
+                seed = int(head)
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: bad seed field") from exc
-            rest = rest[1:]
-        masks = _RunLengthMasks(*_parse_views(rest, height, width, path, lineno), height, width)
+            text = tail[0] if tail else ""
+        # a line the one conversion refuses is split into its tokens
+        packed = _packed_line(text, height * width) or _parse_views(text.split(), height, width, path, lineno)
+        masks = _RunLengthMasks(*packed, height, width)
         try:
             tracks.append(MaskTrack(track_id, score, masks, pivot, seed))
         except ValueError as exc:
@@ -448,13 +446,16 @@ def _pack(spans: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _packed_line(text: str, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """What :func:`_parse_views` gives for a line whose entry tokens, joined
-    by single spaces, are ``text``, from one conversion of all its numbers;
-    or None, which leaves the line to the token loop. That is so for a bad
-    line, and for one where numpy could read a number other than ``int``
-    does: it reads a lone sign as 0 and a number beyond int64 as int64's
-    limit, so a line with a sign or a number at that limit is left too."""
-    if "-" in text or "+" in text:
+    """What :func:`_parse_views` gives for a line whose entries are
+    ``text``, from one conversion of all its numbers; or None, which leaves
+    the line to the token loop. That is so for a bad line, for one whose
+    blanks are not single spaces (numpy reads a tab as a blank, which the
+    count of spaces below would miss; a repeated or trailing space fails
+    that count), and for one where numpy could read a number other than
+    ``int`` does: it reads a lone sign as 0 and a number beyond int64 as
+    int64's limit, so a line with a sign or a number at that limit is left
+    too."""
+    if "-" in text or "+" in text or "\t" in text:
         return None
     # the first piece is the first view id; every later one holds an entry's runs and then the next view id
     pieces = text.split(":")

@@ -50,7 +50,7 @@ class PixelIndex:
     are int32 when ``H * W * L <= 2**31``, int64 otherwise. ``counts`` is
     (T, L): each superpoint's projected points per view. ``shape`` is the
     (H, W) of every view's image. Built with renders, row r of the (R, L)
-    int32 ``instance_counts`` counts, as ``count_inside`` would, view
+    int32 ``instance_counts`` counts, per superpoint, view
     ``instance_views[r]``'s points where its render is ``instance_ids[r]``:
     a row per id a view holds, ids ascending, else None.
     """
@@ -108,11 +108,6 @@ class PixelIndex:
         keys = self.keys[self.view(t)]
         L = self.counts.shape[1]
         return keys[keys % L == superpoint] // L
-
-    def count_inside(self, t: int, mask: np.ndarray) -> np.ndarray:
-        """(L,) entries of view ``t`` per superpoint whose pixel is True in
-        the (H, W) ``mask``: :meth:`count_intervals` over the mask's runs."""
-        return self.count_intervals([t], *mask_intervals([mask]))[0]
 
     def count_intervals(self, views: Sequence[int], bounds: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """(V, L) entries of view ``views[v]`` per superpoint whose pixel lies

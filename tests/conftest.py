@@ -7,7 +7,7 @@ from seglift.geometry import CameraFrame, project_cloud, project_points
 from seglift.synth import SceneSpec, build_scene
 from seglift.errors import DataError
 from seglift.tracks import MaskTrack, _apply_forgetting, _line_runs, oracle_track
-from seglift.view_select import PixelIndex
+from seglift.view_select import PixelIndex, mask_intervals
 
 # `pytest --hypothesis-profile ci` runs property tests at five times their
 # examples: the default's, or the count a test passes through examples()
@@ -37,6 +37,12 @@ def pixel_index(partition, positions, frames, depth_tolerance=0.1):
     builds it: each view is projected as the index reads it."""
     projections = (project_cloud(positions, [f], depth_tolerance)[0] for f in frames)
     return PixelIndex.build(partition, projections, (frames[0].height, frames[0].width))
+
+
+def count_inside(pixels, t, mask):
+    """(L,) entries of view ``t`` of the pixel index per superpoint whose
+    pixel is True in the (H, W) ``mask``: ``count_intervals`` over the mask's runs."""
+    return pixels.count_intervals([t], *mask_intervals([mask]))[0]
 
 
 def objective_value(theta, track, positions, partition, frames, depth_tolerance=0.1):

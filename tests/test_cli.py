@@ -401,6 +401,15 @@ def test_importing_the_cli_loads_no_scipy_ndimage():
     assert proc.stdout.strip() == "False"
 
 
+def test_importing_the_package_loads_none_of_its_modules():
+    # the package root holds only __version__; callers import the modules they use
+    env = {**os.environ, "PYTHONPATH": str(Path(seglift.__file__).parents[1])}
+    code = "import sys, seglift; print(sorted(m for m in sys.modules if m.startswith('seglift.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestManifest:
     def test_timings_split_by_stage_and_kept_out_of_proposals(self, scene_dir, tmp_path):
         out = tmp_path / "run"

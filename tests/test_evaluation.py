@@ -63,6 +63,7 @@ class TestMaskIou:
         with pytest.raises(ValueError, match="mismatch"):
             mask_iou(np.zeros(3, dtype=bool), np.zeros(4, dtype=bool))
 
+    @pytest.mark.ci_examples
     @settings(max_examples=examples(200), deadline=None)
     @given(partitioned_sets())
     @example((np.arange(5), np.ones(5, bool), np.zeros(5, bool)))  # one-point superpoints; the whole cloud, nothing

@@ -300,6 +300,7 @@ class TestProjectPoints:
         cases = [random_projection_case(np.random.default_rng(seed), False) for seed in range(40)]
         assert sum(len(project_points(world, frame, 3.0)) > 0 for world, frame in cases) > 20
 
+    @pytest.mark.ci_examples
     @settings(max_examples=examples(200), deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_rounding_edges_match_reference(self, seed):
@@ -511,6 +512,7 @@ class TestEstimateNormals:
         normals = estimate_normals(pts, 5)
         np.testing.assert_allclose(normals, np.tile([0.0, 0.0, 1.0], (30, 1)))
 
+    @pytest.mark.ci_examples
     @settings(max_examples=examples(80), deadline=None)
     @given(
         kind=st.sampled_from(["random", "planar", "collinear", "duplicates", "mixed"]),
@@ -532,6 +534,7 @@ class TestEstimateNormals:
             got = estimate_normals(pts, k, neighbors=nbr)
         assert got.tobytes() == reference_normals(pts, k, nbr).tobytes()
 
+    @pytest.mark.ci_examples
     @pytest.mark.parametrize("offset", [-1, 0, 1, 2 * geometry._NORMALS_BLOCK + 77])
     def test_module_block_equals_whole_array(self, offset):
         pts = normals_case("mixed", geometry._NORMALS_BLOCK + offset, 3)

@@ -393,6 +393,7 @@ class TestNarrowMemo:
     """A lifted track keeps only its candidate columns; refined on them and
     scattered back, every strategy gives the full matrix's selection."""
 
+    @pytest.mark.ci_examples
     @settings(max_examples=examples(100), deadline=None)
     @given(
         full=lifted_matrices(),

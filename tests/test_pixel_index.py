@@ -30,7 +30,7 @@ from seglift.tracks import (
 )
 from seglift.view_select import NoPivotViewError, PixelIndex, pivot_view, superpoint_view_counts
 
-from conftest import examples, make_frame, pixel_index, pose_from, rotation_z
+from conftest import count_inside, examples, make_frame, pixel_index, pose_from, rotation_z
 
 
 # --- references: the per-view implementations -------------------------------
@@ -313,7 +313,7 @@ class TestLayout:
             for rows, cols in ((0, slice(None)), (height - 1, slice(None)), (height - 1, width - 1), (slice(5, None), 7)):
                 mask[rows, cols] = True
                 want = np.bincount(own[mask[ps.rows, ps.cols]], minlength=labels)
-                np.testing.assert_array_equal(pixels.count_inside(t, mask), want)
+                np.testing.assert_array_equal(count_inside(pixels, t, mask), want)
                 mask[rows, cols] = False
 
 
@@ -353,6 +353,7 @@ def band_cases(draw):
 class TestBandEdges:
     """Masks on the image's first and last rows give the dense per-point counts."""
 
+    @pytest.mark.ci_examples
     @settings(max_examples=examples(200), deadline=None)
     @given(band_cases(), st.sampled_from([0.05, 0.5, 1.0]))
     def test_band_counts_equal_dense_reference(self, case, tau):
@@ -404,6 +405,7 @@ def run_cases(draw):
 class TestCountIntervals:
     """A track's intervals, from its file's runs or from its dense masks, counted at once."""
 
+    @pytest.mark.ci_examples
     @settings(max_examples=examples(100), deadline=None)
     @given(run_cases())
     def test_runs_count_as_count_inside_of_each_decoded_view(self, tmp_path_factory, case):
@@ -422,7 +424,7 @@ class TestCountIntervals:
                 ps = projections[t]
                 dense = np.bincount(partition.assignment[ps.indices][track.masks[t][ps.rows, ps.cols]],
                                     minlength=partition.count)
-                np.testing.assert_array_equal(from_runs[v], pixels.count_inside(t, read.masks[t]))
+                np.testing.assert_array_equal(from_runs[v], count_inside(pixels, t, read.masks[t]))
                 np.testing.assert_array_equal(from_runs[v], dense)
                 np.testing.assert_array_equal(from_masks[v], dense)
 
@@ -467,6 +469,7 @@ def oracle_tracks(state):
 class TestInstanceTable:
     """Each view's projected points counted per render id, and oracle tracks lifted from those counts."""
 
+    @pytest.mark.ci_examples
     @settings(max_examples=examples(200), deadline=None)
     @given(table_cases())
     def test_rows_equal_count_inside_of_the_id_mask(self, case):
@@ -482,7 +485,7 @@ class TestInstanceTable:
         assert pixels.instance_counts.dtype == np.int32
         assert pixels.instance_counts.shape == (len(ids), partition.count)
         for row, (t, g) in enumerate(zip(views, ids)):
-            np.testing.assert_array_equal(pixels.instance_counts[row], pixels.count_inside(t, renders[t] == g))
+            np.testing.assert_array_equal(pixels.instance_counts[row], count_inside(pixels, t, renders[t] == g))
         TestStreamedBuild.assert_same_index(pixels, PixelIndex.build(partition, projections, shape))
 
     def test_a_views_rows_sum_to_its_counts(self, oracle_state):

@@ -209,6 +209,7 @@ def oracle_case(kind, n, seed):
 
 
 class TestReferenceOracle:
+    @pytest.mark.ci_examples
     @settings(max_examples=examples(80), deadline=None)
     @given(
         kind=st.sampled_from(["grid", "random", "mixed"]),
@@ -498,6 +499,7 @@ class TestSharedKnn:
         expected = partition_superpoints(small_scene.cloud, normals, knn_k=pipeline.SUPERPOINT_KNN)
         np.testing.assert_array_equal(state.partition.assignment, expected.assignment)
 
+    @pytest.mark.ci_examples
     @settings(max_examples=examples(60), deadline=None)
     @given(
         shape=st.tuples(st.integers(1, 5), st.integers(2, 5), st.integers(2, 5)),

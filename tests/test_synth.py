@@ -106,6 +106,13 @@ class TestRenderFrames:
         with pytest.raises(ValueError, match="degenerate camera pose"):
             build_scene(spec)
 
+    def test_waypoints_are_one_pose_or_one_per_frame(self):
+        poses = [((1.0 + t, 3.0, 1.5), (5.0, 3.0, 1.5)) for t in range(3)]
+        for camera in (poses[:1], poses):
+            assert len(build_scene(SceneSpec(object_count=0, frame_count=3, camera=camera, density=5.0)).frames) == 3
+        with pytest.raises(ValueError, match="one waypoint or one per frame"):
+            build_scene(SceneSpec(object_count=0, frame_count=3, camera=poses[:2], density=5.0))
+
     def test_reprojection_consistency(self):
         # sampled surface points that pass the occlusion test land on pixels
         # whose instance render matches their label for >= 99% of points
@@ -209,6 +216,19 @@ class TestSceneIO:
         with pytest.raises(DataError, match="not empty"):
             save_scene(small_scene, path)
         save_scene(small_scene, path, force=True)
+
+    def test_force_replaces_an_old_scene_with_more_views(self, tmp_path):
+        old = build_scene(SceneSpec(object_count=1, frame_count=5, image_size=(8, 6), density=5.0, seed=1))
+        new = build_scene(SceneSpec(object_count=2, frame_count=3, image_size=(10, 7), density=5.0, seed=2))
+        save_scene(old, tmp_path / "scene")
+        save_scene(new, tmp_path / "scene", force=True)
+        save_scene(new, tmp_path / "fresh")
+        assert len(load_scene(tmp_path / "scene", require_instances=True).frames) == 3
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        assert files(tmp_path / "scene") == files(tmp_path / "fresh")
 
     def test_truncated_depth_rejected(self, tmp_path, small_scene):
         path = tmp_path / "scene"
