@@ -130,8 +130,8 @@ def cmd_generate(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _make_out_dir(args.out)  # before the build, so an unusable path fails at once
     scene = build_scene(spec)
+    _make_out_dir(args.out)  # after the build, so a scene that cannot be built leaves no directory
     save_scene(scene, args.out, force=args.force)
     print(f"scene written to {args.out}: {args.objects} objects, {args.frames} frames")
     return 0
@@ -143,8 +143,8 @@ def _load_inputs(args, need_gt: bool = False):
     The scene loads first, then the track file of a ``file:PATH`` tracker;
     the oracle and noisy trackers take the scene's instance renders instead.
     Loading checks every frame file but reads none: ``prepare_state`` reads
-    the working views' depth maps and, for those two trackers, their
-    instance renders, so a file tracker never opens an instance render.
+    the working views' depth maps and, for those two trackers, the pixel
+    index reads their instance renders, so a file tracker never opens one.
     """
     rendered = args.tracker in ("oracle", "noisy")
     start = time.perf_counter()

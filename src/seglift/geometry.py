@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "PointCloud",
@@ -279,6 +278,8 @@ def shared_knn(positions: np.ndarray, ks: tuple[int, ...]) -> list[np.ndarray]:
     """
     if min(ks) < 1:
         raise ValueError("k must be at least 1")
+    from scipy.spatial import cKDTree  # imported here, so that eval and generate do not load scipy
+
     pts = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     n = len(pts)
     tree = cKDTree(pts)
@@ -327,6 +328,8 @@ def estimate_normals(
     if n <= k:
         raise ValueError("need more points than neighbors")
     if neighbors is None:
+        from scipy.spatial import cKDTree
+
         _, neighbors = cKDTree(pts).query(pts, k=k + 1)
     elif neighbors.shape != (n, k + 1):
         raise ValueError("neighbors must be (N, k+1)")

@@ -206,9 +206,8 @@ def subsample_views(frames: Sequence, stride: int) -> Sequence:
 class PipelineState:
     """Context shared by every round and every strategy run on one scene.
 
-    Everything but ``lifted`` is read-only. ``instances`` holds the working
-    views' instance renders, which the oracle and noisy trackers read, each
-    in the narrowest signed integer type that holds its ids.
+    Everything but ``lifted`` is read-only. ``pixels`` keeps the working
+    views' instance renders, which the oracle and noisy trackers read.
     ``lifted`` memoises the strategy-independent half of each track: its
     ``LiftedTrack`` or its failure cause. A seed's key is (tracker, seed,
     track id); the pivot, the query and the noisy tracker's RNG seed depend
@@ -217,7 +216,6 @@ class PipelineState:
     list, its track id), so a state serves one track list.
     """
 
-    instances: list[np.ndarray] | None
     partition: SuperpointPartition
     neighbors: np.ndarray
     pixels: PixelIndex
@@ -230,8 +228,9 @@ def prepare_state(cloud, frames, instances, config) -> PipelineState:
 
     Each working view is read once, as it is projected, after the
     partition: no depth map is held while the normals and the graph cut
-    run, and only one while views are projected. The working instance
-    renders are read in the same pass, kept, and counted per id in the index.
+    run, and only one while views are projected. The index reads the
+    working instance renders in the same pass, keeps them, and counts them
+    per id.
     """
     working = subsample_views(frames, config.view_stride)
     winst = subsample_views(instances, config.view_stride) if instances is not None else None
@@ -248,23 +247,16 @@ def prepare_state(cloud, frames, instances, config) -> PipelineState:
     del normal_nbr, graph_nbr, normals  # the k-NN and normals are not needed past the partition
     neighbors = knn_centroids(partition.centroids, config.kappa)
     shape = (working[0].height, working[0].width)
-    renders = None if winst is None else []
 
     def projections():
         # one view read and projected at a time: only the index is kept, never every view's points at once
         for t, frame in enumerate(working):
             if (frame.height, frame.width) != shape:
                 raise DataError(f"frame {t}: image size {(frame.height, frame.width)} differs from {shape}")
-            if renders is not None:
-                render = winst[t]
-                if render.shape != shape:
-                    raise DataError(f"instance render {t}: shape {render.shape} differs from {shape}")
-                # the narrowest signed type that holds -1 and the largest id: int8 up to id 127
-                renders.append(render.astype(np.min_scalar_type(min(int(render.min()), -1 - int(render.max())))))
             yield project_cloud(cloud.positions, [frame], config.depth_tolerance)[0]
 
-    pixels = PixelIndex.build(partition, projections(), shape, renders)
-    return PipelineState(renders, partition, neighbors, pixels, config)
+    pixels = PixelIndex.build(partition, projections(), shape, winst)
+    return PipelineState(partition, neighbors, pixels, config)
 
 
 def _combine_seed(base_seed: int, track_id: int) -> int:
@@ -305,16 +297,9 @@ def _track_and_lift(state: PipelineState, seed: int, track_id: int, tracker: str
         pivot = pivot_view(seed, state.pixels.counts, state.partition.sizes, state.neighbors)
         query = build_tracker_query(seed, state.pixels, pivot, memory_window=cfg.memory_window)
         if tracker == "oracle":
-            track = oracle_track(query, state.instances, track_id, seed)
+            track = oracle_track(query, state.pixels, track_id, seed)
         else:
-            track = noisy_track(
-                query,
-                state.instances,
-                cfg.noise_spec(),
-                _combine_seed(cfg.seed, track_id),
-                track_id,
-                seed,
-            )
+            track = noisy_track(query, state.pixels, cfg.noise_spec(), _combine_seed(cfg.seed, track_id), track_id, seed)
     except NoPivotViewError:
         lifted = "no_pivot"
     except TrackingError:
@@ -446,7 +431,7 @@ def run_rounds(
     ``PipelineState``), so one state serves any number of strategies and
     only refinement runs again.
     """
-    _check_tracker(tracker, state.instances, tracks)
+    _check_tracker(tracker, state.pixels.renders, tracks)
     config = state.config
     refine = parse_strategy(strategy)
 

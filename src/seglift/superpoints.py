@@ -23,9 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .geometry import PointCloud
 
@@ -131,6 +128,9 @@ def partition_superpoints(
     :func:`~seglift.geometry.shared_knn`); without it, the points are
     queried here.
     """
+    from scipy.sparse import csr_matrix  # imported here, so that eval and generate do not load scipy
+    from scipy.sparse.csgraph import connected_components
+
     if knn_k < 1:
         raise ValueError("knn_k must be at least 1")
     if not (np.isfinite(merge_threshold) and merge_threshold > 0):
@@ -147,6 +147,8 @@ def partition_superpoints(
         raise ValueError("normals must be (N, 3)")
 
     if neighbors is None:
+        from scipy.spatial import cKDTree
+
         _, neighbors = cKDTree(positions).query(positions, k=knn_k + 1)
     elif neighbors.shape != (n, knn_k + 1):
         raise ValueError("neighbors must be (N, knn_k+1)")

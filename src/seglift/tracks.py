@@ -2,8 +2,8 @@
 
 Three sources of tracks exist:
 
-* :func:`oracle_track` reads exact per-view instance renders and is the
-  trusted fixture for everything downstream,
+* :func:`oracle_track` reads the exact instance renders that the pixel
+  index keeps and is the trusted fixture for everything downstream,
 * :func:`noisy_track` degrades oracle output with drop / morphology /
   boundary-flip noise plus a forgetting rule after long invisibility gaps,
 * :func:`read_tracks` ingests externally produced track files.
@@ -152,24 +152,23 @@ def _majority_instance(render: np.ndarray, prompts: list[tuple[int, int]]) -> in
 
 def oracle_track(
     query: TrackerQuery,
-    instance_renders: list[np.ndarray],
+    pixels: PixelIndex,
     track_id: int = 0,
     seed_superpoint: int = -1,
 ) -> MaskTrack:
-    """Exact tracker: the ground-truth renders of the id the prompts land on
-    (majority vote, ties to the lowest id), which is the track's ``instance``."""
-    target = _majority_instance(instance_renders[query.pivot_view], query.point_prompts)
-    masks: dict[int, np.ndarray] = {}
-    for t, render in enumerate(instance_renders):
-        mask = render == target
-        if mask.any():
-            masks[t] = mask
+    """Exact tracker over the pixel index's instance renders: the masks of the
+    id the prompts land on in the pivot view (majority vote, ties to the
+    lowest id), which is the track's ``instance``, in the views that the
+    index's id table lists for it."""
+    target = _majority_instance(pixels.renders[query.pivot_view], query.point_prompts)
+    views = pixels.instance_views[pixels.instance_ids == target].tolist()
+    masks = {t: pixels.renders[t] == target for t in views}
     return MaskTrack(track_id, 1.0, masks, query.pivot_view, seed_superpoint, target)
 
 
 def noisy_track(
     query: TrackerQuery,
-    instance_renders: list[np.ndarray],
+    pixels: PixelIndex,
     noise: NoiseSpec,
     rng_seed: int,
     track_id: int = 0,
@@ -191,7 +190,7 @@ def noisy_track(
     """
     from scipy import ndimage  # imported here, its only user, so importing the CLI does not load it
 
-    base = oracle_track(query, instance_renders, track_id, seed_superpoint)
+    base = oracle_track(query, pixels, track_id, seed_superpoint)
     rng = np.random.default_rng(rng_seed)
     margin = noise.r_morph + noise.flip_band
     noised: dict[int, np.ndarray] = {}
@@ -216,7 +215,7 @@ def noisy_track(
             noised[t] = np.zeros_like(full)
             noised[t][box] = mask
 
-    kept = _apply_forgetting(noised, query, len(instance_renders), noise.memory_window)
+    kept = _apply_forgetting(noised, query, len(pixels.renders), noise.memory_window)
     score = len(kept) / len(base.masks)
     return MaskTrack(track_id, score, kept, query.pivot_view, seed_superpoint)
 

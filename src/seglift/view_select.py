@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .geometry import PixelSet
 from .superpoints import SuperpointPartition
 
@@ -30,14 +31,9 @@ class NoPivotViewError(ValueError):
     """The superpoint scores zero in every view; callers should skip it."""
 
 
-def superpoint_view_counts(
-    partition: SuperpointPartition, projections: list[PixelSet]
-) -> np.ndarray:
-    """(T, L) matrix of visible projected-point counts per view and superpoint."""
-    counts = np.zeros((len(projections), partition.count), dtype=np.int64)
-    for t, ps in enumerate(projections):
-        counts[t] = np.bincount(partition.assignment[ps.indices], minlength=partition.count)
-    return counts
+def superpoint_view_counts(labels: np.ndarray, count: int) -> np.ndarray:
+    """(L,) projected points of one view per superpoint, from each point's superpoint label."""
+    return np.bincount(labels, minlength=count)
 
 
 @dataclass
@@ -49,10 +45,12 @@ class PixelIndex:
     col``, in ascending order: by row, then column, then superpoint. Keys
     are int32 when ``H * W * L <= 2**31``, int64 otherwise. ``counts`` is
     (T, L): each superpoint's projected points per view. ``shape`` is the
-    (H, W) of every view's image. Built with renders, row r of the (R, L)
-    int32 ``instance_counts`` counts, per superpoint, view
-    ``instance_views[r]``'s points where its render is ``instance_ids[r]``:
-    a row per id a view holds, ids ascending, else None.
+    (H, W) of every view's image. Built with renders, ``renders[t]`` is
+    view t's instance render in the narrowest signed integer type that
+    holds -1 and its ids, and row r of the (R, L) int32 ``instance_counts``
+    counts, per superpoint, view ``instance_views[r]``'s points where its
+    render is ``instance_ids[r]``: a row per id a view holds, ids
+    ascending. Built without, all four are None.
     """
 
     counts: np.ndarray
@@ -62,6 +60,7 @@ class PixelIndex:
     instance_views: np.ndarray | None = None
     instance_ids: np.ndarray | None = None
     instance_counts: np.ndarray | None = None
+    renders: list[np.ndarray] | None = None
 
     @classmethod
     def build(cls, partition: SuperpointPartition, projections: Iterable[PixelSet], shape: tuple[int, int],
@@ -70,20 +69,26 @@ class PixelIndex:
         counts row and its sorted keys before the next is read, so a
         generator that projects one view at a time never holds every view's
         projected points at once. ``renders[t]`` is read once view t is
-        drawn, so a list the generator fills as it projects serves."""
-        L = partition.count
+        drawn; a render not of ``shape`` is a DataError."""
+        L, shape = partition.count, tuple(shape)
         dtype = np.int32 if shape[0] * shape[1] * L <= 2**31 else np.int64
-        count_rows, parts = [], []
+        count_rows, parts, kept = [], [], []
         row_views, row_ids, row_counts = [], [], array.array("i")  # the counts at 4 B per entry
         for t, ps in enumerate(projections):
+            labels = partition.assignment.take(ps.indices)
             # as Python ints: numpy holds on to freed buffers under 1 KB for reuse,
             # and one live row per view, spread over the heap, kept it from shrinking
-            count_rows.append(superpoint_view_counts(partition, [ps])[0].tolist())
-            labels = partition.assignment.take(ps.indices)
+            count_rows.append(superpoint_view_counts(labels, L).tolist())
             keys = ps.rows * shape[1] + ps.cols
             if renders is not None:
-                ids = np.unique(renders[t])  # ranked, not offset: a dense count over the id span could be huge
-                rank = ids.searchsorted(renders[t].reshape(-1).take(keys))
+                render = renders[t]
+                if render.shape != shape:
+                    raise DataError(f"instance render {t}: shape {render.shape} differs from {shape}")
+                # the narrowest signed type that holds -1 and the largest id: int8 up to id 127
+                render = render.astype(np.min_scalar_type(min(int(render.min()), -1 - int(render.max()))))
+                kept.append(render)
+                ids = np.unique(render)  # ranked, not offset: a dense count over the id span could be huge
+                rank = ids.searchsorted(render.reshape(-1).take(keys))
                 row_counts.frombytes(np.bincount(rank * L + labels, minlength=len(ids) * L).astype(np.int32).tobytes())
                 row_ids += ids.tolist()
                 row_views += [t] * len(ids)
@@ -96,8 +101,8 @@ class PixelIndex:
         starts = np.concatenate([[0], np.cumsum([len(part) for part in parts], dtype=np.int64)])
         keys = np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
         table = () if renders is None else (np.array(row_views, dtype=np.int64), np.array(row_ids, dtype=np.int64),
-                                            np.frombuffer(row_counts, dtype=np.int32).reshape(-1, L))
-        return cls(counts, starts, keys, tuple(shape), *table)
+                                            np.frombuffer(row_counts, dtype=np.int32).reshape(-1, L), kept)
+        return cls(counts, starts, keys, shape, *table)
 
     def view(self, t: int) -> slice:
         """The entries of view ``t``."""

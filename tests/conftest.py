@@ -3,10 +3,11 @@ import pytest
 from hypothesis import settings
 from scipy import ndimage
 
-from seglift.geometry import CameraFrame, project_cloud, project_points
+from seglift.geometry import CameraFrame, PixelSet, project_cloud, project_points
+from seglift.superpoints import SuperpointPartition
 from seglift.synth import SceneSpec, build_scene
 from seglift.errors import DataError
-from seglift.tracks import MaskTrack, _apply_forgetting, _line_runs, oracle_track
+from seglift.tracks import MaskTrack, _apply_forgetting, _line_runs, _majority_instance
 from seglift.view_select import PixelIndex, mask_intervals
 
 # `pytest --hypothesis-profile ci` runs property tests at five times their
@@ -32,11 +33,27 @@ def make_frame(depth, fx=100.0, fy=100.0, cx=None, cy=None, extrinsics=None):
     return CameraFrame(fx, fy, cx, cy, extrinsics, depth, w, h)
 
 
-def pixel_index(partition, positions, frames, depth_tolerance=0.1):
-    """The pixel index of ``positions`` seen by ``frames``, as prepare_state
-    builds it: each view is projected as the index reads it."""
+def pixel_index(partition, positions, frames, depth_tolerance=0.1, renders=None):
+    """The pixel index of ``positions`` seen by ``frames``, with the instance
+    ``renders`` of those views if given, as prepare_state builds it: each
+    view is projected as the index reads it."""
     projections = (project_cloud(positions, [f], depth_tolerance)[0] for f in frames)
-    return PixelIndex.build(partition, projections, (frames[0].height, frames[0].width))
+    return PixelIndex.build(partition, projections, (frames[0].height, frames[0].width), renders)
+
+
+def render_index(renders):
+    """The pixel index of hand-made instance renders, one per view, over a
+    one-point cloud that no view sees: what the trackers read, and no
+    projected point."""
+    partition = SuperpointPartition.from_assignment(np.zeros(1, dtype=np.int64), np.zeros((1, 3)))
+    nothing = PixelSet(*np.empty((3, 0), dtype=np.int64))
+    return PixelIndex.build(partition, [nothing] * len(renders), renders[0].shape, renders)
+
+
+def reference_view_counts(partition, projections):
+    """(T, L) projected points per view and superpoint, one bincount per view."""
+    rows = [np.bincount(partition.assignment[ps.indices], minlength=partition.count) for ps in projections]
+    return np.array(rows, dtype=np.int64).reshape(-1, partition.count)
 
 
 def count_inside(pixels, t, mask):
@@ -67,11 +84,25 @@ def objective_value(theta, track, positions, partition, frames, depth_tolerance=
     return total
 
 
+def reference_oracle_track(query, instance_renders, track_id=0, seed_superpoint=-1):
+    """The exact tracker as a scan of every view's render for the id the
+    prompts land on in the pivot view (majority vote, ties to the lowest
+    id): the oracle for oracle_track, which takes its views from the pixel
+    index's id table."""
+    target = _majority_instance(instance_renders[query.pivot_view], query.point_prompts)
+    masks = {}
+    for t, render in enumerate(instance_renders):
+        mask = render == target
+        if mask.any():
+            masks[t] = mask
+    return MaskTrack(track_id, 1.0, masks, query.pivot_view, seed_superpoint, target)
+
+
 def reference_noisy_track(query, instance_renders, noise, rng_seed, track_id=0, seed_superpoint=-1):
     """The noisy tracker with its morphology, band and flips run over the
-    whole image: the oracle for noisy_track, which runs them on each mask's
-    bounding box."""
-    base = oracle_track(query, instance_renders, track_id, seed_superpoint)
+    whole image, on the per-view scan of the exact tracker: the oracle for
+    noisy_track, which runs them on each mask's bounding box."""
+    base = reference_oracle_track(query, instance_renders, track_id, seed_superpoint)
     rng = np.random.default_rng(rng_seed)
     noised = {}
     for t in sorted(base.masks):

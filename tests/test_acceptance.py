@@ -277,13 +277,12 @@ def _suite_tracks(scene, noise):
     partition = partition_superpoints(scene.cloud, normals)
     neighbors = knn_centroids(partition.centroids, 8)
     working = scene.frames[::10]
-    instances = scene.instances[::10]
-    pixels = pixel_index(partition, scene.cloud.positions, working)
+    pixels = pixel_index(partition, scene.cloud.positions, working, renders=scene.instances[::10])
     for sp in range(partition.count):
         try:
             pivot = pivot_view(sp, pixels.counts, partition.sizes, neighbors)
             query = build_tracker_query(sp, pixels, pivot)
-            track = noisy_track(query, instances, noise, rng_seed=1000 + sp, seed_superpoint=sp)
+            track = noisy_track(query, pixels, noise, rng_seed=1000 + sp, seed_superpoint=sp)
         except (NoPivotViewError, TrackingError):
             continue
         yield visibility_matrix(track, pixels)

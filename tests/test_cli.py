@@ -392,13 +392,13 @@ class TestClosedStdout:
         assert proc.returncode == 1
 
 
-def test_importing_the_cli_loads_no_scipy_ndimage():
-    # only the noisy tracker uses scipy.ndimage, and it imports it when called
+def test_importing_the_cli_loads_no_scipy():
+    # eval and generate use no scipy; each function that does imports what it needs when called
     env = {**os.environ, "PYTHONPATH": str(Path(seglift.__file__).parents[1])}
-    code = "import sys, seglift.cli; print('scipy.ndimage' in sys.modules)"
+    code = "import sys, seglift.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_importing_the_package_loads_none_of_its_modules():
@@ -488,11 +488,11 @@ class TestReprompts:
             try:
                 pivot = pivot_view(seed, state.pixels.counts, state.partition.sizes, state.neighbors)
                 query = build_tracker_query(seed, state.pixels, pivot, memory_window=1)
-                track = noisy_track(query, state.instances, config.noise_spec(), seed)
+                track = noisy_track(query, state.pixels, config.noise_spec(), seed)
             except (NoPivotViewError, TrackingError):
                 continue
             reprompted += len(query.reprompt_views)
-            forgetful = noisy_track(dataclasses.replace(query, reprompt_views=frozenset()), state.instances,
+            forgetful = noisy_track(dataclasses.replace(query, reprompt_views=frozenset()), state.pixels,
                                     config.noise_spec(), seed)
             kept += len(track.masks) - len(forgetful.masks)
         assert reprompted > 0 and kept > 0
@@ -513,6 +513,8 @@ EXIT_CODES = [
     ("generate-size-one-value", "generate", ["--size", "64"], 2),
     ("generate-size-not-whole", "generate", ["--size", "8.9x4"], 2),
     ("generate-negative-seed", "generate", ["--seed", "-1"], 2),
+    # a room too small for its objects: the build fails, so no scene directory is made
+    ("generate-unplaceable", "generate", ["--objects", "60", "--room", "1x1x1", "--frames", "2"], 3),
     ("eval-ok", "eval", '{"id": 0, "score": 0.5}', 0),
     ("eval-no-score", "eval", '{"id": 0}', 3),
     ("eval-no-id", "eval", '{"score": 0.5}', 3),

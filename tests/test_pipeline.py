@@ -1,5 +1,6 @@
 """Round loop, dedup, file-tracker mode, and config handling."""
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -334,13 +335,13 @@ class TestSharedState:
 
 
 class TestNarrowRenders:
-    """prepare_state keeps each working instance render in the narrowest
+    """The pixel index keeps each working instance render in the narrowest
     signed integer type that holds its ids; the trackers read the same
     masks from it as from the int32 renders."""
 
     def test_scene_ids_fit_int8(self, small_scene):
         state = prepare_state(small_scene.cloud, small_scene.frames, small_scene.instances, quick_config())
-        assert {render.dtype for render in state.instances} == {np.dtype(np.int8)}
+        assert {render.dtype for render in state.pixels.renders} == {np.dtype(np.int8)}
 
     def test_trackers_equal_on_int32_renders(self, small_scene):
         # ids on both sides of the int8 and int16 limits, and two views that are all -1
@@ -355,9 +356,10 @@ class TestNarrowRenders:
             renders.append(render)
         frames = small_scene.frames[: len(views)]
         state = prepare_state(small_scene.cloud, frames, renders, quick_config(view_stride=1))
-        assert [render.dtype for render in state.instances] == [np.dtype(t) for t in "i1 i1 i2 i2 i4 i4".split()]
-        for narrow, wide in zip(state.instances, renders):
+        assert [render.dtype for render in state.pixels.renders] == [np.dtype(t) for t in "i1 i1 i2 i2 i4 i4".split()]
+        for narrow, wide in zip(state.pixels.renders, renders):
             np.testing.assert_array_equal(narrow, wide)
+        wide = dataclasses.replace(state.pixels, renders=renders)
         noise = NoiseSpec(p_drop=0.3, r_morph=1, p_flip=0.3, memory_window=2)
         for j, i in enumerate(ids):
             pivot = next(t for t, view in enumerate(views) if i in view)
@@ -366,7 +368,7 @@ class TestNarrowRenders:
                 lambda r: oracle_track(query, r, track_id=j),
                 lambda r: noisy_track(query, r, noise, rng_seed=j, track_id=j),
             ):
-                got, want = track(state.instances), track(renders)
+                got, want = track(state.pixels), track(wide)
                 assert list(got.masks) == list(want.masks) and got.score == want.score
                 for t in want.masks:
                     np.testing.assert_array_equal(got.masks[t], want.masks[t])

@@ -28,9 +28,18 @@ from seglift.tracks import (
     track_intervals,
     write_tracks,
 )
-from seglift.view_select import NoPivotViewError, PixelIndex, pivot_view, superpoint_view_counts
+from seglift.view_select import NoPivotViewError, PixelIndex, pivot_view
 
-from conftest import count_inside, examples, make_frame, pixel_index, pose_from, rotation_z
+from conftest import (
+    count_inside,
+    examples,
+    make_frame,
+    pixel_index,
+    pose_from,
+    reference_oracle_track,
+    reference_view_counts,
+    rotation_z,
+)
 
 
 # --- references: the per-view implementations -------------------------------
@@ -169,7 +178,7 @@ class TestMatchesPerViewReference:
         pts, partition, frames = random_scene(rng, n, labels, views)
         projections = project_cloud(pts, frames, 0.15)
         pixels = PixelIndex.build(partition, projections, (frames[0].height, frames[0].width))
-        np.testing.assert_array_equal(pixels.counts, superpoint_view_counts(partition, projections))
+        np.testing.assert_array_equal(pixels.counts, reference_view_counts(partition, projections))
         for sp in range(partition.count):
             assert_same_query(sp, partition, frames, pixels, projections, memory_window, prompt_count)
         for _ in range(3):
@@ -459,7 +468,7 @@ def oracle_tracks(state):
     for seed in range(state.partition.count):
         try:
             pivot = pivot_view(seed, state.pixels.counts, state.partition.sizes, state.neighbors)
-            tracks.append(oracle_track(build_tracker_query(seed, state.pixels, pivot), state.instances, seed, seed))
+            tracks.append(oracle_track(build_tracker_query(seed, state.pixels, pivot), state.pixels, seed, seed))
         except (NoPivotViewError, TrackingError):
             continue
     assert len(tracks) > 3
@@ -486,6 +495,8 @@ class TestInstanceTable:
         assert pixels.instance_counts.shape == (len(ids), partition.count)
         for row, (t, g) in enumerate(zip(views, ids)):
             np.testing.assert_array_equal(pixels.instance_counts[row], count_inside(pixels, t, renders[t] == g))
+        for kept, render in zip(pixels.renders, renders, strict=True):
+            np.testing.assert_array_equal(kept, render)
         TestStreamedBuild.assert_same_index(pixels, PixelIndex.build(partition, projections, shape))
 
     def test_a_views_rows_sum_to_its_counts(self, oracle_state):
@@ -496,7 +507,33 @@ class TestInstanceTable:
 
     def test_a_state_without_renders_has_no_table(self, small_scene):
         state = prepare_state(small_scene.cloud, small_scene.frames, None, PipelineConfig(view_stride=3))
-        assert state.pixels.instance_views is state.pixels.instance_ids is state.pixels.instance_counts is None
+        pixels = state.pixels
+        assert pixels.instance_views is pixels.instance_ids is pixels.instance_counts is pixels.renders is None
+
+    def test_oracle_track_equals_the_per_view_scan(self, small_scene, oracle_state):
+        # every seed's exact track, from the id table's views, against a scan of every working view's int32 render
+        renders = subsample_views(small_scene.instances, oracle_state.config.view_stride)
+        pixels, compared = oracle_state.pixels, 0
+        for seed in range(oracle_state.partition.count):
+            try:
+                pivot = pivot_view(seed, pixels.counts, oracle_state.partition.sizes, oracle_state.neighbors)
+            except NoPivotViewError:
+                continue
+            query = build_tracker_query(seed, pixels, pivot)
+            try:
+                want = reference_oracle_track(query, renders, seed, seed)
+            except TrackingError:
+                with pytest.raises(TrackingError):
+                    oracle_track(query, pixels, seed, seed)
+                continue
+            got = oracle_track(query, pixels, seed, seed)
+            assert list(got.masks) == list(want.masks)
+            assert (got.instance, got.score, got.track_id, got.seed_superpoint) == (want.instance, want.score, seed, seed)
+            for t, mask in want.masks.items():
+                assert (got.masks[t].dtype, got.masks[t].shape) == (mask.dtype, mask.shape)
+                assert got.masks[t].tobytes() == mask.tobytes()
+            compared += 1
+        assert compared > 3
 
     def test_oracle_lift_equals_the_lift_of_its_masks(self, oracle_state):
         for track in oracle_tracks(oracle_state):
@@ -509,7 +546,7 @@ class TestInstanceTable:
     def test_only_tracks_without_an_instance_count_their_masks(self, oracle_state, monkeypatch, tmp_path):
         oracle = max(oracle_tracks(oracle_state), key=lambda track: len(track.masks))
         prompt = divmod(int(np.flatnonzero(oracle.masks[oracle.pivot_view])[0]), oracle_state.pixels.shape[1])
-        noisy = noisy_track(TrackerQuery(oracle.pivot_view, [prompt]), oracle_state.instances, NoiseSpec(p_flip=0.3), 0)
+        noisy = noisy_track(TrackerQuery(oracle.pivot_view, [prompt]), oracle_state.pixels, NoiseSpec(p_flip=0.3), 0)
         write_tracks([oracle], tmp_path / "tracks.txt")
         (from_file,) = read_tracks(tmp_path / "tracks.txt")
         assert noisy.instance is None and from_file.instance is None

@@ -466,7 +466,7 @@ class TestLazyViews:
         state = prepare_state(scene.cloud, scene.frames, scene.instances, PipelineConfig(view_stride=3))
         working = range(0, 40, 3)
         assert sorted(read_log) == sorted([f"{t:04d}.depth" for t in working] + [f"{t:04d}.inst" for t in working])
-        assert len(state.instances) == len(working)
+        assert len(state.pixels.renders) == len(working)
 
     def test_file_tracker_setup_reads_no_instance_render(self, scene_dir, read_log):
         scene = load_scene(scene_dir)

@@ -24,7 +24,7 @@ from seglift.tracks import (
 )
 from seglift.tracks import _parse_views
 
-from conftest import examples, make_frame, pixel_index, reference_noisy_track, reference_parse_views
+from conftest import examples, make_frame, pixel_index, reference_noisy_track, reference_parse_views, render_index
 
 
 def tight_cluster(n, z=1.0):
@@ -115,7 +115,7 @@ class TestOracleTrack:
     def test_masks_equal_instance_renders(self):
         pattern = [True, True, False, True]
         renders = block_renders(pattern)
-        track = oracle_track(center_query(0), renders, track_id=5, seed_superpoint=9)
+        track = oracle_track(center_query(0), render_index(renders), track_id=5, seed_superpoint=9)
         assert track.views() == [0, 1, 3]
         for t in track.views():
             np.testing.assert_array_equal(track.masks[t], renders[t] == 2)
@@ -124,7 +124,7 @@ class TestOracleTrack:
 
     def test_object_visible_in_single_view(self):
         renders = block_renders([False, True, False])
-        track = oracle_track(center_query(1), renders)
+        track = oracle_track(center_query(1), render_index(renders))
         assert track.views() == [1]
 
     def test_majority_vote_follows_two_of_three(self):
@@ -132,21 +132,21 @@ class TestOracleTrack:
         render[15, 15] = 4
         render[16, 16] = 4
         render[15, 16] = 8
-        track = oracle_track(center_query(0), [render])
+        track = oracle_track(center_query(0), render_index([render]))
         np.testing.assert_array_equal(track.masks[0], render == 4)
 
     def test_background_prompts_error(self):
         renders = [np.full((32, 32), -1, dtype=np.int32)]
         with pytest.raises(TrackingError, match="prompts hit no instance"):
-            oracle_track(center_query(0), renders)
+            oracle_track(center_query(0), render_index(renders))
 
 
 class TestNoisyTrack:
     def test_zero_noise_is_identity(self):
         pattern = [True, True, True, False, True, True]
-        renders = block_renders(pattern)
-        base = oracle_track(center_query(1), renders)
-        noised = noisy_track(center_query(1), renders, NoiseSpec(), rng_seed=3)
+        pixels = render_index(block_renders(pattern))
+        base = oracle_track(center_query(1), pixels)
+        noised = noisy_track(center_query(1), pixels, NoiseSpec(), rng_seed=3)
         assert noised.views() == base.views()
         for t in base.views():
             np.testing.assert_array_equal(noised.masks[t], base.masks[t])
@@ -155,7 +155,7 @@ class TestNoisyTrack:
     def test_full_drop_keeps_only_pivot(self):
         pattern = [True] * 6
         renders = block_renders(pattern)
-        track = noisy_track(center_query(2), renders, NoiseSpec(p_drop=1.0), rng_seed=3)
+        track = noisy_track(center_query(2), render_index(renders), NoiseSpec(p_drop=1.0), rng_seed=3)
         assert track.views() == [2]
         assert track.score == pytest.approx(1 / 6)
 
@@ -163,7 +163,7 @@ class TestNoisyTrack:
         # object visible 0-2, gone 3-12 (ten > window 7), visible 13-19
         pattern = [t <= 2 or t >= 13 for t in range(20)]
         renders = block_renders(pattern)
-        track = noisy_track(center_query(0), renders, NoiseSpec(), rng_seed=0)
+        track = noisy_track(center_query(0), render_index(renders), NoiseSpec(), rng_seed=0)
         # all post-gap masks are forgotten
         assert track.views() == [0, 1, 2]
 
@@ -171,18 +171,18 @@ class TestNoisyTrack:
         pattern = [t <= 2 or t >= 13 for t in range(20)]
         renders = block_renders(pattern)
         query = center_query(0, reprompts={13})
-        track = noisy_track(query, renders, NoiseSpec(), rng_seed=0)
+        track = noisy_track(query, render_index(renders), NoiseSpec(), rng_seed=0)
         assert track.views() == list(range(3)) + list(range(13, 20))
 
     def test_reproducible_per_seed(self):
-        renders = block_renders([True] * 8)
+        pixels = render_index(block_renders([True] * 8))
         spec = NoiseSpec(p_drop=0.3, r_morph=1, p_flip=0.2)
-        a = noisy_track(center_query(0), renders, spec, rng_seed=7)
-        b = noisy_track(center_query(0), renders, spec, rng_seed=7)
+        a = noisy_track(center_query(0), pixels, spec, rng_seed=7)
+        b = noisy_track(center_query(0), pixels, spec, rng_seed=7)
         assert a.views() == b.views()
         for t in a.views():
             np.testing.assert_array_equal(a.masks[t], b.masks[t])
-        c = noisy_track(center_query(0), renders, spec, rng_seed=8)
+        c = noisy_track(center_query(0), pixels, spec, rng_seed=8)
         assert a.views() != c.views() or any(
             not np.array_equal(a.masks[t], c.masks[t]) for t in a.views()
         )
@@ -255,7 +255,7 @@ class TestNoisyTrackBoundingBox:
     @example(corner_case(8, 8, 1, NoiseSpec(r_morph=1, p_flip=0.3, flip_band=1), 0, size=1))
     def test_equals_whole_image_tracker(self, case):
         renders, query, noise, seed = case
-        got = noisy_track(query, renders, noise, seed, track_id=3, seed_superpoint=4)
+        got = noisy_track(query, render_index(renders), noise, seed, track_id=3, seed_superpoint=4)
         want = reference_noisy_track(query, renders, noise, seed, track_id=3, seed_superpoint=4)
         assert list(got.masks) == list(want.masks)
         assert got.score == want.score
@@ -291,7 +291,7 @@ class TestNoisyTrackBoundingBox:
 
     def test_pivot_eroded_to_empty_is_kept(self):
         renders, query, noise, seed = corner_case(8, 8, 1, NoiseSpec(r_morph=1), 0, size=1)
-        track = noisy_track(query, renders, noise, seed)
+        track = noisy_track(query, render_index(renders), noise, seed)
         assert query.pivot_view in track.masks and not track.masks[query.pivot_view].any()
 
 
@@ -476,9 +476,9 @@ class TestTrackLineFuzz:
 
 class TestTrackFiles:
     def _sample_tracks(self):
-        renders = block_renders([True, True, False, True])
-        a = oracle_track(center_query(0), renders, track_id=0, seed_superpoint=3)
-        b = noisy_track(center_query(1), renders, NoiseSpec(p_drop=0.5), 11, track_id=1, seed_superpoint=5)
+        pixels = render_index(block_renders([True, True, False, True]))
+        a = oracle_track(center_query(0), pixels, track_id=0, seed_superpoint=3)
+        b = noisy_track(center_query(1), pixels, NoiseSpec(p_drop=0.5), 11, track_id=1, seed_superpoint=5)
         return [a, b]
 
     def test_round_trip(self, tmp_path):
@@ -575,7 +575,7 @@ class TestLazyMasks:
 
     def test_keys_and_lifting_decode_nothing(self, tmp_path, monkeypatch):
         renders = block_renders([True] * 4)
-        dense = oracle_track(center_query(1), renders, track_id=0, seed_superpoint=0)
+        dense = oracle_track(center_query(1), render_index(renders), track_id=0, seed_superpoint=0)
         path = tmp_path / "spy.tracks"
         write_tracks([dense], path)
         decoded, checked = [], []

@@ -13,7 +13,7 @@ from seglift.view_select import (
     superpoint_view_counts,
 )
 
-from conftest import flat_depth, make_frame
+from conftest import flat_depth, make_frame, reference_view_counts
 
 
 class TestScaleFactor:
@@ -127,7 +127,7 @@ class TestPivotView:
         assignment = np.where(obj, 0, 1)
         partition = SuperpointPartition.from_assignment(assignment, pts)
         projections = project_cloud(pts, scene.frames, 0.1)
-        counts = superpoint_view_counts(partition, projections)
+        counts = reference_view_counts(partition, projections)
         per_view_object = [int((inst == 0).sum()) for inst in scene.instances]
         assert sum(c > 0 for c in per_view_object[:5]) == 0
         assert per_view_object[5] > 0
@@ -145,8 +145,9 @@ class TestCounts:
         partition = SuperpointPartition.from_assignment(assignment, pts)
         frames = [make_frame(flat_depth(32, 32, 2.0), fx=30.0, fy=30.0)]
         projections = project_cloud(cloud.positions, frames, 0.5)
-        counts = superpoint_view_counts(partition, projections)
         ps = projections[0]
+        counts = superpoint_view_counts(partition.assignment[ps.indices], partition.count)
+        assert counts.shape == (4,)
         for sp in range(4):
             expected = int(np.count_nonzero(assignment[ps.indices] == sp))
-            assert counts[0, sp] == expected
+            assert counts[sp] == expected
