@@ -266,7 +266,10 @@ def knn_centroids(centroids: np.ndarray, k: int) -> np.ndarray:
 
 
 def shared_knn(positions: np.ndarray, ks: tuple[int, ...]) -> list[np.ndarray]:
-    """Neighbor ids for several neighbor counts from one k-NN query.
+    """Neighbor ids for several neighbor counts from one k-NN query: the
+    package's only one. :func:`estimate_normals` and
+    :func:`~seglift.superpoints.partition_superpoints` take its arrays and
+    read their k from each one's width.
 
     Returns one (N, k+1) array per ``k`` in ``ks``, self first, equal to
     ``cKDTree(positions).query(positions, k + 1)[1]``, as int32 below 2**31
@@ -274,7 +277,8 @@ def shared_knn(positions: np.ndarray, ks: tuple[int, ...]) -> list[np.ndarray]:
     prefix can differ from a direct query only where distances tie, at its
     boundary or inside it (a duplicate point can even displace the query
     point from column 0), so every row whose first ``k + 2`` distances hold
-    a tie is queried again at exactly ``k + 1``.
+    a tie is queried again at exactly ``k + 1``. Where N <= k, a row's
+    missing neighbours are cKDTree's padding id N.
     """
     if min(ks) < 1:
         raise ValueError("k must be at least 1")
@@ -306,33 +310,24 @@ def shared_knn(positions: np.ndarray, ks: tuple[int, ...]) -> list[np.ndarray]:
     return out
 
 
-NORMALS_K = 12  # neighbours of the PCA normal fit that prepare_state runs
-
-
-def estimate_normals(
-    positions: np.ndarray, k: int = NORMALS_K, neighbors: np.ndarray | None = None
-) -> np.ndarray:
+def estimate_normals(positions: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     """Per-point unit normals from local PCA over k nearest neighbors.
 
-    The normal is the smallest principal direction of the neighborhood
-    covariance (the point itself included). Signs are canonicalized so the
-    component with the largest absolute value is positive. Neighborhoods of
-    rank < 2 fall back to (0, 0, 1). ``neighbors`` is the (N, k+1) k-NN
-    result, self first (see :func:`shared_knn`); without it, the points are
-    queried here.
+    ``neighbors`` is the (N, k+1) k-NN result, self first (see
+    :func:`shared_knn`), and k is read from its width. The normal is the
+    smallest principal direction of the neighborhood covariance (the point
+    itself included). Signs are canonicalized so the component with the
+    largest absolute value is positive. Neighborhoods of rank < 2 fall back
+    to (0, 0, 1).
     """
     pts = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-    n = len(pts)
+    n, k = len(pts), neighbors.shape[1] - 1
+    if len(neighbors) != n:
+        raise ValueError("neighbors must have one row per point")
     if k < 3:
         raise ValueError("k must be at least 3")
     if n <= k:
         raise ValueError("need more points than neighbors")
-    if neighbors is None:
-        from scipy.spatial import cKDTree
-
-        _, neighbors = cKDTree(pts).query(pts, k=k + 1)
-    elif neighbors.shape != (n, k + 1):
-        raise ValueError("neighbors must be (N, k+1)")
     # every step is per point, so blocks give the whole-array result bit for bit
     normals = np.empty((n, 3))
     for start in range(0, n, _NORMALS_BLOCK):

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DataError, InvariantViolation, TrackingError, read_text
-from .geometry import NORMALS_K, CameraFrame, PointCloud, fps_sample, knn_centroids, estimate_normals, project_cloud, shared_knn
-from .superpoints import SUPERPOINT_KNN, SuperpointPartition, partition_superpoints
+from .geometry import CameraFrame, PointCloud, fps_sample, knn_centroids, estimate_normals, project_cloud, shared_knn
+from .superpoints import SuperpointPartition, partition_superpoints
 from .tracks import MaskTrack, NoiseSpec, build_tracker_query, noisy_track, oracle_track
 from .optimize import (
     VisibilityMatrix,
@@ -223,6 +223,10 @@ class PipelineState:
     lifted: dict[tuple[str, int, int], LiftedTrack | str] = field(default_factory=dict, repr=False)
 
 
+NORMALS_K = 12  # neighbours of the PCA normal fit
+SUPERPOINT_KNN = 10  # neighbours per point in the k-NN graph that the graph cut runs on
+
+
 def prepare_state(cloud, frames, instances, config) -> PipelineState:
     """Subsample views, partition the cloud, and index its projections.
 
@@ -240,10 +244,10 @@ def prepare_state(cloud, frames, instances, config) -> PipelineState:
         raise DataError("one instance render per frame required")
     if len(cloud) < 4:  # estimate_normals fits planes to at least 3 neighbours
         raise DataError(f"the cloud has {len(cloud)} points; at least 4 are needed")
-    normals_k = min(NORMALS_K, len(cloud) - 1)
-    normal_nbr, graph_nbr = shared_knn(cloud.positions, (normals_k, SUPERPOINT_KNN))
-    normals = estimate_normals(cloud.positions, k=normals_k, neighbors=normal_nbr)
-    partition = partition_superpoints(cloud, normals, knn_k=SUPERPOINT_KNN, neighbors=graph_nbr)
+    # one query serves both; each reads its k from its array's width
+    normal_nbr, graph_nbr = shared_knn(cloud.positions, (min(NORMALS_K, len(cloud) - 1), SUPERPOINT_KNN))
+    normals = estimate_normals(cloud.positions, normal_nbr)
+    partition = partition_superpoints(cloud, normals, graph_nbr)
     del normal_nbr, graph_nbr, normals  # the k-NN and normals are not needed past the partition
     neighbors = knn_centroids(partition.centroids, config.kappa)
     shape = (working[0].height, working[0].width)

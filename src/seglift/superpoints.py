@@ -1,10 +1,11 @@
 """Normal-based graph-cut over-segmentation of point clouds.
 
-Builds a k-NN graph over points, weights edges by angular dissimilarity of
-the endpoint normals, and merges regions greedily in ascending weight order
-with the classic adaptive threshold ``merge_threshold / |component|``. A
-post-pass folds components below ``min_size`` into the neighbor they touch
-through their cheapest edge.
+Takes the k-NN graph of the points from the one query that
+:func:`~seglift.geometry.shared_knn` makes, weights its edges by angular
+dissimilarity of the endpoint normals, and merges regions greedily in
+ascending weight order with the classic adaptive threshold
+``merge_threshold / |component|``. A post-pass folds components below
+``min_size`` into the neighbor they touch through their cheapest edge.
 
 Three exact shortcuts keep most edges out of the Python union-find loop. A
 weight-0 edge passes ``w <= Int(C) + k / |C|`` whatever the state, since
@@ -106,52 +107,44 @@ class _UnionFind:
         return parent
 
 
-SUPERPOINT_KNN = 10  # neighbours per point in the k-NN graph that prepare_state cuts
-
-
 def partition_superpoints(
     cloud: PointCloud,
     normals: np.ndarray,
-    knn_k: int = SUPERPOINT_KNN,
+    neighbors: np.ndarray,
     merge_threshold: float = 0.05,
     min_size: int = 20,
-    neighbors: np.ndarray | None = None,
 ) -> SuperpointPartition:
     """Partition a cloud into superpoints; see module docstring.
 
+    ``neighbors`` is the (N, k+1) k-NN result, self first (see
+    :func:`~seglift.geometry.shared_knn`), and k is read from its width.
     Edge weight is ``1 - |n_i . n_j|`` (orientation-agnostic). Edges are
     processed in ascending (weight, i, j) order, which makes the result a
-    pure function of the inputs. Clouds with fewer than ``knn_k + 1`` points
-    collapse to a single superpoint. Components smaller than ``min_size``
-    survive only when they are isolated in the k-NN graph. ``neighbors`` is
-    the (N, knn_k+1) k-NN result, self first (see
-    :func:`~seglift.geometry.shared_knn`); without it, the points are
-    queried here.
+    pure function of the inputs. Clouds with fewer than k + 1 points
+    collapse to a single superpoint, whatever ids pad their rows.
+    Components smaller than ``min_size`` survive only when they are
+    isolated in the k-NN graph.
     """
     from scipy.sparse import csr_matrix  # imported here, so that eval and generate do not load scipy
     from scipy.sparse.csgraph import connected_components
 
-    if knn_k < 1:
-        raise ValueError("knn_k must be at least 1")
+    positions = cloud.positions
+    n, k = len(positions), neighbors.shape[1] - 1
+    if len(neighbors) != n:
+        raise ValueError("neighbors must have one row per point")
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if not (np.isfinite(merge_threshold) and merge_threshold > 0):
         raise ValueError("merge_threshold must be finite and positive")
     if min_size < 1:
         raise ValueError("min_size must be at least 1")
-    positions = cloud.positions
-    n = len(positions)
-    if n < knn_k + 1:
+    if n < k + 1:
         return SuperpointPartition.from_assignment(np.zeros(n, dtype=np.int64), positions)
 
     normals = np.asarray(normals, dtype=np.float64)
     if normals.shape != (n, 3):
         raise ValueError("normals must be (N, 3)")
 
-    if neighbors is None:
-        from scipy.spatial import cKDTree
-
-        _, neighbors = cKDTree(positions).query(positions, k=knn_k + 1)
-    elif neighbors.shape != (n, knn_k + 1):
-        raise ValueError("neighbors must be (N, knn_k+1)")
     # undirected edge keys lo * n + hi, built in place in a fresh int64 array and sorted in place
     nb, rows = neighbors[:, 1:], np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)[:, None]
     keys = np.minimum(nb, rows, dtype=np.int64).ravel()

@@ -415,8 +415,8 @@ def read_tracks(path) -> list[MaskTrack]:
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: bad seed field") from exc
             text = tail[0] if tail else ""
-        # a line the one conversion refuses is split into its tokens
-        packed = _packed_line(text, height * width) or _parse_views(text.split(), height, width, path, lineno)
+        # a line the one conversion refuses is read token by token
+        packed = _packed_line(text, height * width) or _parse_entries(text.split(), height, width, path, lineno)
         masks = _RunLengthMasks(*packed, height, width)
         try:
             tracks.append(MaskTrack(track_id, score, masks, pivot, seed))
@@ -425,35 +425,22 @@ def read_tracks(path) -> list[MaskTrack]:
     return tracks
 
 
-def _parse_views(rest: list[str], height: int, width: int, path, lineno: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One line's ``t:r0 r1 ...`` entries: their view ids in line order, their
-    checked int64 run lengths packed in one array, and each view's offsets
-    into it. The line's numbers are converted in one call and checked at
-    once; a line that fails, or that such a conversion could misread, is
-    parsed again by :func:`_parse_entries`, whose errors name the first bad
-    token."""
-    packed = _packed_line(" ".join(rest), height * width)
-    if packed is None:
-        by_view = _parse_entries(rest, height, width, path, lineno)
-        packed = (np.array(list(by_view), dtype=np.int64), *_pack(list(by_view.values())))
-    return packed
-
-
 def _pack(spans: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """int64 arrays joined into one, and each one's offsets into it."""
     return np.concatenate([np.empty(0, dtype=np.int64), *spans]), np.cumsum([0] + [len(span) for span in spans])
 
 
 def _packed_line(text: str, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """What :func:`_parse_views` gives for a line whose entries are
-    ``text``, from one conversion of all its numbers; or None, which leaves
-    the line to the token loop. That is so for a bad line, for one whose
-    blanks are not single spaces (numpy reads a tab as a blank, which the
-    count of spaces below would miss; a repeated or trailing space fails
-    that count), and for one where numpy could read a number other than
-    ``int`` does: it reads a lone sign as 0 and a number beyond int64 as
-    int64's limit, so a line with a sign or a number at that limit is left
-    too."""
+    """One line's ``t:r0 r1 ...`` entries, ``text``, from one conversion of
+    all its numbers: their view ids in line order, their checked int64 run
+    lengths packed in one array, and each view's offsets into it. Or None,
+    which leaves the line to the token loop, :func:`_parse_entries`. That
+    is so for a bad line, for one whose blanks are not single spaces (numpy
+    reads a tab as a blank, which the count of spaces below would miss; a
+    repeated or trailing space fails that count), and for one where numpy
+    could read a number other than ``int`` does: it reads a lone sign as 0
+    and a number beyond int64 as int64's limit, so a line with a sign or a
+    number at that limit is left too."""
     if "-" in text or "+" in text or "\t" in text:
         return None
     # the first piece is the first view id; every later one holds an entry's runs and then the next view id
@@ -483,11 +470,11 @@ def _packed_line(text: str, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return views, runs, offsets
 
 
-def _parse_entries(rest: list[str], height: int, width: int, path, lineno: int) -> dict[int, np.ndarray]:
-    """Checked int64 run lengths of one line's ``t:r0 r1 ...`` entries, read
-    token by token with Python ints. Errors name the first bad token, entry
-    by entry, as a reader meets them; a view id beyond int64 is reported
-    only once every entry has passed."""
+def _parse_entries(rest: list[str], height: int, width: int, path, lineno: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What :func:`_packed_line` gives, read token by token with Python
+    ints. Errors name the first bad token, entry by entry, as a reader meets
+    them; a view id beyond int64 is reported only once every entry has
+    passed."""
     starts = [i for i, token in enumerate(rest) if ":" in token]
     if rest and starts[:1] != [0]:
         raise DataError(f"{path}: line {lineno}: run length before any view entry")
@@ -509,7 +496,7 @@ def _parse_entries(rest: list[str], height: int, width: int, path, lineno: int) 
         by_view[view] = _line_runs(runs, height, width, path, lineno)
     if any(not -(2**63) <= view < 2**63 for view in by_view):
         raise DataError(f"{path}: line {lineno}: a view id beyond int64")
-    return by_view
+    return np.array(list(by_view), dtype=np.int64), *_pack(list(by_view.values()))
 
 
 def _line_runs(runs: list[int] | np.ndarray, height: int, width: int, path, lineno: int) -> np.ndarray:

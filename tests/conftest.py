@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 from scipy import ndimage
 
-from seglift.geometry import CameraFrame, PixelSet, project_cloud, project_points
+from seglift.geometry import CameraFrame, PixelSet, project_cloud, project_points, shared_knn
 from seglift.superpoints import SuperpointPartition
 from seglift.synth import SceneSpec, build_scene
 from seglift.errors import DataError
@@ -31,6 +31,13 @@ def make_frame(depth, fx=100.0, fy=100.0, cx=None, cy=None, extrinsics=None):
     if extrinsics is None:
         extrinsics = np.eye(4)
     return CameraFrame(fx, fy, cx, cy, extrinsics, depth, w, h)
+
+
+def knn(positions, k):
+    """The (N, k+1) k-NN ids, self first, that the normals and the graph cut
+    take from :func:`shared_knn`, which prepare_state queries once for both."""
+    (nbr,) = shared_knn(positions, (k,))
+    return nbr
 
 
 def pixel_index(partition, positions, frames, depth_tolerance=0.1, renders=None):
@@ -130,7 +137,7 @@ def reference_noisy_track(query, instance_renders, noise, rng_seed, track_id=0, 
 
 def reference_parse_views(rest, height, width, path, lineno):
     """A track line's ``t:r0 r1 ...`` entries parsed one token at a time,
-    with Python ints: the oracle for the batched ``tracks._parse_views``.
+    with Python ints: the oracle for the batched ``tracks._packed_line``.
     The first bad token is the one reported; a view listed a second time is
     bad as its id is read."""
     by_view = {}

@@ -34,7 +34,7 @@ from seglift.view_select import NoPivotViewError, pivot_view
 from seglift.errors import TrackingError
 from seglift.cli import main as cli_main
 
-from conftest import backproject_pixels, make_frame, objective_value, pixel_index, pose_from, rotation_z
+from conftest import backproject_pixels, knn, make_frame, objective_value, pixel_index, pose_from, rotation_z
 
 # the acceptance boundary-noise fixture; mild enough that the greedy sweep
 # matches the exhaustive view search on all but a few tracks
@@ -273,11 +273,11 @@ def test_oracle_end_to_end():
 
 def _suite_tracks(scene, noise):
     """Pivot + query + noisy track for every liftable superpoint of a scene."""
-    normals = estimate_normals(scene.cloud.positions, 12)
-    partition = partition_superpoints(scene.cloud, normals)
+    pos = scene.cloud.positions
+    partition = partition_superpoints(scene.cloud, estimate_normals(pos, knn(pos, 12)), knn(pos, 10))
     neighbors = knn_centroids(partition.centroids, 8)
     working = scene.frames[::10]
-    pixels = pixel_index(partition, scene.cloud.positions, working, renders=scene.instances[::10])
+    pixels = pixel_index(partition, pos, working, renders=scene.instances[::10])
     for sp in range(partition.count):
         try:
             pivot = pivot_view(sp, pixels.counts, partition.sizes, neighbors)
@@ -318,11 +318,11 @@ def test_ablation_ordering(suite_scenes):
 def test_visibility_monotonicity(suite_scenes):
     """Raising tau never adds a true entry, over a full tau sweep."""
     scene = suite_scenes[0]
-    normals = estimate_normals(scene.cloud.positions, 12)
-    partition = partition_superpoints(scene.cloud, normals)
+    pos = scene.cloud.positions
+    partition = partition_superpoints(scene.cloud, estimate_normals(pos, knn(pos, 12)), knn(pos, 10))
     working = scene.frames[::10]
     instances = scene.instances[::10]
-    pixels = pixel_index(partition, scene.cloud.positions, working)
+    pixels = pixel_index(partition, pos, working)
     checked = 0
     for oid in range(4):
         masks = {t: inst == oid for t, inst in enumerate(instances) if np.any(inst == oid)}

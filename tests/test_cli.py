@@ -401,6 +401,24 @@ def test_importing_the_cli_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("command", ["generate", "eval"])
+def test_generate_and_eval_load_no_scipy(scene_dir, tmp_path, command):
+    # a fresh process runs the whole command; without scipy, eval's peak memory is about half
+    if command == "generate":
+        args = ["generate", "--out", str(tmp_path / "g"), "--objects", "2", "--frames", "4", "--seed", "1"]
+    else:
+        assert run_segment(scene_dir, tmp_path / "run") == 0
+        args = ["eval", "--scene", str(scene_dir), "--proposals", str(tmp_path / "run" / "proposals.jsonl")]
+    env = {**os.environ, "PYTHONPATH": str(Path(seglift.__file__).parents[1])}
+    code = (
+        "import sys; from seglift.cli import main; code = main(sys.argv[1:]); "
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_importing_the_package_loads_none_of_its_modules():
     # the package root holds only __version__; callers import the modules they use
     env = {**os.environ, "PYTHONPATH": str(Path(seglift.__file__).parents[1])}

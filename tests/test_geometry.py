@@ -22,7 +22,7 @@ from seglift.geometry import (
 
 from seglift.synth import SceneSpec, build_scene
 
-from conftest import backproject_pixels, examples, flat_depth, make_frame, pose_from, rotation_z
+from conftest import backproject_pixels, examples, flat_depth, knn, make_frame, pose_from, rotation_z
 
 
 # --- references: the earlier implementations ---------------------------------
@@ -483,13 +483,13 @@ class TestEstimateNormals:
     def test_plane_z0(self):
         rng = np.random.default_rng(9)
         pts = np.column_stack([rng.uniform(-1, 1, 200), rng.uniform(-1, 1, 200), np.zeros(200)])
-        normals = estimate_normals(pts, 8)
+        normals = estimate_normals(pts, knn(pts, 8))
         np.testing.assert_allclose(normals, np.tile([0.0, 0.0, 1.0], (200, 1)), atol=1e-9)
 
     def test_plane_x5(self):
         rng = np.random.default_rng(10)
         pts = np.column_stack([np.full(200, 5.0), rng.uniform(-1, 1, 200), rng.uniform(-1, 1, 200)])
-        normals = estimate_normals(pts, 8)
+        normals = estimate_normals(pts, knn(pts, 8))
         np.testing.assert_allclose(normals, np.tile([1.0, 0.0, 0.0], (200, 1)), atol=1e-9)
 
     def test_noisy_plane_within_5_degrees(self):
@@ -503,13 +503,13 @@ class TestEstimateNormals:
                 rng.normal(0.0, 0.01, 300),
             ]
         )
-        normals = estimate_normals(pts, 50)
+        normals = estimate_normals(pts, knn(pts, 50))
         angles = np.degrees(np.arccos(np.clip(np.abs(normals[:, 2]), -1, 1)))
         assert np.max(angles) < 5.0
 
     def test_collinear_fallback(self):
         pts = np.column_stack([np.linspace(0, 1, 30), np.zeros(30), np.zeros(30)])
-        normals = estimate_normals(pts, 5)
+        normals = estimate_normals(pts, knn(pts, 5))
         np.testing.assert_allclose(normals, np.tile([0.0, 0.0, 1.0], (30, 1)))
 
     @pytest.mark.ci_examples
@@ -531,7 +531,7 @@ class TestEstimateNormals:
         pts = normals_case(kind, n, seed)
         nbr = cKDTree(pts).query(pts, k=k + 1)[1]
         with mock.patch.object(geometry, "_NORMALS_BLOCK", block):
-            got = estimate_normals(pts, k, neighbors=nbr)
+            got = estimate_normals(pts, nbr)
         assert got.tobytes() == reference_normals(pts, k, nbr).tobytes()
 
     @pytest.mark.ci_examples
@@ -539,14 +539,14 @@ class TestEstimateNormals:
     def test_module_block_equals_whole_array(self, offset):
         pts = normals_case("mixed", geometry._NORMALS_BLOCK + offset, 3)
         nbr = cKDTree(pts).query(pts, k=13)[1]
-        assert estimate_normals(pts, 12, neighbors=nbr).tobytes() == reference_normals(pts, 12, nbr).tobytes()
+        assert estimate_normals(pts, nbr).tobytes() == reference_normals(pts, 12, nbr).tobytes()
 
     def test_parameter_validation(self):
         pts = np.random.default_rng(0).uniform(size=(10, 3))
         with pytest.raises(ValueError):
-            estimate_normals(pts, 2)
+            estimate_normals(pts, knn(pts, 2))
         with pytest.raises(ValueError):
-            estimate_normals(pts, 10)
+            estimate_normals(pts, knn(pts, 10))
 
 
 class TestDomainTypes:

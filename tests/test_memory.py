@@ -20,7 +20,7 @@ from seglift.superpoints import partition_superpoints
 from seglift.synth import SceneSpec, build_scene, load_cloud, load_scene, save_scene
 from seglift.tracks import MaskTrack, read_tracks, write_tracks
 
-from conftest import pixel_index
+from conftest import knn, pixel_index
 
 NORMALS_K = 12
 GRAPH_K = 10
@@ -51,7 +51,7 @@ def test_normals_peak_is_one_block(cloud):
     nbr, _ = shared_knn(cloud.positions, (NORMALS_K, GRAPH_K))
     block_hood = geometry._NORMALS_BLOCK * (NORMALS_K + 1) * 3 * 8  # one block's gathered neighbourhood
     bound = 3 * block_hood + 4 * n * 3 * 8  # plus four (N, 3) float arrays: the result and its sign pass
-    peak = traced_peak(estimate_normals, cloud.positions, NORMALS_K, neighbors=nbr)
+    peak = traced_peak(estimate_normals, cloud.positions, nbr)
     assert peak < bound
 
 
@@ -59,11 +59,11 @@ def test_partition_peak_is_a_few_edge_arrays(cloud):
     n = len(cloud)
     assert 4 * superpoints._EDGE_BLOCK < n  # several blocks of edges, at least one per two points
     normal_nbr, nbr = shared_knn(cloud.positions, (NORMALS_K, GRAPH_K))
-    normals = estimate_normals(cloud.positions, NORMALS_K, neighbors=normal_nbr)
+    normals = estimate_normals(cloud.positions, normal_nbr)
     edge_array = n * GRAPH_K * 8  # int64 or float64 over every directed k-NN edge
     gathers = 2 * superpoints._EDGE_BLOCK * 3 * 8  # the two (block, 3) normal gathers
     bound = 2 * edge_array + gathers
-    peak = traced_peak(partition_superpoints, cloud, normals, knn_k=GRAPH_K, neighbors=nbr)
+    peak = traced_peak(partition_superpoints, cloud, normals, nbr)
     assert peak < bound
 
 
@@ -108,15 +108,15 @@ def test_projection_and_index_peak_is_the_index_and_one_view():
     A list of every view's int64 rows, columns and ids (24 B per entry)
     cannot pass."""
     scene = build_scene(SceneSpec(object_count=3, frame_count=60, seed=1))
-    n = len(scene.cloud)
-    partition = partition_superpoints(scene.cloud, estimate_normals(scene.cloud.positions, NORMALS_K))
-    entries = int(pixel_index(partition, scene.cloud.positions, scene.frames).starts[-1])
+    n, pos = len(scene.cloud), scene.cloud.positions
+    partition = partition_superpoints(scene.cloud, estimate_normals(pos, knn(pos, NORMALS_K)), knn(pos, GRAPH_K))
+    entries = int(pixel_index(partition, pos, scene.frames).starts[-1])
     table = 2 * len(scene.frames) * partition.count * 8  # the (T, L) counts and first-pixel table, and the starts
     # 8 B per entry: the parts and the joined flat; eight (N,) float64 arrays
     # of one view; 64 KB for the per-view Python objects
     bound = 8 * entries + 8 * n * 8 + table + 65536
     assert 24 * entries > bound  # the whole-scene list form cannot pass
-    peak = traced_peak(pixel_index, partition, scene.cloud.positions, scene.frames)
+    peak = traced_peak(pixel_index, partition, pos, scene.frames)
     assert peak < bound
 
 
@@ -141,8 +141,9 @@ def test_pixel_index_holds_four_bytes_per_entry():
     (T + 1,) view starts; parallel row, column and label arrays would take
     12 B."""
     scene = build_scene(SceneSpec(object_count=3, frame_count=8, seed=1))
-    partition = partition_superpoints(scene.cloud, estimate_normals(scene.cloud.positions, NORMALS_K))
-    pixels = pixel_index(partition, scene.cloud.positions, scene.frames)
+    pos = scene.cloud.positions
+    partition = partition_superpoints(scene.cloud, estimate_normals(pos, knn(pos, NORMALS_K)), knn(pos, GRAPH_K))
+    pixels = pixel_index(partition, pos, scene.frames)
     entries = int(pixels.starts[-1])
     T, L = len(scene.frames), partition.count
     assert entries > 0 and pixels.counts.shape == (T, L)
@@ -160,7 +161,7 @@ def test_union_find_lists_hold_one_block():
     positions = np.random.default_rng(0).random((n, 3))
     cloud = PointCloud(positions)
     normal_nbr, nbr = shared_knn(positions, (NORMALS_K, GRAPH_K))
-    normals = estimate_normals(positions, NORMALS_K, neighbors=normal_nbr)
+    normals = estimate_normals(positions, normal_nbr)
     lo = np.minimum(nbr[:, 1:], np.arange(n)[:, None])
     hi = np.maximum(nbr[:, 1:], np.arange(n)[:, None])
     edges = np.unique(lo * n + hi)
@@ -169,7 +170,7 @@ def test_union_find_lists_hold_one_block():
     bound = 5 * n * GRAPH_K * 8 + 2 * superpoints._EDGE_BLOCK * 3 * 8
     assert weighted > 0.9 * len(edges)
     assert 100 * weighted > bound  # lists over every weighted edge cannot pass
-    peak = traced_peak(partition_superpoints, cloud, normals, knn_k=GRAPH_K, neighbors=nbr)
+    peak = traced_peak(partition_superpoints, cloud, normals, nbr)
     assert peak < bound
 
 

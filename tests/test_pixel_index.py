@@ -33,6 +33,7 @@ from seglift.view_select import NoPivotViewError, PixelIndex, pivot_view
 from conftest import (
     count_inside,
     examples,
+    knn,
     make_frame,
     pixel_index,
     pose_from,
@@ -203,9 +204,10 @@ class TestMatchesPerViewReference:
 
     def test_synthetic_scene(self, small_scene):
         cloud = small_scene.cloud
-        partition = partition_superpoints(cloud, estimate_normals(cloud.positions, 12))
+        pos = cloud.positions
+        partition = partition_superpoints(cloud, estimate_normals(pos, knn(pos, 12)), knn(pos, 10))
         frames = small_scene.frames[::4]
-        projections = project_cloud(cloud.positions, frames, 0.1)
+        projections = project_cloud(pos, frames, 0.1)
         pixels = PixelIndex.build(partition, projections, (frames[0].height, frames[0].width))
         for sp in range(0, partition.count, 3):
             assert_same_query(sp, partition, frames, pixels, projections, 2, 3)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+import scipy.spatial
 from scipy.spatial import cKDTree
 
 from seglift import geometry, pipeline, superpoints
@@ -15,7 +16,7 @@ from seglift.geometry import PointCloud, estimate_normals, shared_knn
 from seglift.pipeline import PipelineConfig, prepare_state
 from seglift.superpoints import SuperpointPartition, _UnionFind, partition_superpoints
 
-from conftest import examples
+from conftest import examples, knn
 
 
 def grid_plane(nx, ny, spacing, origin, axes):
@@ -224,9 +225,9 @@ class TestReferenceOracle:
     def test_labels_equal_reference_loop(self, kind, n, seed, knn_k, min_size, merge_threshold):
         pts, normals = oracle_case(kind, n, seed)
         cloud = as_cloud(pts)
-        kwargs = dict(knn_k=knn_k, merge_threshold=merge_threshold, min_size=min_size)
-        expected = _reference_partition(cloud, normals, **kwargs)
-        got = partition_superpoints(cloud, normals, **kwargs)
+        kwargs = dict(merge_threshold=merge_threshold, min_size=min_size)
+        expected = _reference_partition(cloud, normals, knn_k=knn_k, **kwargs)
+        got = partition_superpoints(cloud, normals, knn(pts, knn_k), **kwargs)
         np.testing.assert_array_equal(got.assignment, expected.assignment)
 
     @pytest.mark.parametrize("kind", ["grid", "random"])
@@ -240,21 +241,21 @@ class TestReferenceOracle:
         weights = np.clip(1.0 - np.abs(np.einsum("ij,ij->i", normals[lo], normals[hi])), 0.0, 1.0)
         assert np.all(weights == 0.0) if kind == "grid" else np.all(weights > 0.0)
         cloud = as_cloud(pts)
-        for kwargs in (dict(knn_k=6, min_size=1), dict(knn_k=6, merge_threshold=0.3, min_size=25)):
-            got = partition_superpoints(cloud, normals, **kwargs)
-            np.testing.assert_array_equal(got.assignment, _reference_partition(cloud, normals, **kwargs).assignment)
+        for kwargs in (dict(min_size=1), dict(merge_threshold=0.3, min_size=25)):
+            got = partition_superpoints(cloud, normals, knn(pts, 6), **kwargs)
+            np.testing.assert_array_equal(got.assignment, _reference_partition(cloud, normals, 6, **kwargs).assignment)
 
     @pytest.mark.parametrize("normals_from", ["estimated", "constant", "shuffled"])
     def test_labels_equal_reference_loop_on_scene(self, normals_from, small_scene):
-        cloud = small_scene.cloud
-        normals = estimate_normals(cloud.positions, 12)
+        cloud, pts = small_scene.cloud, small_scene.cloud.positions
+        normals = estimate_normals(pts, knn(pts, 12))
         if normals_from == "constant":
             normals = np.tile([0.0, 0.0, 1.0], (len(cloud), 1))
         elif normals_from == "shuffled":
             normals = np.random.default_rng(1).permutation(normals)
-        for kwargs in ({}, dict(knn_k=4, merge_threshold=0.01, min_size=30)):
-            expected = _reference_partition(cloud, normals, **kwargs)
-            got = partition_superpoints(cloud, normals, **kwargs)
+        for k, kwargs in ((10, {}), (4, dict(merge_threshold=0.01, min_size=30))):
+            expected = _reference_partition(cloud, normals, k, **kwargs)
+            got = partition_superpoints(cloud, normals, knn(pts, k), **kwargs)
             np.testing.assert_array_equal(got.assignment, expected.assignment)
 
 
@@ -282,7 +283,7 @@ class TestMergeLoopExit:
         tilted = np.array([0.0, np.sin(1e-3), np.cos(1e-3)])
         normals = np.repeat([[0.0, 0.0, 1.0], tilted, [0.0, 1.0, 0.0]], 144, axis=0)
         cloud = as_cloud(pts)
-        kwargs = dict(knn_k=6, merge_threshold=0.05, min_size=1)
+        kwargs = dict(merge_threshold=0.05, min_size=1)
         # the weight-0 edges lie inside the planes, so every weighted edge joins two of them
         (nbr,) = shared_knn(pts, (6,))
         pairs = np.stack([np.repeat(np.arange(len(pts)), 6), nbr[:, 1:].ravel()], axis=1)
@@ -301,12 +302,12 @@ class TestMergeLoopExit:
             mock.patch.object(_UnionFind, "__init__", counting_init),
             mock.patch.object(_UnionFind, "find", autospec=True, side_effect=_UnionFind.find) as find,
         ):
-            got = partition_superpoints(cloud, normals, **kwargs)
+            got = partition_superpoints(cloud, normals, nbr, **kwargs)
         # three components make no tree deeper than one, so a visited edge
         # reads its two ends' parents and theirs, and never needs find
         assert find.call_count == 0
         assert made[0].parent.reads == 4 * light  # every light edge, then no heavy one
-        np.testing.assert_array_equal(got.assignment, _reference_partition(cloud, normals, **kwargs).assignment)
+        np.testing.assert_array_equal(got.assignment, _reference_partition(cloud, normals, 6, **kwargs).assignment)
         assert got.count == 2
 
 
@@ -328,17 +329,17 @@ class TestBlockedEdges:
         pts, normals = oracle_case(kind, n, seed)
         knn_k = min(knn_k, len(pts) - 1)
         (nbr,) = shared_knn(pts, (knn_k,))
-        kwargs = dict(knn_k=knn_k, merge_threshold=merge_threshold, min_size=min_size)
+        kwargs = dict(merge_threshold=merge_threshold, min_size=min_size)
         with mock.patch.object(superpoints, "_EDGE_BLOCK", block):
-            got = partition_superpoints(as_cloud(pts), normals, neighbors=nbr, **kwargs)
-        expected = _whole_array_partition(as_cloud(pts), normals, neighbors=nbr, **kwargs)
+            got = partition_superpoints(as_cloud(pts), normals, nbr, **kwargs)
+        expected = _whole_array_partition(as_cloud(pts), normals, knn_k=knn_k, neighbors=nbr, **kwargs)
         np.testing.assert_array_equal(got.assignment, expected)
 
     def test_labels_equal_whole_array_edges_on_scene(self, small_scene):
         pts = small_scene.cloud.positions
         normal_nbr, nbr = shared_knn(pts, (12, 10))
-        normals = estimate_normals(pts, 12, neighbors=normal_nbr)
-        got = partition_superpoints(small_scene.cloud, normals, neighbors=nbr)
+        normals = estimate_normals(pts, normal_nbr)
+        got = partition_superpoints(small_scene.cloud, normals, nbr)
         expected = _whole_array_partition(small_scene.cloud, normals, 10, 0.05, 20, nbr)
         np.testing.assert_array_equal(got.assignment, expected)
 
@@ -349,7 +350,7 @@ class TestBlockedEdges:
         if layout == "prefix":  # a column prefix of a wider query, as prepare_state passes it
             nbr = shared_knn(pts, (12, 10))[1]
         before = nbr.copy()
-        partition_superpoints(small_scene.cloud, estimate_normals(pts, 12), neighbors=nbr)
+        partition_superpoints(small_scene.cloud, estimate_normals(pts, knn(pts, 12)), nbr)
         np.testing.assert_array_equal(nbr, before)
 
 
@@ -359,8 +360,8 @@ class TestPartition:
         b = grid_plane(20, 20, 0.05, (0, 0, 1.0), [(1, 0, 0), (0, 1, 0)])
         pts = np.concatenate([a, b])
         cloud = as_cloud(pts)
-        normals = estimate_normals(pts, 8)
-        part = partition_superpoints(cloud, normals, knn_k=6, merge_threshold=0.5, min_size=10)
+        normals = estimate_normals(pts, knn(pts, 8))
+        part = partition_superpoints(cloud, normals, knn(pts, 6), merge_threshold=0.5, min_size=10)
         comp_count, comp_labels = knn_components(pts, 6)
         assert comp_count == 2
         assert part.count == 2
@@ -372,8 +373,8 @@ class TestPartition:
     def test_single_plane_one_superpoint(self):
         pts = grid_plane(25, 25, 0.05, (0, 0, 0), [(1, 0, 0), (0, 1, 0)])
         cloud = as_cloud(pts)
-        normals = estimate_normals(pts, 8)
-        part = partition_superpoints(cloud, normals, knn_k=6, merge_threshold=5.0, min_size=1)
+        normals = estimate_normals(pts, knn(pts, 8))
+        part = partition_superpoints(cloud, normals, knn(pts, 6), merge_threshold=5.0, min_size=1)
         assert part.count == 1
 
     def test_plane_meets_wall_purity(self):
@@ -382,8 +383,8 @@ class TestPartition:
         pts = np.concatenate([floor, wall])
         surface = np.concatenate([np.zeros(len(floor)), np.ones(len(wall))]).astype(int)
         cloud = as_cloud(pts)
-        normals = estimate_normals(pts, 8)
-        part = partition_superpoints(cloud, normals, knn_k=6, merge_threshold=0.01, min_size=1)
+        normals = estimate_normals(pts, knn(pts, 8))
+        part = partition_superpoints(cloud, normals, knn(pts, 6), merge_threshold=0.01, min_size=1)
         assert part.count >= 2
         pure = 0
         for sp in range(part.count):
@@ -393,9 +394,8 @@ class TestPartition:
         assert pure / len(pts) >= 0.95
 
     def test_partition_invariants(self, small_scene):
-        cloud = small_scene.cloud
-        normals = estimate_normals(cloud.positions, 12)
-        part = partition_superpoints(cloud, normals)
+        cloud, pts = small_scene.cloud, small_scene.cloud.positions
+        part = partition_superpoints(cloud, estimate_normals(pts, knn(pts, 12)), knn(pts, 10))
         assert part.assignment.shape == (len(cloud),)
         assert part.assignment.min() == 0 and part.assignment.max() == part.count - 1
         assert int(part.sizes.sum()) == len(cloud)
@@ -412,9 +412,9 @@ class TestPartition:
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 1, size=(400, 3))
         cloud = as_cloud(pts)
-        normals = estimate_normals(pts, 8)
-        a = partition_superpoints(cloud, normals, knn_k=5, merge_threshold=0.1, min_size=5)
-        b = partition_superpoints(cloud, normals, knn_k=5, merge_threshold=0.1, min_size=5)
+        normals = estimate_normals(pts, knn(pts, 8))
+        a = partition_superpoints(cloud, normals, knn(pts, 5), merge_threshold=0.1, min_size=5)
+        b = partition_superpoints(cloud, normals, knn(pts, 5), merge_threshold=0.1, min_size=5)
         np.testing.assert_array_equal(a.assignment, b.assignment)
 
     def test_min_size_enforced_on_connected_cloud(self):
@@ -423,28 +423,28 @@ class TestPartition:
         count, _ = knn_components(pts, 8)
         assert count == 1  # precondition: one graph component
         cloud = as_cloud(pts)
-        normals = estimate_normals(pts, 8)
-        part = partition_superpoints(cloud, normals, knn_k=8, merge_threshold=0.0001, min_size=25)
+        normals = estimate_normals(pts, knn(pts, 8))
+        part = partition_superpoints(cloud, normals, knn(pts, 8), merge_threshold=0.0001, min_size=25)
         assert np.all(part.sizes >= 25)
 
     def test_tiny_cloud_single_superpoint(self):
         pts = np.random.default_rng(5).uniform(size=(6, 3))
         cloud = as_cloud(pts)
-        part = partition_superpoints(cloud, np.tile([0.0, 0.0, 1.0], (6, 1)), knn_k=10)
+        part = partition_superpoints(cloud, np.tile([0.0, 0.0, 1.0], (6, 1)), knn(pts, 10))  # rows padded with id 6
         assert part.count == 1
         assert part.sizes.tolist() == [6]
 
     def test_parameter_validation(self):
         pts = np.random.default_rng(6).uniform(size=(50, 3))
         cloud = as_cloud(pts)
-        normals = np.tile([0.0, 0.0, 1.0], (50, 1))
+        normals, nbr = np.tile([0.0, 0.0, 1.0], (50, 1)), knn(pts, 10)
         with pytest.raises(ValueError):
-            partition_superpoints(cloud, normals, knn_k=0)
+            partition_superpoints(cloud, normals, nbr[:, :1])  # self only: k = 0
         for threshold in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                partition_superpoints(cloud, normals, merge_threshold=threshold)
+                partition_superpoints(cloud, normals, nbr, merge_threshold=threshold)
         with pytest.raises(ValueError):
-            partition_superpoints(cloud, normals, min_size=0)
+            partition_superpoints(cloud, normals, nbr, min_size=0)
 
     def test_from_assignment_rejects_empty_superpoint(self):
         with pytest.raises(ValueError):
@@ -483,10 +483,10 @@ class TestSharedKnn:
             np.testing.assert_array_equal(nbr, tree.query(pts, k=k + 1)[1])
         by_k = dict(zip(ks, shared))
 
-        normals = estimate_normals(pts, normals_k, neighbors=by_k[normals_k])
-        assert normals.tobytes() == estimate_normals(pts, normals_k).tobytes()
+        normals = estimate_normals(pts, by_k[normals_k])
+        assert normals.tobytes() == estimate_normals(pts, tree.query(pts, k=normals_k + 1)[1]).tobytes()
         cloud = as_cloud(pts)
-        got = partition_superpoints(cloud, normals, knn_k=knn_k, min_size=min_size, neighbors=by_k[knn_k])
+        got = partition_superpoints(cloud, normals, by_k[knn_k], min_size=min_size)
         expected = _reference_partition(cloud, normals, knn_k=knn_k, min_size=min_size)
         np.testing.assert_array_equal(got.assignment, expected.assignment)
 
@@ -495,9 +495,33 @@ class TestSharedKnn:
         for name, k in ks.items():  # a graph wider than the normals' neighbourhood, the reverse of the defaults
             monkeypatch.setattr(pipeline, name, k)
         state = prepare_state(small_scene.cloud, small_scene.frames, small_scene.instances, PipelineConfig())
-        normals = estimate_normals(small_scene.cloud.positions, pipeline.NORMALS_K)
-        expected = partition_superpoints(small_scene.cloud, normals, knn_k=pipeline.SUPERPOINT_KNN)
+        pts = small_scene.cloud.positions
+        normals = estimate_normals(pts, knn(pts, pipeline.NORMALS_K))
+        expected = partition_superpoints(small_scene.cloud, normals, knn(pts, pipeline.SUPERPOINT_KNN))
         np.testing.assert_array_equal(state.partition.assignment, expected.assignment)
+
+    def test_prepare_state_builds_one_tree(self, small_scene, monkeypatch):
+        """The normals and the graph cut take their neighbours from one
+        query: a second cKDTree built for either would be counted."""
+        built, tree = [], scipy.spatial.cKDTree
+
+        def counting_tree(*args, **kwargs):
+            built.append(len(args[0]))
+            return tree(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", counting_tree)
+        for stride in (10, 3):
+            prepare_state(small_scene.cloud, small_scene.frames, None, PipelineConfig(view_stride=stride))
+        assert built == [len(small_scene.cloud)] * 2
+
+    @pytest.mark.parametrize("n", range(4, 12))
+    def test_prepare_state_on_a_few_points_makes_one_superpoint(self, n, small_scene):
+        """Below 11 points the graph's k = 10 query pads its rows with id N;
+        the graph cut reads k from the array's width and keeps the points
+        together, as it does at 11."""
+        cloud = PointCloud(small_scene.cloud.positions[:: len(small_scene.cloud) // n][:n])
+        state = prepare_state(cloud, small_scene.frames, None, PipelineConfig())
+        assert state.partition.count == 1 and state.partition.sizes.tolist() == [n]
 
     @pytest.mark.ci_examples
     @settings(max_examples=examples(60), deadline=None)
@@ -538,10 +562,10 @@ class TestSharedKnn:
 
     def test_neighbor_shapes_checked(self):
         pts = grid_plane(5, 5, 0.05, (0, 0, 0), [(1, 0, 0), (0, 1, 0)])
-        (nbr,) = shared_knn(pts, (4,))
+        (nbr,) = shared_knn(pts, (4,))  # one row per point of all 25; the clouds below drop the last
         with pytest.raises(ValueError, match="neighbors"):
-            estimate_normals(pts, 5, neighbors=nbr)
+            estimate_normals(pts[:-1], nbr)
         with pytest.raises(ValueError, match="neighbors"):
-            partition_superpoints(as_cloud(pts), np.tile([0.0, 0.0, 1.0], (25, 1)), knn_k=3, neighbors=nbr)
+            partition_superpoints(as_cloud(pts[:-1]), np.tile([0.0, 0.0, 1.0], (24, 1)), nbr)
         with pytest.raises(ValueError):
             shared_knn(pts, (0, 4))

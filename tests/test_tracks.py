@@ -22,7 +22,7 @@ from seglift.tracks import (
     read_tracks,
     write_tracks,
 )
-from seglift.tracks import _parse_views
+from seglift.tracks import _packed_line
 
 from conftest import examples, make_frame, pixel_index, reference_noisy_track, reference_parse_views, render_index
 
@@ -393,62 +393,60 @@ class TestTrackLineFuzz:
 
     @pytest.mark.ci_examples
     @given(st.one_of(st.lists(_LINE_TOKENS, max_size=12), _entry_tokens()), st.sampled_from([" ", "  ", "\t", " \t "]),
-           st.booleans())
+           st.booleans(), st.sampled_from(["", " ", "  \t"]))
     @settings(max_examples=examples(300), deadline=None)
-    @example(["0:5", "3", "x8", "1:9"], " ", True)  # the bad run, not the later entry, is named
-    @example(["0:5", "1:16", "x"], " ", True)  # the first entry's bad sum comes before the bad run
-    @example(["0:" + "9" * 25], " ", True)  # beyond int64: the token loop's message
-    @example(["9" * 25 + ":16"], " ", True)  # a view id beyond int64 is a data error as the file is read
-    @example(["1:16", "1:5", "x"], " ", True)  # a view listed twice is named before the later entry's bad run
-    @example(["9" * 25 + ":16", "9" * 25 + ":16"], " ", True)  # twice, and beyond int64
-    @example(["0:" + str(2**63)], " ", True)  # a run numpy would read as int64's limit
-    @example(["0:16", str(2**63) + ":16"], " ", True)  # a view id numpy would read as int64's limit
-    @example([str(2**63 - 1) + ":16", "2:16"], " ", True)  # the limit itself is a view id
-    @example(["0:0", str(2**63 - 1), "9223372036854775793"], " ", True)  # runs at the limit whose int64 sum wraps to 16
-    @example(["3:4:5"], " ", True)  # two colons in one token
-    @example(["3:4:16"], " ", True)  # and numbers that would make a full mask of view 4
-    @example(["0", "0:16"], " ", True)  # a run before any view entry, which would make a full mask of view 0
-    @example(["0:16", "3:4:5"], " ", True)
-    @example(["3:", "4:16"], " ", True)  # an entry without runs before the next entry
-    @example(["0:16", "3:"], " ", True)  # and at the line's end
-    @example(["0:16", "1:16", "+"], " ", True)  # numpy reads a lone sign as 0
-    @example(["0:5", "3", "8", "2:0", "16"], "\t", True)  # tabs
-    @example(["0:5", "3", "8", "2:0", "16"], "  ", False)  # repeated spaces, no seed field
-    @example(["2:16", "0:4", "12"], " \t ", False)  # views out of order
-    def test_batched_numbers_match_token_loop(self, tmp_path_factory, tokens, blank, seed_field):
-        def outcome(parse):
-            try:
-                parsed = parse(tokens, 4, 4, "p", 2)
-            except DataError as exc:
-                return str(exc)
-            if isinstance(parsed, dict):  # the token loop's runs by view
-                return {t: runs.tobytes() for t, runs in parsed.items()}
-            views, runs, offsets = parsed
-            return {t: runs[offsets[i] : offsets[i + 1]].tobytes() for i, t in enumerate(views.tolist())}
-
-        got, want = outcome(_parse_views), outcome(reference_parse_views)
+    @example(["0:5", "3", "x8", "1:9"], " ", True, "")  # the bad run, not the later entry, is named
+    @example(["0:5", "1:16", "x"], " ", True, "")  # the first entry's bad sum comes before the bad run
+    @example(["0:" + "9" * 25], " ", True, "")  # beyond int64: the token loop's message
+    @example(["9" * 25 + ":16"], " ", True, "")  # a view id beyond int64 is a data error as the file is read
+    @example(["1:16", "1:5", "x"], " ", True, "")  # a view listed twice is named before the later entry's bad run
+    @example(["9" * 25 + ":16", "9" * 25 + ":16"], " ", True, "")  # twice, and beyond int64
+    @example(["0:" + str(2**63)], " ", True, "")  # a run numpy would read as int64's limit
+    @example(["0:16", str(2**63) + ":16"], " ", True, "")  # a view id numpy would read as int64's limit
+    @example([str(2**63 - 1) + ":16", "2:16"], " ", True, "")  # the limit itself is a view id
+    @example(["0:0", str(2**63 - 1), "9223372036854775793"], " ", True, "")  # runs at the limit whose int64 sum wraps to 16
+    @example(["3:4:5"], " ", True, "")  # two colons in one token
+    @example(["3:4:16"], " ", True, "")  # and numbers that would make a full mask of view 4
+    @example(["0", "0:16"], " ", True, "")  # a run before any view entry, which would make a full mask of view 0
+    @example(["0:16", "3:4:5"], " ", True, "")
+    @example(["3:", "4:16"], " ", True, "")  # an entry without runs before the next entry
+    @example(["0:16", "3:"], " ", True, "")  # and at the line's end
+    @example(["0:16", "1:16", "+"], " ", True, "")  # numpy reads a lone sign as 0
+    @example(["0:5", "3", "8", "2:0", "16"], "\t", True, "")  # tabs
+    @example(["0:5", "3", "8", "2:0", "16"], "  ", False, "")  # repeated spaces, no seed field
+    @example(["2:16", "0:4", "12"], " \t ", False, "")  # views out of order
+    @example(["0:5", "3", "8", "2:0", "16"], " ", True, "  ")  # trailing blanks
+    def test_batched_numbers_match_token_loop(self, tmp_path_factory, tokens, blank, seed_field, trailing):
+        try:
+            want = {t: runs.tobytes() for t, runs in reference_parse_views(tokens, 4, 4, "p", 2).items()}
+        except DataError as exc:
+            want = str(exc)
         if isinstance(want, dict) and any(not -(2**63) <= t < 2**63 for t in want):
-            assert got == "p: line 2: a view id beyond int64"  # the one case the token loop accepts
-        else:
-            assert got == want
+            want = "p: line 2: a view id beyond int64"  # the one case the token loop accepts
+        packed = _packed_line(" ".join(tokens), 16)
+        if packed is not None:  # a line the one conversion accepts gives the token loop's runs
+            views, runs, offsets = packed
+            assert want == {t: runs[offsets[i] : offsets[i + 1]].tobytes() for i, t in enumerate(views.tolist())}
 
-        # the same entries on a whole line between other blanks, with the seed field or, where the
-        # first entry could not be read as one, without it
+        # the same entries on a whole line, single-spaced and between the other blanks and trailing
+        # blanks, with the seed field or, where the first entry could not be read as one, without it
         if seed_field or tokens and ":" in tokens[0]:
             path = tmp_path_factory.getbasetemp() / "line.tracks"
-            pivot = next(iter(got), 0) if isinstance(got, dict) else 0
-            path.write_text("tracks 1 4 4\n" + blank.join(["0", "1.0", str(pivot), *["-1"] * seed_field, *tokens]) + "\n")
-            try:
-                (track,) = read_tracks(path)
-                line = {t: track.masks[t].tobytes() for t in track.masks}
-            except DataError as exc:
-                line = str(exc).replace(str(path), "p", 1)
-            if isinstance(got, str):
-                assert line == got
-            elif not got:
-                assert line == "p: line 2: pivot view must be present in the track"
-            else:
-                assert line == {t: decode_rle(np.frombuffer(runs, np.int64), 4, 4).tobytes() for t, runs in got.items()}
+            pivot = next(iter(want), 0) if isinstance(want, dict) else 0
+            fields = ["0", "1.0", str(pivot), *["-1"] * seed_field, *tokens]
+            for text in (" ".join(fields), blank.join(fields) + trailing):
+                path.write_text("tracks 1 4 4\n" + text + "\n")
+                try:
+                    (track,) = read_tracks(path)
+                    line = {t: track.masks[t].tobytes() for t in track.masks}
+                except DataError as exc:
+                    line = str(exc).replace(str(path), "p", 1)
+                if isinstance(want, str):
+                    assert line == want
+                elif not want:
+                    assert line == "p: line 2: pivot view must be present in the track"
+                else:
+                    assert line == {t: decode_rle(np.frombuffer(runs, np.int64), 4, 4).tobytes() for t, runs in want.items()}
 
     def test_runs_whose_int64_sum_wraps_are_rejected(self, tmp_path):
         # five runs of 2**62, none beyond the image's 2**62 pixels, sum to 2**62 + 2**64: 2**62 in int64
